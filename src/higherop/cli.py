@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -100,6 +101,26 @@ def cache_lookup(cache_dir: str, key_obj: dict):
 
 def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get(CACHE_ENV)
+
+
+def _classifier_payload(cache_dir, n, k, dmax, fresh=False, **budget):
+    """Classifier homology through the disk cache.
+
+    Returns the payload and the cache state: "hit" or "miss" when the
+    cache was read, None when it was not.
+    """
+    key_obj = {"cmd": "classifier", "n": n, "k": k, "dmax": dmax,
+               "schema": SCHEMA_VERSION}
+    state = None
+    payload = None
+    if cache_dir and not fresh:
+        payload = cache_lookup(cache_dir, key_obj)
+        state = "hit" if payload is not None else "miss"
+    if payload is None:
+        payload = topology.classifier_homology(n, k, dmax, **budget)
+        if cache_dir:
+            cache_store(cache_dir, key_obj, payload)
+    return payload, state
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +255,10 @@ def cmd_sym(args) -> Report:
 
 
 def cmd_classifier(args) -> Report:
-    key_obj = {
-        "cmd": "classifier",
-        "n": args.n,
-        "k": args.k,
-        "dmax": args.dmax,
-        "schema": SCHEMA_VERSION,
-    }
-    cache_dir = _cache_dir(args)
-    cache_state = None
-    payload = None
-    if cache_dir and not args.fresh:
-        payload = cache_lookup(cache_dir, key_obj)
-        cache_state = "hit" if payload is not None else "miss"
-    if payload is None:
-        payload = topology.classifier_homology(
-            args.n, args.k, args.dmax, max_objects=args.max_objects
-        )
-        if cache_dir:
-            cache_store(cache_dir, key_obj, payload)
+    payload, cache_state = _classifier_payload(
+        _cache_dir(args), args.n, args.k, args.dmax, fresh=args.fresh,
+        max_objects=args.max_objects,
+    )
     timing = {} if cache_state is None else {"cache": cache_state}
     return Report("classifier", "ok", payload, timing)
 
@@ -264,8 +270,7 @@ def cmd_classifier(args) -> Report:
 def verify_eckmann_hilton(n: int, kmax: int) -> Report:
     counts = symm.terminal_class_counts(n, kmax)
     if n == 1:
-        expected = {k: _fact(k) for k in range(kmax + 1)}
-        expected[0] = 1
+        expected = {k: math.factorial(k) for k in range(kmax + 1)}
     else:
         expected = {k: 1 for k in range(kmax + 1)}
     ok = counts == expected
@@ -291,13 +296,6 @@ def verify_eckmann_hilton(n: int, kmax: int) -> Report:
     )
 
 
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def verify_monad_laws(n: int, vmax: int, kmax: int) -> Report:
     rep = freeop.check_monad_laws(n, vmax, kmax)
     return Report(
@@ -317,21 +315,9 @@ def verify_monad_laws(n: int, vmax: int, kmax: int) -> Report:
 def verify_stable_range(pairs, args) -> Report:
     results = {}
     ok = True
+    cache_dir = _cache_dir(args) if args is not None else None
     for n, k in pairs:
-        dmax = max(n - 1, 1)
-        key_obj = {
-            "cmd": "classifier",
-            "n": n,
-            "k": k,
-            "dmax": dmax,
-            "schema": SCHEMA_VERSION,
-        }
-        cache_dir = _cache_dir(args) if args is not None else None
-        payload = cache_lookup(cache_dir, key_obj) if cache_dir else None
-        if payload is None:
-            payload = topology.classifier_homology(n, k, dmax)
-            if cache_dir:
-                cache_store(cache_dir, key_obj, payload)
+        payload, _ = _classifier_payload(cache_dir, n, k, max(n - 1, 1))
         connected = payload["components"] == 1
         vanishing = True
         for i in range(1, n - 1):
@@ -526,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--dmax", type=int, default=None)
-    q.add_argument("--homology", action="store_true", help="kept for symmetry; implied")
     q.add_argument("--fresh", action="store_true", help="bypass the cache")
     q.add_argument("--max-objects", type=int, default=2000,
                    help="refuse posets larger than this (clean error)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ordinals import OrdinalMorphism, morphism_to_json
+from .ordinals import OrdinalMorphism
 from .operads import (
     BudgetExceededError,
     FinBase,
@@ -29,6 +29,8 @@ from .operads import (
     OperadTable,
     OrdBase,
     _target_size,
+    base_morphism_from_json,
+    base_morphism_to_json,
     base_morphisms,
 )
 
@@ -572,17 +574,9 @@ def check_monad_laws(
 def tree_to_json(tree: TreeTerm):
     if tree.is_trivial:
         return "trivial"
-    if isinstance(tree.sigma, OrdinalMorphism):
-        sig = morphism_to_json(tree.sigma)
-    else:
-        sig = {
-            "source": tree.sigma.source,
-            "target": tree.sigma.target,
-            "map": list(tree.sigma.map),
-        }
     return {
         "node": {
-            "sigma": sig,
+            "sigma": base_morphism_to_json(tree.sigma),
             "decoration": tree.decoration,
             "children": [tree_to_json(c) for c in tree.children],
         }
@@ -593,15 +587,8 @@ def tree_from_json(data, base) -> TreeTerm:
     if data == "trivial":
         return trivial(base)
     node = data["node"]
-    if isinstance(base, OrdBase):
-        from .ordinals import morphism_from_json
-
-        sigma = morphism_from_json(node["sigma"])
-    else:
-        s = node["sigma"]
-        sigma = FinSetMorphism(s["source"], s["target"], tuple(s["map"]))
     return TreeTerm(
-        sigma,
+        base_morphism_from_json(node["sigma"], base),
         tuple(tree_from_json(c, base) for c in node["children"]),
         node["decoration"],
     )

@@ -642,7 +642,7 @@ def _check_pair_loops(A, sigma, omega, comp, blocks, block_elems, rep):
                         return
 
 
-def _digits(total: int, sizes, order: str = "C") -> list[np.ndarray]:
+def _digits(total: int, sizes) -> list[np.ndarray]:
     """Row-major digit arrays: flat index -> per-axis index."""
     out = []
     stride = total
@@ -877,13 +877,15 @@ def enumerate_algebras(A: OperadTable, X, max_nodes: int = 2_000_000):
 # serialisation
 
 
-def _morphism_to_json(sigma) -> dict:
+def base_morphism_to_json(sigma) -> dict:
+    """JSON form of a morphism of either base."""
     if isinstance(sigma, OrdinalMorphism):
         return morphism_to_json(sigma)
     return {"source": sigma.source, "target": sigma.target, "map": list(sigma.map)}
 
 
-def _morphism_from_json(data, base):
+def base_morphism_from_json(data, base):
+    """Inverse of base_morphism_to_json over the given base."""
     if isinstance(base, OrdBase):
         return morphism_from_json(data)
     return FinSetMorphism(data["source"], data["target"], tuple(data["map"]))
@@ -930,7 +932,7 @@ def operad_to_json(A: OperadTable, max_entries: int = 1 << 20) -> dict:
             b_lab = A.components[sigma.target][idx[0]]
             a_labs = [A.components[F][i] for F, i in zip(fibers, idx[1:])]
             entries.append([[b_lab, a_labs], None if v < 0 else A.components[sigma.source][v]])
-        mult.append({"sigma": _morphism_to_json(sigma), "table": entries})
+        mult.append({"sigma": base_morphism_to_json(sigma), "table": entries})
     return {
         "base": base_to_json(A.base),
         "K": A.K,
@@ -951,7 +953,7 @@ def operad_from_json(data: dict) -> OperadTable:
     index = {T: {lab: i for i, lab in enumerate(labs)} for T, labs in components.items()}
     mult = {}
     for item in data["mult"]:
-        sigma = _morphism_from_json(item["sigma"], base)
+        sigma = base_morphism_from_json(item["sigma"], base)
         fibers = [base.fiber(sigma, i) for i in range(_target_size(sigma))]
         shape = (len(components[sigma.target]),) + tuple(len(components[F]) for F in fibers)
         tab = np.full(shape, -1, dtype=np.int32)

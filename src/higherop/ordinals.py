@@ -202,48 +202,53 @@ def _trusted_morphism(T: NOrdinal, S: NOrdinal, m: tuple[int, ...]) -> OrdinalMo
     return f
 
 
-_VECTOR_ENUM_THRESHOLD = 512  # candidate maps above which numpy filters
+def _allowed_values(S: NOrdinal) -> list[list[int]]:
+    """allowed[a][p]: bitmask of the values v = f(j) that pass against one
+    earlier f(i) = a with level(i, j) = p.
+
+    v = a always passes, a < v needs level(a, v) >= p and a reversal
+    v < a needs level(v, a) > p.
+    """
+    allowed = []
+    for a in range(S.size):
+        row = []
+        for p in range(S.n):
+            mask = 1 << a
+            for v in range(S.size):
+                if (v > a and min(S.profile[a:v]) >= p) or (
+                    v < a and min(S.profile[v:a]) > p
+                ):
+                    mask |= 1 << v
+            row.append(mask)
+        allowed.append(row)
+    return allowed
 
 
 @functools.lru_cache(maxsize=None)
 def _morphisms_cached(T: NOrdinal, S: NOrdinal) -> tuple[OrdinalMorphism, ...]:
-    if T.size == 0:
-        return (OrdinalMorphism(T, S, ()),)
-    total = S.size ** T.size
-    if total == 0:
-        return ()
-    if total <= _VECTOR_ENUM_THRESHOLD:
-        return tuple(
-            OrdinalMorphism(T, S, f)
-            for f in itertools.product(range(S.size), repeat=T.size)
-            if is_morphism(f, T, S)
-        )
-    import numpy as np
+    # depth first over f(0), f(1), ... with ascending values, so the maps
+    # come out in lexicographic order; f(j) is pruned against f(0..j-1)
+    allowed = _allowed_values(S)
+    # levels[j][i] = level(i, j) in T, for i < j
+    levels = [[min(T.profile[i:j]) for i in range(j)] for j in range(T.size)]
+    out = []
+    f = []
 
-    cand = np.empty((total, T.size), dtype=np.int16)
-    codes = np.arange(total, dtype=np.int64)
-    for pos in range(T.size - 1, -1, -1):
-        cand[:, pos] = codes % S.size
-        codes //= S.size
-    # level lookup for the target, padded so fancy indexing stays in range
-    lvl = np.zeros((S.size, S.size), dtype=np.int16)
-    for a in range(S.size):
-        for b in range(a + 1, S.size):
-            lvl[a, b] = min(S.profile[a:b])
-    ok = np.ones(total, dtype=bool)
-    for i in range(T.size):
-        for j in range(i + 1, T.size):
-            p = min(T.profile[i:j])
-            fi, fj = cand[:, i].astype(np.int64), cand[:, j].astype(np.int64)
-            lo = np.minimum(fi, fj)
-            hi = np.maximum(fi, fj)
-            lv = lvl[lo, hi]
-            cond = (fi == fj) | ((fi < fj) & (lv >= p)) | ((fi > fj) & (lv > p))
-            ok &= cond
-    rows = cand[ok]
-    return tuple(
-        _trusted_morphism(T, S, tuple(int(v) for v in row)) for row in rows
-    )
+    def extend(j: int) -> None:
+        if j == T.size:
+            out.append(_trusted_morphism(T, S, tuple(f)))
+            return
+        mask = (1 << S.size) - 1
+        for fi, p in zip(f, levels[j]):
+            mask &= allowed[fi][p]
+        for v in range(S.size):
+            if mask >> v & 1:
+                f.append(v)
+                extend(j + 1)
+                f.pop()
+
+    extend(0)
+    return tuple(out)
 
 
 def enumerate_morphisms(T: NOrdinal, S: NOrdinal) -> list[OrdinalMorphism]:

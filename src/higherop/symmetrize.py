@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,16 +105,33 @@ def pair_state(T: LabeledOrdinal) -> dict:
     return out
 
 
+def _pair_arrays(objects, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation bits and levels of every label pair, one row per object."""
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    orient = np.zeros((len(objects), len(pairs)), dtype=np.int16)
+    levels = np.zeros((len(objects), len(pairs)), dtype=np.int16)
+    for r, T in enumerate(objects):
+        state = pair_state(T)
+        for c, pair in enumerate(pairs):
+            orient[r, c], levels[r, c] = state[pair]
+    return orient, levels
+
+
+def _arrows_from(orient: np.ndarray, levels: np.ndarray, i: int) -> np.ndarray:
+    """Mask of the objects j with an identity-carried arrow i -> j.
+
+    Pair by pair, the level of j must reach the level of i, plus one
+    where the pair changes orientation.
+    """
+    return (levels >= levels[i] + (orient != orient[i])).all(axis=1)
+
+
 def arrow_leq(T: LabeledOrdinal, S: LabeledOrdinal) -> bool:
     """Is the identity of {1..k} a morphism T -> S?"""
     if T.n != S.n or T.k != S.k:
         raise ValueError("labeled structures are not comparable")
-    tS = pair_state(S)
-    for pair, (orient, lvl) in pair_state(T).items():
-        o2, l2 = tS[pair]
-        if l2 < lvl + (0 if orient == o2 else 1):
-            return False
-    return True
+    orient, levels = _pair_arrays((T, S), T.k)
+    return bool(_arrows_from(orient, levels, 0)[1])
 
 
 def arrow_morphism(T: LabeledOrdinal, S: LabeledOrdinal) -> OrdinalMorphism:
@@ -138,45 +156,31 @@ class ClassifierPoset:
     objects: tuple
     arrows: tuple  # (source index, target index), strict only
 
-    def object_index(self, T: LabeledOrdinal) -> int:
-        return self.objects.index(T)
-
 
 def build_classifier(n: int, k: int, max_objects: int = 20000) -> ClassifierPoset:
     """The arity-k classifier poset with its full arrow relation."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    count = 1 if k == 0 else _factorial(k) * n ** (k - 1)
+    count = math.factorial(k) * n ** max(k - 1, 0)
     if count > max_objects:
         raise BudgetExceededError(
             f"classifier at (n={n}, k={k}) has {count} objects "
             f"(budget {max_objects})"
         )
     objects = tuple(labeled_objects(n, k))
-    states = [pair_state(T) for T in objects]
+    return ClassifierPoset(n, k, objects, _strict_arrows(objects, k))
+
+
+def _strict_arrows(objects, k: int) -> tuple:
+    """All pairs (i, j), i != j, with an identity-carried arrow, i-major."""
+    orient, levels = _pair_arrays(objects, k)
     arrows = []
-    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-    for i, si in enumerate(states):
-        for j, sj in enumerate(states):
-            if i == j:
-                continue
-            ok = True
-            for p in pairs:
-                oi, li = si[p]
-                oj, lj = sj[p]
-                if lj < li + (0 if oi == oj else 1):
-                    ok = False
-                    break
-            if ok:
-                arrows.append((i, j))
-    return ClassifierPoset(n, k, objects, tuple(arrows))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    for i in range(len(objects)):
+        arrows.extend(
+            (i, j) for j in np.flatnonzero(_arrows_from(orient, levels, i)).tolist()
+            if j != i
+        )
+    return tuple(arrows)
 
 
 def classifier_dot(P: ClassifierPoset) -> str:
@@ -263,7 +267,6 @@ def symmetrize(
     verify: bool = True,
     max_elements: int = 200000,
     shuffle_seed: int | None = None,
-    force_path: str | None = None,
 ) -> SymResult:
     """Quotient A's components by the labeled-ordinal arrow relations.
 
@@ -286,7 +289,7 @@ def symmetrize(
     arities = {}
     lo = 1 if A.base.constant_free else 0
     for k in range(lo, K + 1):
-        arities[k] = _symmetrize_arity(A, n, k, max_elements, shuffle_seed, force_path)
+        arities[k] = _symmetrize_arity(A, n, k, max_elements, shuffle_seed)
     result = SymResult(n, K, arities)
     if build_operad:
         result.operad = _sym_operad(A, result)
@@ -300,23 +303,18 @@ def _component_labels(A: OperadTable, shape: NOrdinal):
     return A.components.get(shape, ())
 
 
-def _symmetrize_arity(A, n, k, max_elements, shuffle_seed, force_path):
+def _symmetrize_arity(A, n, k, max_elements, shuffle_seed):
     shapes = {prof: NOrdinal(n, prof, k) for prof in _profiles(n, k)}
     sizes = {prof: len(_component_labels(A, s)) for prof, s in shapes.items()}
     singleton = all(v == 1 for v in sizes.values())
-    object_count = (1 if k == 0 else _factorial(k) * n ** max(k - 1, 0))
-    total = object_count if k == 0 else _factorial(k) * sum(sizes.values())
-    if k == 0:
-        total = sizes.get((), 0)
+    object_count = math.factorial(k) * n ** max(k - 1, 0)
+    total = math.factorial(k) * sum(sizes.values())
     if total > max_elements:
         raise BudgetExceededError(
             f"symmetrisation at arity {k} has {total} elements "
             f"(budget {max_elements})"
         )
-    path = force_path or ("fast" if singleton and object_count > _FAST_CUTOFF else "general")
-    if path == "fast":
-        if not singleton:
-            raise ValueError("the fast path needs one-point components")
+    if singleton and object_count > _FAST_CUTOFF:
         classes = _fast_singleton_classes(n, k, shuffle_seed)
         classes = tuple(tuple((obj, 0) for obj in cls) for cls in classes)
     else:
@@ -345,30 +343,16 @@ def _general_classes(A, n, k, sizes, shuffle_seed):
     singleton = all(v == 1 for v in sizes.values())
     unit_idx = A.unit_index() if not singleton else 0
     merges = []
-    states = [pair_state(T) for T in objects]
-    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-    for i, T in enumerate(objects):
-        for j, S in enumerate(objects):
-            if i == j:
-                continue
-            ok = True
-            for p in pairs:
-                oi, li = states[i][p]
-                oj, lj = states[j][p]
-                if lj < li + (0 if oi == oj else 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if singleton:
-                # one-point components force the transported element
-                merges.append((offsets[i], offsets[j]))
-                continue
-            sigma = arrow_morphism(T, S)
-            tab = A.mult[sigma]
-            for b in range(sizes[S.profile]):
-                pulled = int(tab[(b,) + (unit_idx,) * k])
-                merges.append((offsets[i] + pulled, offsets[j] + b))
+    for i, j in _strict_arrows(objects, k):
+        if singleton:
+            # one-point components force the transported element
+            merges.append((offsets[i], offsets[j]))
+            continue
+        T, S = objects[i], objects[j]
+        tab = A.mult[arrow_morphism(T, S)]
+        for b in range(sizes[S.profile]):
+            pulled = int(tab[(b,) + (unit_idx,) * k])
+            merges.append((offsets[i] + pulled, offsets[j] + b))
     if shuffle_seed is not None:
         import random
 
@@ -483,7 +467,7 @@ def terminal_class_counts(
         raise ValueError("need n >= 1")
     counts = {}
     for k in range(kmax + 1):
-        total = 1 if k == 0 else _factorial(k) * n ** (k - 1)
+        total = math.factorial(k) * n ** max(k - 1, 0)
         if total > max_elements:
             raise BudgetExceededError(
                 f"arity {k} has {total} labelings (budget {max_elements})"
@@ -602,7 +586,6 @@ def _sym_operad(A: OperadTable, result: SymResult) -> OperadTable:
                 tab[(b_c,) + a_cs] = _substitute(A, result, f, outer, args)
         mult[f] = tab
     unit_arity = result.arities[1]
-    ident = labeled_objects(n, 1)[0]
     unit_class = unit_arity.class_of[(0, A.label_index(terminal_ordinal(n), A.unit))]
     return OperadTable(
         base, K, components, components[1][unit_class], mult, f"sym_{n}({A.name})"

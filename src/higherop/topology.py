@@ -23,6 +23,7 @@ from .operads import BudgetExceededError
 from .symmetrize import ClassifierPoset
 
 _OVERFLOW_GUARD = 1 << 31
+_MAX_BOUNDARY_BYTES = 256 << 20  # all dense int64 boundaries of one complex
 
 
 @dataclass
@@ -85,7 +86,18 @@ class ChainComplex:
 
 
 def boundary_matrices(C: NerveComplex) -> ChainComplex:
-    """Alternating-sign boundaries of the chain complex; checks dd = 0."""
+    """Alternating-sign boundaries of the chain complex; checks dd = 0.
+
+    The matrices are dense, so a complex whose boundaries together need
+    more than _MAX_BOUNDARY_BYTES is refused before any is allocated.
+    """
+    f = C.f_vector()
+    need = 8 * sum(a * b for a, b in zip(f, f[1:]))
+    if need > _MAX_BOUNDARY_BYTES:
+        raise BudgetExceededError(
+            f"dense boundaries of a nerve with f-vector {list(f)} need "
+            f"{need / 2**30:.1f} GiB (ceiling {_MAX_BOUNDARY_BYTES >> 20} MiB)"
+        )
     out = []
     for d in range(1, len(C.simplices)):
         prev_index = {s: i for i, s in enumerate(C.simplices[d - 1])}

@@ -101,6 +101,13 @@ def test_usage_error_exit_code(capsys):
     assert main(["classifier", "--n", "2", "--k", "7"]) == 2
 
 
+def test_oversized_dense_boundary_is_a_budget_error(capsys):
+    for argv in (["--n", "4", "--k", "3"], ["--n", "2", "--k", "5", "--dmax", "1"]):
+        assert main(["classifier"] + argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # cache behaviour
 

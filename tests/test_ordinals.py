@@ -173,6 +173,20 @@ def test_enumerate_morphisms_examples():
     assert [f.map for f in enumerate_morphisms(z, z)] == [()]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_morphisms_matches_brute_force(n):
+    objs = [T for k in range(5) for T in enumerate_ordinals(n, k)]
+    pairs = list(itertools.product(objs, repeat=2))
+    if n == 2:
+        pairs += list(itertools.product(enumerate_ordinals(2, 5), repeat=2))
+    for T, S in pairs:
+        want = [
+            f for f in itertools.product(range(S.size), repeat=T.size)
+            if is_morphism(f, T, S)
+        ]
+        assert [f.map for f in enumerate_morphisms(T, S)] == want
+
+
 def test_compose_laws():
     S = ordinal(2, 0)
     f = OrdinalMorphism(FIG1, S, (0, 0, 1, 1, 1))

@@ -27,7 +27,7 @@ from higherop.symmetrize import (
     symmetrize,
     terminal_class_counts,
 )
-from higherop.symmetrize import _symmetrize_arity
+from higherop.symmetrize import _fast_singleton_classes, _general_classes
 
 from oracles import count_commutative_monoids, count_monoids
 
@@ -67,13 +67,17 @@ def test_pair_state_and_relabel():
 
 def test_arrow_relation_matches_morphism_condition():
     # the per-pair comparison is exactly "identity map is a morphism"
-    for n, k in [(2, 2), (2, 3), (3, 2)]:
+    for n, k in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]:
         objs = labeled_objects(n, k)
-        for T, S in itertools.product(objs, repeat=2):
+        strict = set()
+        for (i, T), (j, S) in itertools.product(enumerate(objs), repeat=2):
             direct = is_morphism(
                 arrow_morphism_map(T, S), T.shape(), S.shape()
             )
             assert arrow_leq(T, S) == direct
+            if direct and i != j:
+                strict.add((i, j))
+        assert set(build_classifier(n, k).arrows) == strict
 
 
 def arrow_morphism_map(T, S):
@@ -187,9 +191,10 @@ def test_terminal_counts_k5():
 def test_fast_and_general_paths_agree():
     for n, k in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (1, 4)]:
         A = make_ass(OrdBase(n), k)
-        fast = _symmetrize_arity(A, n, k, 10 ** 6, None, "fast")
-        general = _symmetrize_arity(A, n, k, 10 ** 6, None, "general")
-        assert fast.classes == general.classes
+        sizes = {prof: 1 for prof in itertools.product(range(n), repeat=k - 1)}
+        fast = _fast_singleton_classes(n, k, None)
+        general = _general_classes(A, n, k, sizes, None)
+        assert tuple(tuple((obj, 0) for obj in cls) for cls in fast) == general
 
 
 def test_merge_order_does_not_change_classes():
