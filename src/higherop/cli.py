@@ -4,7 +4,8 @@ Reports are JSON-stable: payload keys are emitted sorted, wall-clock
 and cache information live under the "timing" key so byte-level
 comparisons of repeated runs can drop exactly that field.  Exit codes:
 0 for success, 1 for a verification failure, 2 for usage or budget
-errors.  Homology pipelines cache their payloads on disk, keyed by a
+errors and for running out of memory or recursion depth, 130 for an
+interrupt.  Homology pipelines cache their payloads on disk, keyed by a
 content hash of the request, written atomically (temp file + rename).
 """
 
@@ -394,12 +395,15 @@ def cmd_verify(args) -> Report:
             verify_algebras(),
         ]
         ok = all(r.status == "pass" for r in sub)
-        return Report(
-            "verify-all",
-            "pass" if ok else "fail",
-            {r.command: {"status": r.status, **r.data} for r in sub},
-            {},
-        )
+        # the last run of each suite keeps the suite's name; earlier runs
+        # of the same suite are keyed by their n
+        last = {r.command: r for r in sub}
+        data = {
+            (r.command if last[r.command] is r else f"{r.command}[n={r.data['n']}]"):
+                {"status": r.status, **r.data}
+            for r in sub
+        }
+        return Report("verify-all", "pass" if ok else "fail", data, {})
     raise ValueError(f"unknown verify suite {which!r}")
 
 
@@ -557,6 +561,14 @@ def run(argv=None) -> tuple[int, Report | None]:
     except (operads.BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    except (MemoryError, RecursionError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
+        return 2, None
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130, None
     report.timing["ms"] = round((time.perf_counter() - start) * 1000, 3)
     _emit(report, args)
     if report.status == "fail":

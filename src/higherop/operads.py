@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,101 @@ def base_morphisms(base, K: int) -> tuple:
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledBase:
+    """Integer ids for the objects and morphisms inside one truncation.
+
+    Morphism ids follow the order of base_morphisms(base, K).  Composites
+    and restrictions are found by dictionary lookup on ids and maps, so
+    no morphism is rebuilt or revalidated.  Only base data lives here;
+    operad tables are always read from the operad itself.
+    """
+
+    objects: tuple  # object id -> object
+    morphisms: tuple  # morphism id -> morphism
+    morphism_id: dict  # morphism -> id
+    source: tuple  # morphism id -> source object id
+    target: tuple  # morphism id -> target object id
+    maps: tuple  # morphism id -> underlying map
+    fibers: tuple  # morphism id -> fiber object id per target element
+    fiber_elems: tuple  # morphism id -> source elements per target element
+    by_map: dict  # (source id, target id, map) -> morphism id
+    by_source: tuple  # object id -> ids of the morphisms out of it
+    restrictions: dict = field(default_factory=dict)  # (sigma id, subset) -> id
+
+    def pair(self, s: int, w: int) -> tuple[int, tuple[int, ...]]:
+        """Composite id and restriction block ids of sigma = s, omega = w.
+
+        The restriction of sigma over the fiber of omega at i depends only
+        on sigma and the subset omega^-1(i) of its target, which is the
+        memo key.
+        """
+        smap, wmap = self.maps[s], self.maps[w]
+        c = self.by_map[(self.source[s], self.target[w], tuple([wmap[v] for v in smap]))]
+        memo = self.restrictions
+        blocks = []
+        for i, elems in enumerate(self.fiber_elems[w]):
+            rid = memo.get((s, elems))
+            if rid is None:
+                rank = {e: r for r, e in enumerate(elems)}
+                m = tuple([rank[smap[a]] for a in self.fiber_elems[c][i]])
+                rid = memo[(s, elems)] = self.by_map[(self.fibers[c][i], self.fibers[w][i], m)]
+            blocks.append(rid)
+        return c, tuple(blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def compile_base(base, K: int) -> CompiledBase:
+    """The compiled form of base_morphisms(base, K), built once per (base, K)."""
+    morphisms = base_morphisms(base, K)
+    objects = tuple(base.objects(K))
+    object_id = {T: i for i, T in enumerate(objects)}
+    source = tuple(object_id[m.source] for m in morphisms)
+    target = tuple(object_id[m.target] for m in morphisms)
+    fibers = tuple(
+        tuple(object_id[base.fiber(m, i)] for i in range(_target_size(m)))
+        for m in morphisms
+    )
+    fiber_elems = tuple(
+        tuple(tuple(a for a, v in enumerate(m.map) if v == i) for i in range(_target_size(m)))
+        for m in morphisms
+    )
+    maps = tuple(m.map for m in morphisms)
+    by_source = [[] for _ in objects]
+    for mid, t in enumerate(source):
+        by_source[t].append(mid)
+    return CompiledBase(
+        objects=objects,
+        morphisms=morphisms,
+        morphism_id={m: i for i, m in enumerate(morphisms)},
+        source=source,
+        target=target,
+        maps=maps,
+        fibers=fibers,
+        fiber_elems=fiber_elems,
+        by_map={(s, t, mp): i for i, (s, t, mp) in enumerate(zip(source, target, maps))},
+        by_source=tuple(map(tuple, by_source)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def composable_pairs(base, K: int) -> np.ndarray:
+    """Every composable pair as a row (sigma, omega, composite, blocks...).
+
+    Rows follow sigma in base_morphisms order, then omega; the restriction
+    block ids are padded with -1 up to K columns.
+    """
+    C = compile_base(base, K)
+    rows = []
+    for s in range(len(C.morphisms)):
+        for w in C.by_source[C.target[s]]:
+            c, blocks = C.pair(s, w)
+            rows.append((s, w, c) + blocks + (-1,) * (K - len(blocks)))
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + K)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # operad tables
 
@@ -235,12 +331,6 @@ class OperadTable:
 
     def table(self, sigma) -> np.ndarray:
         return self.mult[sigma]
-
-    def table_shape(self, sigma) -> tuple[int, ...]:
-        fibers = [self.base.fiber(sigma, i) for i in range(_target_size(sigma))]
-        return (len(self.components[sigma.target]),) + tuple(
-            len(self.components[F]) for F in fibers
-        )
 
     def value(self, sigma, b_label: str, a_labels) -> str | None:
         """Label-level table lookup; None marks a truncation hole."""
@@ -423,8 +513,8 @@ class AxiomReport:
         )
 
 
-_VECTOR_THRESHOLD = 4096  # instances per pair above which the ndarray path runs
 _MAX_VIOLATIONS = 20
+_SLAB_CELLS = 1 << 20  # instances compared at once by the associativity kernel
 
 
 def check_operad_axioms(
@@ -440,7 +530,6 @@ def check_operad_axioms(
     """
     rep = AxiomReport(ok=True, violations=[])
     base, K = A.base, A.K
-    objs = base.objects(K)
 
     terminal = base.terminal()
     if A.unit is None or A.unit not in A.components.get(terminal, ()):
@@ -450,17 +539,18 @@ def check_operad_axioms(
     unit_idx = A.unit_index()
 
     # totality and shapes
-    for sigma in base_morphisms(base, K):
+    C = compile_base(base, K)
+    n_labels = [len(A.components[T]) for T in C.objects]
+    for m, sigma in enumerate(C.morphisms):
         if sigma not in A.mult:
             rep.violations.append(f"missing table for {sigma}")
             continue
         tab = A.mult[sigma]
-        shape = A.table_shape(sigma)
+        shape = (n_labels[C.target[m]],) + tuple(n_labels[F] for F in C.fibers[m])
         if tuple(tab.shape) != shape:
             rep.violations.append(f"table for {sigma} has shape {tab.shape}, want {shape}")
             continue
-        n_src = len(A.components[sigma.source])
-        if tab.size and (int(tab.max()) >= n_src or int(tab.min()) < -1):
+        if tab.size and (int(tab.max()) >= n_labels[C.source[m]] or int(tab.min()) < -1):
             rep.violations.append(f"table for {sigma} has out-of-range values")
         if tab.size == 0:
             rep.empty_domains += 1
@@ -469,7 +559,7 @@ def check_operad_axioms(
         return rep
 
     # unit diagrams
-    for T in objs:
+    for T in C.objects:
         labs = A.components[T]
         ident = base.identity(T)
         tab = A.mult[ident]
@@ -500,21 +590,8 @@ def check_operad_axioms(
                         f"{labs[got]} for a = {labs[a]}"
                     )
 
-    if units_only:
-        rep.ok = not rep.violations
-        return rep
-
-    # associativity
-    morphs_by_source = {}
-    for m in base_morphisms(base, K):
-        morphs_by_source.setdefault(m.source, []).append(m)
-    for sigma in base_morphisms(base, K):
-        for omega in morphs_by_source.get(sigma.target, ()):
-            _check_pair(A, sigma, omega, unit_idx, rep, max_pair_cells)
-            if len(rep.violations) >= _MAX_VIOLATIONS:
-                rep.ok = False
-                return rep
-
+    if not units_only:
+        _check_associativity(A, C, composable_pairs(base, K), rep, max_pair_cells)
     rep.ok = not rep.violations
     return rep
 
@@ -529,8 +606,14 @@ def associativity_violations(
     A: OperadTable, sigma, omega, max_pair_cells: int = 1 << 28
 ) -> list:
     """Pointwise associativity check of one composable pair; returns violations."""
+    C = compile_base(A.base, A.K)
+    s, w = C.morphism_id[sigma], C.morphism_id[omega]
+    if C.target[s] != C.source[w]:
+        raise ValueError("sigma and omega are not composable")
+    c, blocks = C.pair(s, w)
+    row = np.array([(s, w, c) + blocks], dtype=np.int64)
     rep = AxiomReport(ok=True, violations=[])
-    _check_pair(A, sigma, omega, A.unit_index(), rep, max_pair_cells)
+    _check_associativity(A, C, row, rep, max_pair_cells)
     return rep.violations
 
 
@@ -539,107 +622,147 @@ def unit_violations(A: OperadTable) -> list:
     return check_operad_axioms(A, units_only=True).violations
 
 
-def _pair_data(A: OperadTable, sigma, omega):
-    """Shared index bookkeeping for one composable pair (sigma, omega)."""
-    base = A.base
-    comp = base.compose(omega, sigma)
-    r_size = _target_size(omega)
-    s_size = _target_size(sigma)
-    omega_fibers = [base.fiber(omega, i) for i in range(r_size)]
-    sigma_fibers = [base.fiber(sigma, e) for e in range(s_size)]
-    comp_fibers = [base.fiber(comp, i) for i in range(r_size)]
-    blocks = [base.restrict(sigma, omega, i) for i in range(r_size)]
-    block_elems = [
-        tuple(e for e, v in enumerate(omega.map) if v == i) for i in range(r_size)
-    ]
-    return comp, omega_fibers, sigma_fibers, comp_fibers, blocks, block_elems
+def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
+    """Check the pairs in `rows` (see composable_pairs) group by group.
+
+    Pairs whose sigma, omega and composite tables have the same shapes
+    and whose omega has the same fiber elements form one group, checked
+    by one call of the kernel over their stacked tables.
+    """
+    used = np.unique(rows)
+    used = used[used >= 0]  # -1 pads the block columns
+    off = np.zeros(len(C.morphisms), dtype=np.int64)
+    holes = np.zeros(len(C.morphisms), dtype=bool)
+    shape_key = np.zeros(len(C.morphisms), dtype=np.int64)
+    omega_key = np.zeros(len(C.morphisms), dtype=np.int64)
+    shapes, keys, parts, pos = {}, {}, [], 0
+    for m in used.tolist():
+        tab = A.mult[C.morphisms[m]]
+        shapes[m] = tab.shape
+        off[m] = pos
+        pos += tab.size
+        parts.append(tab.ravel())
+        holes[m] = tab.size and int(tab.min()) < 0
+        shape_key[m] = keys.setdefault(tab.shape, len(keys))
+        omega_key[m] = keys.setdefault((tab.shape, C.fiber_elems[m]), len(keys))
+    flat = np.concatenate(parts).astype(np.int32, copy=False)
+
+    n_keys = len(keys)
+    signature = (
+        shape_key[rows[:, 0]] * n_keys + omega_key[rows[:, 1]]
+    ) * n_keys + shape_key[rows[:, 2]]
+    _, first, group_of = np.unique(signature, return_index=True, return_inverse=True)
+    members = np.argsort(group_of, kind="stable")
+    ends = np.cumsum(np.bincount(group_of))
+    for g in np.argsort(first).tolist():  # groups in order of their first pair
+        group = rows[members[ends[g - 1] if g else 0:ends[g]]]
+        _check_group(C, flat, off, holes, shapes, group, rep, max_pair_cells)
+        if len(rep.violations) >= _MAX_VIOLATIONS:
+            return
 
 
-def _check_pair(A, sigma, omega, unit_idx, rep, max_pair_cells):
-    comp, om_f, sg_f, cp_f, blocks, block_elems = _pair_data(A, sigma, omega)
-    nb = len(A.components[omega.target])
-    a_sizes = [len(A.components[F]) for F in om_f]
-    c_sizes = [len(A.components[F]) for F in sg_f]
-    n_a = int(np.prod(a_sizes, dtype=np.int64)) if a_sizes else 1
-    n_c = int(np.prod(c_sizes, dtype=np.int64)) if c_sizes else 1
-    total = nb * n_a * n_c
-    rep.assoc_pairs += 1
-    if total == 0:
-        rep.empty_domains += 1
-        return
-    rep.assoc_instances += total
+def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None:
+    """The associativity kernel: m_sigma(m_omega(b; a); c) against
+    m_(omega sigma)(b; m_(block_i)(a_i; c|block_i)) over every (b, a, c)
+    of every pair in the group.
 
-    tab_sigma = A.mult[sigma]
-    tab_omega = A.mult[omega]
-    tab_comp = A.mult[comp]
-    tab_blocks = [A.mult[b] for b in blocks]
-    any_holes = any(
-        t.size and int(t.min()) < 0
-        for t in [tab_sigma, tab_omega, tab_comp, *tab_blocks]
-    )
-
-    if total <= _VECTOR_THRESHOLD or any_holes:
-        _check_pair_loops(
-            A, sigma, omega, comp, blocks, block_elems, rep
-        )
+    Path 1 gathers sigma's table rows at omega's values, path 2 gathers
+    the composite's table at a mix index built from the restriction
+    blocks.  Tables are stacked and both paths run in slabs of at most
+    _SLAB_CELLS cells.  Holes (-1) are masked only in groups whose tables
+    contain one.
+    """
+    P = len(rows)
+    s0, w0, c0 = rows[0, :3].tolist()
+    elems = C.fiber_elems[w0]
+    r = len(elems)
+    n_s, c_sizes = shapes[s0][0], shapes[s0][1:]
+    nb, a_sizes = shapes[w0][0], shapes[w0][1:]
+    n_a = math.prod(a_sizes)
+    n_c = math.prod(c_sizes)
+    rep.assoc_pairs += P
+    if nb * n_a * n_c == 0:
+        rep.empty_domains += P
         return
     if n_a * n_c > max_pair_cells:
         raise BudgetExceededError(
-            f"associativity pair for {sigma} ; {omega} needs {n_a * n_c} cells "
-            f"(budget {max_pair_cells})"
+            f"associativity pair for {C.morphisms[s0]} ; {C.morphisms[w0]} needs "
+            f"{n_a * n_c} cells (budget {max_pair_cells})"
         )
-    _check_pair_vectorised(
-        A, sigma, omega, comp, blocks, block_elems,
-        nb, a_sizes, c_sizes, rep,
-    )
+    rep.assoc_instances += P * nb * n_a * n_c
+    masked = bool(holes[rows[:, :3 + r]].any())
+    comp_shape = shapes[c0]
+    n_comp = math.prod(comp_shape[1:])
+    comp_off = off[rows[:, 2]]
+    a_dig = _digits(n_a, a_sizes)
+    c_dig = _digits(n_c, c_sizes)
+    blocks = []  # (table size, flat block input per c, stride into the composite)
+    stride = n_comp
+    for i, block_elems in enumerate(elems):
+        stride //= comp_shape[1 + i]
+        cblk = np.zeros(n_c, dtype=np.int64)
+        for e in block_elems:
+            cblk = cblk * c_sizes[e] + c_dig[e]
+        blocks.append((math.prod(shapes[int(rows[0, 3 + i])]), cblk, stride))
 
+    def stacked(col: int, p0: int, p1: int, size: int) -> np.ndarray:
+        return flat[off[rows[p0:p1, col]][:, None] + np.arange(size)]
 
-def _iter_index(sizes):
-    if not sizes:
-        yield ()
-        return
-    yield from itertools.product(*(range(s) for s in sizes))
-
-
-def _check_pair_loops(A, sigma, omega, comp, blocks, block_elems, rep):
-    tab_sigma = A.mult[sigma]
-    tab_omega = A.mult[omega]
-    tab_comp = A.mult[comp]
-    tab_blocks = [A.mult[b] for b in blocks]
-    nb = tab_omega.shape[0]
-    a_sizes = tab_omega.shape[1:]
-    c_sizes = tab_sigma.shape[1:]
-    for b in range(nb):
-        for a_idx in _iter_index(a_sizes):
-            s_val = int(tab_omega[(b,) + a_idx])
-            for c_idx in _iter_index(c_sizes):
-                if s_val == -1:
-                    rep.skipped_holes += 1
-                    continue
-                lhs = int(tab_sigma[(s_val,) + c_idx])
-                inner = []
-                hole = False
-                for i, blk in enumerate(tab_blocks):
-                    c_part = tuple(c_idx[e] for e in block_elems[i])
-                    v = int(blk[(a_idx[i],) + c_part])
-                    if v == -1:
-                        hole = True
-                        break
-                    inner.append(v)
-                if hole:
-                    rep.skipped_holes += 1
-                    continue
-                rhs = int(tab_comp[(b,) + tuple(inner)])
-                if lhs == -1 or rhs == -1:
-                    rep.skipped_holes += 1
-                    continue
-                if lhs != rhs:
-                    rep.violations.append(
-                        f"associativity fails for {sigma} then {omega} at "
-                        f"b={b}, a={a_idx}, c={c_idx}: {lhs} != {rhs}"
-                    )
+    table_cells = n_s * n_c + nb * n_a + sum(size for size, _, _ in blocks)
+    p_step = max(1, _SLAB_CELLS // max(nb * n_a * n_c, table_cells))
+    a_step = min(n_a, max(1, _SLAB_CELLS // n_c))
+    b_step = min(nb, max(1, _SLAB_CELLS // (a_step * n_c)))
+    for p0 in range(0, P, p_step):
+        p1 = min(P, p0 + p_step)
+        sig = stacked(0, p0, p1, n_s * n_c).reshape(-1, n_c)
+        om = stacked(1, p0, p1, nb * n_a).reshape(p1 - p0, nb, n_a)
+        blks = [stacked(3 + i, p0, p1, size).reshape(p1 - p0, a_sizes[i], -1)
+                for i, (size, _, _) in enumerate(blocks)]
+        for a0 in range(0, n_a, a_step):
+            a1 = min(n_a, a0 + a_step)
+            mix = np.zeros((p1 - p0, a1 - a0, n_c), dtype=np.int64)
+            inner_hole = np.zeros(mix.shape, dtype=bool) if masked else None
+            for i, (blk, (_, cblk, stride)) in enumerate(zip(blks, blocks)):
+                v = blk[:, a_dig[i][a0:a1, None], cblk[None, :]]
+                if masked:
+                    inner_hole |= v < 0
+                mix += v * stride
+            if masked:
+                mix[inner_hole] = 0
+            for b0 in range(0, nb, b_step):
+                b1 = min(nb, b0 + b_step)
+                s_val = om[:, b0:b1, a0:a1]
+                lhs = sig[(np.arange(p1 - p0) * n_s)[:, None, None] + s_val]
+                if p1 - p0 == 1:  # one pair shares one mix: take needs no index array
+                    comp_rows = flat[comp_off[p0] + b0 * n_comp:comp_off[p0] + b1 * n_comp]
+                    rhs = np.take(comp_rows.reshape(b1 - b0, n_comp), mix, axis=1)
+                    rhs = rhs.reshape(lhs.shape)
+                else:
+                    rhs = flat[
+                        (comp_off[p0:p1, None] + np.arange(b0, b1) * n_comp)[:, :, None, None]
+                        + mix[:, None]
+                    ]
+                bad = lhs != rhs
+                if masked:
+                    skip = (s_val < 0)[..., None] | inner_hole[:, None] | (lhs < 0) | (rhs < 0)
+                    rep.skipped_holes += int(skip.sum())
+                    bad &= ~skip
+                if bad.any():
+                    _report(C, rows, rep, bad, (p0, b0, a0), lhs, rhs, a_dig, c_dig)
                     if len(rep.violations) >= _MAX_VIOLATIONS:
                         return
+
+
+def _report(C, rows, rep, bad, origin, lhs, rhs, a_dig, c_dig) -> None:
+    for where in map(tuple, np.argwhere(bad)[: _MAX_VIOLATIONS - len(rep.violations)]):
+        p, b, a, c = (int(x) + o for x, o in zip(where, origin + (0,)))
+        sigma, omega = C.morphisms[rows[p, 0]], C.morphisms[rows[p, 1]]
+        a_idx = tuple(int(d[a]) for d in a_dig)
+        c_idx = tuple(int(d[c]) for d in c_dig)
+        rep.violations.append(
+            f"associativity fails for {sigma} then {omega} at "
+            f"b={b}, a={a_idx}, c={c_idx}: {int(lhs[where])} != {int(rhs[where])}"
+        )
 
 
 def _digits(total: int, sizes) -> list[np.ndarray]:
@@ -650,55 +773,6 @@ def _digits(total: int, sizes) -> list[np.ndarray]:
         stride //= s
         out.append((np.arange(total, dtype=np.int64) // stride) % s)
     return out
-
-
-def _check_pair_vectorised(
-    A, sigma, omega, comp, blocks, block_elems, nb, a_sizes, c_sizes, rep
-):
-    tab_sigma = A.mult[sigma]
-    tab_omega = A.mult[omega]
-    tab_comp = A.mult[comp]
-    n_a = int(np.prod(a_sizes, dtype=np.int64)) if a_sizes else 1
-    n_c = int(np.prod(c_sizes, dtype=np.int64)) if c_sizes else 1
-
-    om2 = tab_omega.reshape(nb, n_a).astype(np.int64)
-    sg2 = tab_sigma.reshape(tab_sigma.shape[0], n_c).astype(np.int64)
-    comp_shape = tab_comp.shape
-    cp2 = tab_comp.reshape(nb, -1).astype(np.int64)
-
-    a_dig = _digits(n_a, a_sizes) if a_sizes else []
-    c_dig = _digits(n_c, c_sizes) if c_sizes else []
-
-    # composite fiber index: Mix[a, c] = flat index of the inner results
-    mix = np.zeros((n_a, n_c), dtype=np.int64)
-    stride = int(np.prod(comp_shape[1:], dtype=np.int64)) if len(comp_shape) > 1 else 1
-    for i, blk in enumerate(blocks):
-        stride //= comp_shape[1 + i]
-        tab_blk = A.mult[blk].astype(np.int64)
-        blk_sizes = tab_blk.shape[1:]
-        nblk = int(np.prod(blk_sizes, dtype=np.int64)) if blk_sizes else 1
-        blk2 = tab_blk.reshape(tab_blk.shape[0], nblk)
-        # flat block input from the global c digits of this block's elements
-        cblk = np.zeros(n_c, dtype=np.int64)
-        for local, e in enumerate(block_elems[i]):
-            cblk = cblk * blk_sizes[local] + c_dig[e]
-        mix += blk2[a_dig[i][:, None], cblk[None, :]] * stride
-
-    bad = []
-    for b in range(nb):
-        path1 = sg2[om2[b]]               # (n_a, n_c)
-        path2 = cp2[b][mix]               # (n_a, n_c)
-        if not np.array_equal(path1, path2):
-            where = np.argwhere(path1 != path2)
-            for a_f, c_f in where[:3]:
-                bad.append(
-                    f"associativity fails for {sigma} then {omega} at "
-                    f"b={b}, a_flat={int(a_f)}, c_flat={int(c_f)}: "
-                    f"{int(path1[a_f, c_f])} != {int(path2[a_f, c_f])}"
-                )
-            if len(rep.violations) + len(bad) >= _MAX_VIOLATIONS:
-                break
-    rep.violations.extend(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +812,7 @@ def is_operad_morphism(A: OperadTable, B: OperadTable, phi: OperadMorphism) -> b
         phi_t, phi_s = maps[sigma.target], maps[sigma.source]
         phi_f = [maps[F] for F in fibers]
         for b_i in range(tab_a.shape[0]):
-            for a_idx in _iter_index(tab_a.shape[1:]):
+            for a_idx in itertools.product(*map(range, tab_a.shape[1:])):
                 va = int(tab_a[(b_i,) + a_idx])
                 if va == -1:
                     continue
@@ -802,7 +876,7 @@ def enumerate_operad_morphisms(
         strides.reverse()
         flat_b = tab_b.ravel()
         for b_i in range(tab_a.shape[0]):
-            for a_idx in _iter_index(tab_a.shape[1:]):
+            for a_idx in itertools.product(*map(range, tab_a.shape[1:])):
                 va = int(tab_a[(b_i,) + a_idx])
                 if va == -1:
                     continue

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,34 +202,43 @@ def classifier_dot(P: ClassifierPoset) -> str:
 
 
 class UnionFind:
-    """Plain union-find with path compression and union by size."""
+    """Union-find over 0..size-1 whose unions come as arrays of pairs.
+
+    Every class points at its least member, so a root never changes once
+    a smaller one absorbs it, and the classes come out sorted.
+    """
 
     def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
+        self.parent = np.arange(size, dtype=np.int64)
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
+    def _roots(self, xs: np.ndarray) -> np.ndarray:
+        parent = self.parent
+        while True:
+            up = parent[xs]
+            top = parent[up]
+            if np.array_equal(top, up):
+                return up
+            # pointer jumping: the chains through xs halve on every pass
+            parent[xs] = top
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
+    def union(self, xs, ys) -> None:
+        """Merge the classes of xs[t] and ys[t] for every t."""
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        while xs.size:
+            rx, ry = self._roots(xs), self._roots(ys)
+            apart = rx != ry
+            xs = np.minimum(rx[apart], ry[apart])
+            ys = np.maximum(rx[apart], ry[apart])
+            # where several pairs share a root in ys one write wins; the
+            # others see the merged root on the next pass
+            self.parent[ys] = xs
 
     def classes(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return sorted(groups.values())
+        roots = self._roots(np.arange(len(self.parent)))
+        order = np.argsort(roots, kind="stable")
+        cuts = np.flatnonzero(np.diff(roots[order])) + 1
+        return [c.tolist() for c in np.split(order, cuts)] if len(order) else []
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +364,9 @@ def _general_classes(A, n, k, sizes, shuffle_seed):
             pulled = int(tab[(b,) + (unit_idx,) * k])
             merges.append((offsets[i] + pulled, offsets[j] + b))
     if shuffle_seed is not None:
-        import random
-
         random.Random(shuffle_seed).shuffle(merges)
-    for x, y in merges:
-        uf.union(x, y)
+    flat = np.fromiter(itertools.chain.from_iterable(merges), np.int64, 2 * len(merges))
+    uf.union(flat[0::2], flat[1::2])
     elem_of = []
     for i, T in enumerate(objects):
         for lab in range(sizes[T.profile]):
@@ -407,49 +415,55 @@ def _fast_singleton_classes(n, k, shuffle_seed):
         for t, (lo, hi) in enumerate(spans[r]):
             levels[r, :, t] = profiles[:, lo:hi].min(axis=1)
 
-    # pairs crossing each consecutive position, per permutation
-    crossing = [
-        [[t for t, (lo, hi) in enumerate(spans[r]) if lo <= m < hi]
-         for m in range(k - 1)]
-        for r in range(n_perm)
-    ]
+    # crossing[m, t, r] = 1 when pair t spans consecutive position m in
+    # permutation r; every position is spanned by at least one pair
+    crossing = np.zeros((k - 1, n_pairs, n_perm), dtype=np.int16)
+    for r in range(n_perm):
+        for t, (lo, hi) in enumerate(spans[r]):
+            crossing[lo:hi, t, r] = 1
 
     strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
-
-    merges = []
     prof_codes = np.arange(n_prof, dtype=np.int64)
-    for m in range(k - 1):
-        mask = profiles[:, m] < n - 1
-        below = prof_codes[mask]
-        for r in range(n_perm):
-            base_id = r * n_prof
-            for c in below:
-                merges.append((base_id + int(c), base_id + int(c) + int(strides[m])))
 
-    for r in range(n_perm):
-        lv = levels[r]  # (n_prof, n_pairs)
-        for r2 in range(n_perm):
-            if r2 == r:
-                continue
-            flip = (orient[r] != orient[r2]).astype(np.int16)
-            bounds = lv + flip[None, :]
-            target_digits = np.zeros((n_prof, k - 1), dtype=np.int64)
-            for m in range(k - 1):
-                cols = crossing[r2][m]
-                target_digits[:, m] = bounds[:, cols].max(axis=1)
-            valid = (target_digits <= n - 1).all(axis=1)
-            t_codes = target_digits @ strides
-            src = r * n_prof + prof_codes[valid]
-            dst = r2 * n_prof + t_codes[valid]
-            merges.extend(zip(src.tolist(), dst.tolist()))
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
-    if shuffle_seed is not None:
-        import random
+    def ordered(items) -> list:
+        """items in order, or shuffled when a shuffle seed is given."""
+        items = list(items)
+        if rng is not None:
+            rng.shuffle(items)
+        return items
 
-        random.Random(shuffle_seed).shuffle(merges)
+    def family(key):
+        """The merge pairs of one generator family, as two arrays."""
+        kind, x = key
+        if kind == "step":  # +1 on profile entry x, for every labeling
+            below = prof_codes[profiles[:, x] < n - 1]
+            src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
+            return src, src + strides[x]
+        # labeling x to the least structure above it, for every other labeling:
+        # digit m is the largest bound among the pairs spanning position m
+        bounds = levels[x].T[:, None, :] + (orient[x] != orient).T[:, :, None]
+        target_digits = np.stack(
+            [(bounds * crossing[m][:, :, None]).max(axis=0) for m in range(k - 1)], axis=2
+        )
+        valid = (target_digits <= n - 1).all(axis=2)
+        valid[x] = False
+        r2, prof = np.nonzero(valid)
+        return x * n_prof + prof, r2 * n_prof + target_digits[valid] @ strides
+
+    # one union per family; no family has more pairs than there are
+    # elements, so the k!(k!-1)n^(k-1) merge pairs are never held at once
+    keys = [("step", m) for m in range(k - 1)]
+    if n_perm > 1:
+        keys += [("move", r) for r in range(n_perm)]
     uf = UnionFind(total)
-    for x, y in merges:
-        uf.union(x, y)
+    for key in ordered(keys):
+        src, dst = family(key)
+        if rng is not None:
+            order = ordered(range(len(src)))
+            src, dst = src[order], dst[order]
+        uf.union(src, dst)
     return uf.classes()
 
 

@@ -15,6 +15,7 @@ is single-worker per matrix, and all returned values are immutable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,8 +361,8 @@ def components(P: ClassifierPoset) -> int:
     if not P.objects:
         return 0
     uf = UnionFind(len(P.objects))
-    for i, j in P.arrows:
-        uf.union(i, j)
+    flat = np.fromiter(itertools.chain.from_iterable(P.arrows), np.int64, 2 * len(P.arrows))
+    uf.union(flat[0::2], flat[1::2])
     return len(uf.classes())
 
 

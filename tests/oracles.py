@@ -139,3 +139,43 @@ def _monoid_tables(size: int):
             for c in elements
         ):
             yield table
+
+
+def pointwise_associativity(A):
+    """Failing pairs and skipped holes of every associativity square.
+
+    Walks each composable pair (sigma, omega) of A's base and each
+    (b, a, c) one at a time, building the composite and the restriction
+    blocks with the base's own compose and restrict.  Returns the set of
+    failing (sigma, omega) pairs, the number of instances skipped at a
+    hole (-1) and the number of instances checked or skipped.
+    """
+    base = A.base
+    morphisms = [m for m in A.mult]
+    failing, skipped, instances = set(), 0, 0
+    for sigma in morphisms:
+        for omega in morphisms:
+            if omega.source != sigma.target:
+                continue
+            comp = base.compose(omega, sigma)
+            r = len(A.mult[omega].shape) - 1
+            blocks = [A.mult[base.restrict(sigma, omega, i)] for i in range(r)]
+            elems = [[e for e, v in enumerate(omega.map) if v == i] for i in range(r)]
+            t_sigma, t_omega, t_comp = A.mult[sigma], A.mult[omega], A.mult[comp]
+            for b in range(t_omega.shape[0]):
+                for a in itertools.product(*map(range, t_omega.shape[1:])):
+                    for c in itertools.product(*map(range, t_sigma.shape[1:])):
+                        instances += 1
+                        s_val = int(t_omega[(b,) + a])
+                        inner = [int(blk[(a[i],) + tuple(c[e] for e in elems[i])])
+                                 for i, blk in enumerate(blocks)]
+                        if s_val == -1 or -1 in inner:
+                            skipped += 1
+                            continue
+                        lhs = int(t_sigma[(s_val,) + c])
+                        rhs = int(t_comp[(b,) + tuple(inner)])
+                        if lhs == -1 or rhs == -1:
+                            skipped += 1
+                        elif lhs != rhs:
+                            failing.add((sigma, omega))
+    return failing, skipped, instances

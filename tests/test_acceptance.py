@@ -37,7 +37,7 @@ from higherop.operads import (
     tables_equal,
     unit_violations,
 )
-from higherop.operads import _pair_data
+from higherop.operads import compile_base
 from higherop.ordinals import enumerate_ordinals, ordinal, relations
 from higherop.symmetrize import (
     algebra_equivalence,
@@ -202,8 +202,10 @@ def test_criterion_10_operad_axioms_and_fuzz(des_end):
         by_src.setdefault(mm.source, []).append(mm)
     all_pairs = [(s, w) for s in all_m for w in by_src.get(s.target, [])]
     containing = {mm: [] for mm in all_m}
+    compiled = compile_base(base, 3)
     for s, w in all_pairs:
-        comp, _, _, _, blocks, _ = _pair_data(A, s, w)
+        c, block_ids = compiled.pair(compiled.morphism_id[s], compiled.morphism_id[w])
+        comp, blocks = compiled.morphisms[c], [compiled.morphisms[b] for b in block_ids]
         for member in {s, w, comp, *blocks}:
             containing[member].append((s, w))
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 from higherop import cli
 from higherop.cli import cache_key, cache_lookup, cache_store, main
 from higherop.operads import (
@@ -106,6 +108,51 @@ def test_oversized_dense_boundary_is_a_budget_error(capsys):
         assert main(["classifier"] + argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(MemoryError("Unable to allocate 5.4 GiB"), 2), (RecursionError("too deep"), 2),
+     (KeyboardInterrupt(), 130)],
+)
+def test_fatal_exceptions_become_exit_codes(capsys, monkeypatch, exc, code):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_ordinals", boom)
+    assert main(["ordinals", "--n", "2", "--k", "2"]) == code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    if code == 2:
+        assert err[0] == f"error: {type(exc).__name__}: {exc}"
+
+
+def test_verify_all_keeps_every_run(capsys, monkeypatch):
+    def fake(command):
+        def suite(*args):
+            return cli.Report(command, "pass", {"n": args[0], "args": list(args)}, {})
+        return suite
+
+    monkeypatch.setattr(cli, "verify_eckmann_hilton", fake("verify-eckmann-hilton"))
+    monkeypatch.setattr(cli, "verify_monad_laws", fake("verify-monad-laws"))
+    monkeypatch.setattr(cli, "verify_stable_range", lambda pairs, args: cli.Report(
+        "verify-stable-range", "pass", {}, {}))
+    monkeypatch.setattr(cli, "verify_adjunction", lambda: cli.Report(
+        "verify-adjunction", "pass", {}, {}))
+    monkeypatch.setattr(cli, "verify_algebras", lambda: cli.Report(
+        "verify-algebras", "pass", {}, {}))
+    code, rep = run_json(capsys, ["verify", "all"])
+    assert code == 0
+    data = rep["data"]
+    assert len(data) == 8
+    # the plain keys hold the last run of each suite
+    assert data["verify-eckmann-hilton"]["n"] == 3
+    assert data["verify-eckmann-hilton[n=1]"]["n"] == 1
+    assert data["verify-eckmann-hilton[n=2]"]["n"] == 2
+    assert data["verify-monad-laws"]["args"] == [2, 2, 2]
+    assert data["verify-monad-laws[n=1]"]["args"] == [1, 3, 3]
+    assert all(sub["status"] == "pass" for sub in data.values())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from higherop import operads
+from higherop.freeop import Collection, free_operad
 from higherop.operads import (
     BudgetExceededError,
     FinBase,
@@ -16,7 +18,10 @@ from higherop.operads import (
     base_morphisms,
     base_to_json,
     cardinality_morphism,
+    associativity_violations,
     check_operad_axioms,
+    compile_base,
+    composable_pairs,
     compose_operad_morphisms,
     desymmetrize,
     endomorphism_operad,
@@ -32,9 +37,9 @@ from higherop.operads import (
     restrict_suspension,
     tables_equal,
 )
-from higherop.ordinals import ordinal
+from higherop.ordinals import ordinal, terminal_ordinal
 
-from oracles import count_monoids
+from oracles import count_monoids, pointwise_associativity
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +255,170 @@ def test_single_corruption_fuzz_k2():
         rep = check_operad_axioms(_corrupted(A, s, flat, new))
         assert not rep.ok
 
+
+# ---------------------------------------------------------------------------
+# the compiled base and the associativity kernel
+
+
+@pytest.mark.parametrize(
+    "base",
+    [OrdBase(1), OrdBase(2), OrdBase(2, constant_free=True), FinBase(),
+     FinBase(constant_free=True)],
+    ids=["Ord1", "Ord2", "Ord0_2", "FinSet", "FinSet0"],
+)
+def test_compiled_lookups_match_base_operations(base):
+    C = compile_base(base, 3)
+    assert C.morphisms == base_morphisms(base, 3)
+    rows = composable_pairs(base, 3)
+    seen = set()
+    for row in rows.tolist():
+        s, w, c = row[:3]
+        sigma, omega = C.morphisms[s], C.morphisms[w]
+        assert sigma.target == omega.source
+        assert C.morphisms[c] == base.compose(omega, sigma)
+        r = len(C.fibers[w])
+        assert [C.morphisms[b] for b in row[3:3 + r]] == [
+            base.restrict(sigma, omega, i) for i in range(r)
+        ]
+        assert row[3 + r:] == [-1] * (3 - r)
+        seen.add((s, w))
+    # every composable pair appears exactly once
+    assert len(seen) == len(rows) == sum(
+        1 for f in C.morphisms for g in C.morphisms if f.target == g.source
+    )
+
+
+def _chain(k):
+    return ordinal(1, *([0] * (k - 1)))
+
+
+def _free_with_holes():
+    coll = Collection(OrdBase(1), 2, {terminal_ordinal(1): ("u",), _chain(2): ("m",)})
+    return free_operad(coll, vmax=2, kmax=2).operad
+
+
+# (ok, unit_instances, assoc_pairs, assoc_instances, skipped_holes,
+# empty_domains), as reported by the per-pair checker this kernel replaced
+_COUNTERS = {
+    "ass_ord1": (lambda: make_ass(OrdBase(1), 3), (True, 8, 428, 428, 0, 0)),
+    "ass_ord2": (lambda: make_ass(OrdBase(2), 3), (True, 16, 13190, 13190, 0, 0)),
+    "ass_ord3": (lambda: make_ass(OrdBase(3), 3), (True, 28, 119690, 119690, 0, 0)),
+    "ass_ord0_2": (lambda: make_ass(OrdBase(2, constant_free=True), 3),
+                   (True, 14, 197, 197, 0, 0)),
+    "des1_end2": (lambda: desymmetrize(endomorphism_operad((0, 1), 2), 1),
+                  (True, 44, 36, 140458, 0, 0)),
+    "des2_end2": (lambda: desymmetrize(endomorphism_operad((0, 1), 2), 2),
+                  (True, 76, 148, 956650, 0, 0)),
+    "end2_finset": (lambda: endomorphism_operad((0, 1), 2), (True, 44, 47, 191658, 0, 0)),
+    "end2_finset0": (lambda: endomorphism_operad((0, 1), 2, constant_free=True),
+                     (True, 40, 8, 18752, 0, 0)),
+    "end_empty": (lambda: endomorphism_operad((), 3, constant_free=True),
+                  (True, 6, 105, 105, 0, 0)),
+    "free_holes": (_free_with_holes, (True, 14, 36, 495, 464, 39)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTERS))
+def test_axiom_report_counters(name):
+    make, want = _COUNTERS[name]
+    rep = check_operad_axioms(make())
+    got = (rep.ok, rep.unit_instances, rep.assoc_pairs, rep.assoc_instances,
+           rep.skipped_holes, rep.empty_domains)
+    assert got == want, rep.violations
+
+
+def _signature(A, sigma, omega):
+    """What the kernel groups pairs by: three table shapes and omega's fibers."""
+    comp = A.base.compose(omega, sigma)
+    elems = tuple(tuple(e for e, v in enumerate(omega.map) if v == i)
+                  for i in range(len(A.mult[omega].shape) - 1))
+    return (A.mult[sigma].shape, A.mult[omega].shape, A.mult[comp].shape, elems)
+
+
+def _violating_pairs(A, rep):
+    names = {str(m): m for m in A.mult}
+    out = set()
+    for v in rep.violations:
+        if not v.startswith("associativity fails for "):
+            continue  # a unit diagram
+        head = v.split(" at b=")[0].removeprefix("associativity fails for ")
+        sigma, omega = head.split(" then ")
+        out.add((names[sigma], names[omega]))
+    return out
+
+
+def _with_holes(A, rng, count):
+    for sigma in rng.sample(sorted(A.mult, key=str), count):
+        A = _corrupted(A, sigma, rng.randrange(A.mult[sigma].size), -1)
+    return A
+
+
+def test_corruption_is_reported_against_its_pair_among_holes(monkeypatch):
+    monkeypatch.setattr(operads, "_MAX_VIOLATIONS", 10**6)
+    rng = random.Random(31)
+    A = _with_holes(
+        desymmetrize(endomorphism_operad((0, 1), 2, constant_free=True), 2), rng, 2
+    )
+    groups = {}
+    for s in A.mult:
+        for w in A.mult:
+            if s.target == w.source:
+                groups.setdefault(_signature(A, s, w), []).append((s, w))
+    shared = 0
+    sigmas = sorted(A.mult, key=str)
+    for _ in range(10):
+        sigma = rng.choice(sigmas)
+        flat = rng.randrange(A.mult[sigma].size)
+        n_src = len(A.components[sigma.source])
+        B = _corrupted(A, sigma, flat, (int(A.mult[sigma].flat[flat]) + 1) % n_src)
+        failing, skipped, instances = pointwise_associativity(B)
+        rep = check_operad_axioms(B)
+        units = check_operad_axioms(B, units_only=True)
+        assert _violating_pairs(B, rep) == failing
+        assert rep.skipped_holes - units.skipped_holes == skipped > 0
+        assert rep.assoc_instances == instances
+        shared += any(len(groups[_signature(B, s, w)]) > 1 for s, w in failing)
+    assert shared >= 3
+
+
+def test_slab_size_does_not_change_the_report(monkeypatch):
+    # uncapped, so the slabs' order of visiting instances cannot matter
+    monkeypatch.setattr(operads, "_MAX_VIOLATIONS", 10**6)
+    rng = random.Random(5)
+    A = _with_holes(
+        desymmetrize(endomorphism_operad((0, 1), 2, constant_free=True), 2), rng, 1
+    )
+    sigma = max(A.mult, key=lambda m: A.mult[m].size)
+    flat = rng.randrange(A.mult[sigma].size)
+    n_src = len(A.components[sigma.source])
+    cases = [_free_with_holes(), A,
+             _corrupted(A, sigma, flat, (int(A.mult[sigma].flat[flat]) + 1) % n_src)]
+
+    def report(B):
+        rep = check_operad_axioms(B)
+        rep.violations.sort()
+        return rep
+
+    want = [report(B) for B in cases]
+    assert len(want[2].violations) > 20 and want[1].skipped_holes > 0
+    for slab in (1, 7, 64):
+        monkeypatch.setattr(operads, "_SLAB_CELLS", slab)
+        for B, rep in list(zip(cases, want))[: 1 if slab == 1 else 3]:
+            assert report(B) == rep
+
+
+def test_associativity_violations_of_one_pair():
+    A = desymmetrize(endomorphism_operad((0, 1), 2), 1)
+    base = A.base
+    sigma = base.identity(ordinal(1, 0))
+    omega = operads._to_terminal(base, ordinal(1, 0))
+    assert associativity_violations(A, sigma, omega) == []
+    B = _corrupted(A, omega, 5, (int(A.mult[omega].flat[5]) + 1) % 16)
+    bad = associativity_violations(B, sigma, omega)
+    assert bad and all(v.startswith(f"associativity fails for {sigma} then {omega}")
+                       for v in bad)
+    with pytest.raises(ValueError):
+        associativity_violations(A, omega, omega)
 
 # ---------------------------------------------------------------------------
 # morphism and algebra enumeration

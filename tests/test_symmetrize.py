@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from higherop.ordinals import NOrdinal, is_morphism, ordinal
 from higherop.symmetrize import (
     ClassifierPoset,
     LabeledOrdinal,
+    UnionFind,
     algebra_equivalence,
     arrow_leq,
     arrow_morphism,
@@ -195,6 +197,42 @@ def test_fast_and_general_paths_agree():
         fast = _fast_singleton_classes(n, k, None)
         general = _general_classes(A, n, k, sizes, None)
         assert tuple(tuple((obj, 0) for obj in cls) for cls in fast) == general
+
+
+def test_fast_route_merge_order_does_not_change_classes():
+    for n, k in [(1, 4), (2, 4), (3, 4)]:
+        plain = _fast_singleton_classes(n, k, None)
+        for seed in (3, 11):
+            assert _fast_singleton_classes(n, k, seed) == plain
+
+
+def test_union_find_batches_match_graph_components():
+    rng = random.Random(8)
+    for size, edges in [(1, 0), (40, 25), (200, 150), (200, 400)]:
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(edges)]
+        uf = UnionFind(size)
+        for start in range(0, len(pairs), 17):  # batches share roots
+            batch = pairs[start:start + 17]
+            uf.union([x for x, _ in batch], [y for _, y in batch])
+        # components by depth-first search over the same edges
+        adj = {v: set() for v in range(size)}
+        for x, y in pairs:
+            adj[x].add(y)
+            adj[y].add(x)
+        seen, want = set(), []
+        for v in range(size):
+            if v in seen:
+                continue
+            stack, comp = [v], []
+            seen.add(v)
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for w in adj[u] - seen:
+                    seen.add(w)
+                    stack.append(w)
+            want.append(sorted(comp))
+        assert uf.classes() == sorted(want)
 
 
 def test_merge_order_does_not_change_classes():
