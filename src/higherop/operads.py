@@ -666,9 +666,10 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
     m_(omega sigma)(b; m_(block_i)(a_i; c|block_i)) over every (b, a, c)
     of every pair in the group.
 
-    Path 1 gathers sigma's table rows at omega's values, path 2 gathers
-    the composite's table at a mix index built from the restriction
-    blocks.  Tables are stacked and both paths run in slabs of at most
+    Path 1 gathers sigma's table rows at omega's values, path 2 takes the
+    composites' rows, laid side by side per b, at a mix index built from
+    the restriction blocks, so no index array grows with b.  Tables are
+    stacked and both paths run in slabs of at most
     _SLAB_CELLS cells.  Holes (-1) are masked only in groups whose tables
     contain one.
     """
@@ -693,7 +694,6 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
     masked = bool(holes[rows[:, :3 + r]].any())
     comp_shape = shapes[c0]
     n_comp = math.prod(comp_shape[1:])
-    comp_off = off[rows[:, 2]]
     a_dig = _digits(n_a, a_sizes)
     c_dig = _digits(n_c, c_sizes)
     blocks = []  # (table size, flat block input per c, stride into the composite)
@@ -708,7 +708,7 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
     def stacked(col: int, p0: int, p1: int, size: int) -> np.ndarray:
         return flat[off[rows[p0:p1, col]][:, None] + np.arange(size)]
 
-    table_cells = n_s * n_c + nb * n_a + sum(size for size, _, _ in blocks)
+    table_cells = n_s * n_c + nb * n_a + nb * n_comp + sum(size for size, _, _ in blocks)
     p_step = max(1, _SLAB_CELLS // max(nb * n_a * n_c, table_cells))
     a_step = min(n_a, max(1, _SLAB_CELLS // n_c))
     b_step = min(nb, max(1, _SLAB_CELLS // (a_step * n_c)))
@@ -716,6 +716,10 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
         p1 = min(P, p0 + p_step)
         sig = stacked(0, p0, p1, n_s * n_c).reshape(-1, n_c)
         om = stacked(1, p0, p1, nb * n_a).reshape(p1 - p0, nb, n_a)
+        # the composites side by side, one row per b: (nb, pairs * n_comp)
+        comp = stacked(2, p0, p1, nb * n_comp).reshape(p1 - p0, nb, n_comp)
+        comp = comp.transpose(1, 0, 2).reshape(nb, -1)
+        pairs = np.arange(p1 - p0)
         blks = [stacked(3 + i, p0, p1, size).reshape(p1 - p0, a_sizes[i], -1)
                 for i, (size, _, _) in enumerate(blocks)]
         for a0 in range(0, n_a, a_step):
@@ -729,19 +733,12 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
                 mix += v * stride
             if masked:
                 mix[inner_hole] = 0
+            mix += (pairs * n_comp)[:, None, None]
             for b0 in range(0, nb, b_step):
                 b1 = min(nb, b0 + b_step)
                 s_val = om[:, b0:b1, a0:a1]
-                lhs = sig[(np.arange(p1 - p0) * n_s)[:, None, None] + s_val]
-                if p1 - p0 == 1:  # one pair shares one mix: take needs no index array
-                    comp_rows = flat[comp_off[p0] + b0 * n_comp:comp_off[p0] + b1 * n_comp]
-                    rhs = np.take(comp_rows.reshape(b1 - b0, n_comp), mix, axis=1)
-                    rhs = rhs.reshape(lhs.shape)
-                else:
-                    rhs = flat[
-                        (comp_off[p0:p1, None] + np.arange(b0, b1) * n_comp)[:, :, None, None]
-                        + mix[:, None]
-                    ]
+                lhs = sig[(pairs * n_s)[:, None, None] + s_val]
+                rhs = np.take(comp[b0:b1], mix, axis=1).transpose(1, 0, 2, 3)
                 bad = lhs != rhs
                 if masked:
                     skip = (s_val < 0)[..., None] | inner_hole[:, None] | (lhs < 0) | (rhs < 0)

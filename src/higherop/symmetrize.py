@@ -204,41 +204,69 @@ def classifier_dot(P: ClassifierPoset) -> str:
 class UnionFind:
     """Union-find over 0..size-1 whose unions come as arrays of pairs.
 
-    Every class points at its least member, so a root never changes once
-    a smaller one absorbs it, and the classes come out sorted.
+    Union by size: a root is hooked only under a root of a class at least
+    as large, so every tree has depth at most log2(size) and a root is
+    found in that many gathers.
     """
 
     def __init__(self, size: int):
         self.parent = np.arange(size, dtype=np.int64)
+        self.size = np.ones(size, dtype=np.int64)
 
     def _roots(self, xs: np.ndarray) -> np.ndarray:
         parent = self.parent
+        roots = parent[xs]
         while True:
-            up = parent[xs]
-            top = parent[up]
-            if np.array_equal(top, up):
-                return up
-            # pointer jumping: the chains through xs halve on every pass
-            parent[xs] = top
+            up = parent[roots]
+            if np.array_equal(up, roots):
+                break
+            roots = up
+        parent[xs] = roots
+        return roots
 
     def union(self, xs, ys) -> None:
         """Merge the classes of xs[t] and ys[t] for every t."""
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
+        parent, size = self.parent, self.size
         while xs.size:
             rx, ry = self._roots(xs), self._roots(ys)
             apart = rx != ry
-            xs = np.minimum(rx[apart], ry[apart])
-            ys = np.maximum(rx[apart], ry[apart])
-            # where several pairs share a root in ys one write wins; the
-            # others see the merged root on the next pass
-            self.parent[ys] = xs
+            xs, ys, rx, ry = xs[apart], ys[apart], rx[apart], ry[apart]
+            # hook the root that is less in (class size, index) under the
+            # other; that order is strict, so no cycle can form
+            flip = (size[rx] > size[ry]) | ((size[rx] == size[ry]) & (rx > ry))
+            child = np.where(flip, ry, rx)
+            # a child named by several pairs keeps one parent; the pairs
+            # it lost are merged on the next pass
+            parent[child] = np.where(flip, rx, ry)
+            # deduplicated by hand: np.unique would import numpy.ma on its
+            # first call, which costs more than most unions
+            hooked = np.sort(child)
+            hooked = hooked[np.diff(hooked, prepend=-1) != 0]
+            # a hooked root points at a root or at another hooked root, so
+            # jumping pointers over the hooked roots alone brings each to
+            # its new root; a tree grows by one level only where its class
+            # at least doubles
+            while True:
+                up = parent[hooked]
+                top = parent[up]
+                if np.array_equal(up, top):
+                    break
+                parent[hooked] = top
+            np.add.at(size, parent[hooked], size[hooked])
 
     def classes(self) -> list[list[int]]:
-        roots = self._roots(np.arange(len(self.parent)))
-        order = np.argsort(roots, kind="stable")
-        cuts = np.flatnonzero(np.diff(roots[order])) + 1
-        return [c.tolist() for c in np.split(order, cuts)] if len(order) else []
+        """The classes, each sorted, in the order of their least members."""
+        n = len(self.parent)
+        roots = self._roots(np.arange(n))
+        least = np.empty(n, dtype=np.int64)
+        uniq, first = np.unique(roots, return_index=True)
+        least[uniq] = first
+        key = least[roots]
+        order = np.argsort(key, kind="stable")
+        cuts = np.flatnonzero(np.diff(key[order])) + 1
+        return [c.tolist() for c in np.split(order, cuts)] if n else []
 
 
 # ---------------------------------------------------------------------------

@@ -206,14 +206,50 @@ def test_fast_route_merge_order_does_not_change_classes():
             assert _fast_singleton_classes(n, k, seed) == plain
 
 
+def _tree_depth(uf: UnionFind) -> int:
+    depth = 0
+    for v in range(len(uf.parent)):
+        d = 0
+        while uf.parent[v] != v:
+            v = int(uf.parent[v])
+            d += 1
+        depth = max(depth, d)
+    return depth
+
+
 def test_union_find_batches_match_graph_components():
     rng = random.Random(8)
-    for size, edges in [(1, 0), (40, 25), (200, 150), (200, 400)]:
-        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(edges)]
+    N = 1000
+    star = [(i, N - 1) for i in range(N - 1)]
+    cases = [
+        (size, [(rng.randrange(size), rng.randrange(size)) for _ in range(edges)], 17)
+        for size, edges in [(1, 0), (40, 25), (200, 150), (200, 400)]
+    ] + [
+        (N, star, N),  # every pair shares its y root, in one batch
+        (N, [(y, x) for x, y in star], N),  # ... or its x root
+        (N, [(i, i + 1) for i in range(N - 1)], N),  # ascending chain, one batch
+        (N, [(i, i + 1) for i in range(N - 1)], 1),  # ... one pair per batch
+        (N, [(i + 1, i) for i in range(N - 1)], 1),  # descending chain
+    ]
+    for size, pairs, batch_size in cases:
         uf = UnionFind(size)
-        for start in range(0, len(pairs), 17):  # batches share roots
-            batch = pairs[start:start + 17]
+        gathers = 0
+        roots = uf._roots
+
+        def counted(xs):
+            nonlocal gathers
+            gathers += 1
+            return roots(xs)
+
+        uf._roots = counted
+        for start in range(0, len(pairs), batch_size):  # batches share roots
+            batch = pairs[start:start + batch_size]
             uf.union([x for x, _ in batch], [y for _, y in batch])
+        batches = -(-len(pairs) // batch_size)
+        # at most three passes (two root lookups each) per batch here, and
+        # union by size keeps every tree within log2(size) levels
+        assert gathers <= 6 * batches
+        assert _tree_depth(uf) <= size.bit_length()
         # components by depth-first search over the same edges
         adj = {v: set() for v in range(size)}
         for x, y in pairs:
