@@ -362,8 +362,8 @@ def verify_algebras() -> Report:
         A = operads.make_ass(operads.OrdBase(n), 3)
         rep = symm.algebra_equivalence(A, (0, 1))
         data[f"ass_{n}_on_two_points"] = {
-            "direct": rep.direct_count,
-            "symmetrized": rep.symmetrized_count,
+            "direct": rep.des_hom_count,
+            "symmetrized": rep.sym_hom_count,
             "bijection": rep.bijection,
         }
         ok = ok and rep.ok

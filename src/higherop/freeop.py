@@ -32,6 +32,7 @@ from .operads import (
     base_morphism_from_json,
     base_morphism_to_json,
     base_morphisms,
+    is_surjective,
 )
 
 
@@ -190,10 +191,6 @@ def _split_budget(total: int, parts: int):
             yield (head,) + rest
 
 
-def _surjective(sigma) -> bool:
-    return set(sigma.map) == set(range(_target_size(sigma)))
-
-
 def enumerate_trees(
     T, vmax: int, kmax: int, regular: bool = True, base=None
 ) -> list[TreeTerm]:
@@ -219,7 +216,7 @@ def _enum_trees(T, budget: int, kmax: int, regular: bool, base) -> tuple:
         for k in range(kmax + 1):
             for S in _objects_of_size(base, k):
                 for sigma in base.morphisms(T, S):
-                    if regular and not _surjective(sigma):
+                    if regular and not is_surjective(sigma):
                         continue
                     fibers = [base.fiber(sigma, i) for i in range(k)]
                     child_lists = []

@@ -329,9 +329,6 @@ class OperadTable:
     def unit_index(self) -> int:
         return self.label_index(self.base.terminal(), self.unit)
 
-    def table(self, sigma) -> np.ndarray:
-        return self.mult[sigma]
-
     def value(self, sigma, b_label: str, a_labels) -> str | None:
         """Label-level table lookup; None marks a truncation hole."""
         fibers = [self.base.fiber(sigma, i) for i in range(_target_size(sigma))]
@@ -342,9 +339,6 @@ class OperadTable:
         if v < 0:
             return None
         return self.components[sigma.source][v]
-
-    def has_holes(self) -> bool:
-        return any(int(t.min(initial=0)) < 0 for t in self.mult.values())
 
 
 def tables_equal(A: OperadTable, B: OperadTable) -> bool:

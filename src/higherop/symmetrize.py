@@ -302,7 +302,6 @@ def symmetrize(
     A: OperadTable,
     K: int | None = None,
     build_operad: bool = True,
-    verify: bool = True,
     max_elements: int = 200000,
     shuffle_seed: int | None = None,
 ) -> SymResult:
@@ -312,9 +311,10 @@ def symmetrize(
     under (T, m_sigma(b; units)) ~ (S, b) for arrows sigma: T -> S, with
     lexicographically least representatives.  When build_operad is set
     the induced symmetric operad (components per arity, relabeling
-    action, substitution multiplication) is constructed; verify runs the
-    exhaustive well-definedness check over all class members within the
-    truncation and raises WellDefinednessError on failure.
+    action, substitution multiplication) is constructed, and every
+    multiplication entry is computed from every combination of class
+    members within the truncation; WellDefinednessError is raised when
+    two combinations land in different classes.
     shuffle_seed permutes the merge order (the result must not change).
     """
     if not isinstance(A.base, OrdBase):
@@ -330,10 +330,8 @@ def symmetrize(
         arities[k] = _symmetrize_arity(A, n, k, max_elements, shuffle_seed)
     result = SymResult(n, K, arities)
     if build_operad:
-        result.operad = _sym_operad(A, result)
+        result.operad, result.welldef_checked = _sym_operad(A, result)
         result.action = _sym_action(A, result)
-        if verify:
-            result.welldef_checked = _verify_well_defined(A, result)
     return result
 
 
@@ -387,9 +385,9 @@ def _general_classes(A, n, k, sizes, shuffle_seed):
             merges.append((offsets[i], offsets[j]))
             continue
         T, S = objects[i], objects[j]
-        tab = A.mult[arrow_morphism(T, S)]
+        sigma = arrow_morphism(T, S)
         for b in range(sizes[S.profile]):
-            pulled = int(tab[(b,) + (unit_idx,) * k])
+            pulled = _entry(A, sigma, (b,) + (unit_idx,) * k)
             merges.append((offsets[i] + pulled, offsets[j] + b))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(merges)
@@ -522,15 +520,21 @@ def terminal_class_counts(
 # the induced symmetric operad
 
 
+def _entry(A: OperadTable, sigma, idx: tuple) -> int:
+    """The element at one table entry; a truncation hole is an error."""
+    value = int(A.mult[sigma][idx])
+    if value < 0:
+        raise ValueError(f"the table of {sigma} has a hole at entry {idx}")
+    return value
+
+
 def _zero_pull(A: OperadTable, T: LabeledOrdinal, label_idx: int):
     """Transport an element down to the all-zero profile over the same labels."""
     if T.k <= 1 or all(l == 0 for l in T.profile):
         return T, label_idx
     flat = LabeledOrdinal(T.n, T.labels, (0,) * (T.k - 1))
     zeta = OrdinalMorphism(flat.shape(), T.shape(), tuple(range(T.k)))
-    tab = A.mult[zeta]
-    pulled = int(tab[(label_idx,) + (A.unit_index(),) * T.k])
-    return flat, pulled
+    return flat, _entry(A, zeta, (label_idx,) + (A.unit_index(),) * T.k)
 
 
 def _substitute(A, result: SymResult, f: FinSetMorphism, outer, args):
@@ -540,56 +544,35 @@ def _substitute(A, result: SymResult, f: FinSetMorphism, outer, args):
     member (LabeledOrdinal at arity |fiber i|, label index).  Returns the
     class of the composite at arity k.
     """
-    k, m = f.source, f.target
-    n = result.n
+    k, m, n = f.source, f.target, result.n
     S, b_idx = _zero_pull(A, *outer)
-    fiber_elems = [tuple(x for x in range(k) if f.map[x] == i) for i in range(m)]
-
-    # relations on {1..k}: within a group from the argument, across from S
     pos_s = {lab: p for p, lab in enumerate(S.labels)}
-    arg_pos = []
-    for i in range(m):
-        Ti = args[i][0]
-        arg_pos.append({Ti.labels[p]: p for p in range(Ti.k)})
 
-    def before(x: int, y: int) -> bool:
-        i, j = f.map[x - 1], f.map[y - 1]
-        if i == j:
-            Ti = args[i][0]
-            rx = fiber_elems[i].index(x - 1) + 1
-            ry = fiber_elems[i].index(y - 1) + 1
-            return Ti.position(rx) < Ti.position(ry)
-        return pos_s[i + 1] < pos_s[j + 1]
+    # label x is label rank[i] of the argument on its fiber i; the composite
+    # orders labels by the position of that fiber in S, then by the
+    # position inside the argument
+    keys = {}
+    rank = [0] * m
+    for x in range(1, k + 1):
+        i = f.map[x - 1]
+        rank[i] += 1
+        keys[x] = (pos_s[i + 1], args[i][0].position(rank[i]))
+    order = sorted(keys, key=keys.get)
 
-    order = sorted(
-        range(1, k + 1),
-        key=functools.cmp_to_key(lambda x, y: -1 if before(x, y) else 1),
-    )
+    # neighbours from different fibers meet at level 0; inside a fiber
+    # they meet at the argument's level between their positions
+    profile = []
+    for x, y in zip(order, order[1:]):
+        (s, px), (t, py) = keys[x], keys[y]
+        Ti = args[S.labels[s] - 1][0]
+        profile.append(min(Ti.profile[px:py]) if s == t else 0)
+    R = LabeledOrdinal(n, tuple(order), tuple(profile))
 
-    def pair_level(x: int, y: int) -> int:
-        i, j = f.map[x - 1], f.map[y - 1]
-        if i != j:
-            return 0
-        Ti = args[i][0]
-        rx = fiber_elems[i].index(x - 1) + 1
-        ry = fiber_elems[i].index(y - 1) + 1
-        px, py = Ti.position(rx), Ti.position(ry)
-        lo, hi = min(px, py), max(px, py)
-        return min(Ti.profile[lo:hi])
-
-    profile = tuple(
-        pair_level(order[p], order[p + 1]) for p in range(k - 1)
-    )
-    R = LabeledOrdinal(n, tuple(order), profile)
-
-    sigma = OrdinalMorphism(
-        R.shape(), S.shape(), tuple(pos_s[f.map[lab - 1] + 1] for lab in order)
-    )
+    sigma = OrdinalMorphism(R.shape(), S.shape(), tuple(keys[x][0] for x in order))
     a_indices = tuple(args[S.labels[q] - 1][1] for q in range(m))
-    value = int(A.mult[sigma][(b_idx,) + a_indices])
-    arity = result.arities[k]
+    value = _entry(A, sigma, (b_idx,) + a_indices)
     _, index = _labeled_index(n, k)
-    return arity.class_of[(index[R], value)]
+    return result.arities[k].class_of[(index[R], value)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -598,40 +581,57 @@ def _labeled_index(n: int, k: int):
     return objs, {T: i for i, T in enumerate(objs)}
 
 
-def _sym_operad(A: OperadTable, result: SymResult) -> OperadTable:
-    """Assemble the symmetric operad structure on the classes."""
+def _sym_operad(A: OperadTable, result: SymResult) -> tuple[OperadTable, int]:
+    """Assemble the symmetric operad structure on the classes.
+
+    Every entry is computed from every combination of class members.  A
+    class lists its representative first, so the first combination sets
+    the entry and every later one must land in the same class.  Returns
+    the operad and the number of combinations computed.
+    """
     n = result.n
     base = FinBase(constant_free=A.base.constant_free)
     K = result.K
     components = {}
+    members = {}
     for k, arity in result.arities.items():
         components[k] = tuple(f"c{j}" for j in range(len(arity.classes)))
-    reps = {
-        k: [cls[0] for cls in arity.classes]
-        for k, arity in result.arities.items()
-    }
-    objects_cache = {k: _labeled_index(n, k)[0] for k in result.arities}
+        objects = _labeled_index(n, k)[0]
+        members[k] = [
+            [(objects[o_idx], lab) for o_idx, lab in cls] for cls in arity.classes
+        ]
     mult = {}
+    checked = 0
     for f in base_morphisms(base, K):
         k, m = f.source, f.target
         fib_sizes = [len([x for x in f.map if x == i]) for i in range(m)]
         shape = (len(components[m]),) + tuple(len(components[s]) for s in fib_sizes)
         tab = np.empty(shape, dtype=np.int32)
-        for b_c in range(shape[0]):
-            b_obj, b_lab = reps[m][b_c]
-            outer = (objects_cache[m][b_obj], b_lab)
-            for a_cs in itertools.product(*(range(s) for s in shape[1:])):
-                args = []
-                for i, c in enumerate(a_cs):
-                    o_idx, lab = reps[fib_sizes[i]][c]
-                    args.append((objects_cache[fib_sizes[i]][o_idx], lab))
-                tab[(b_c,) + a_cs] = _substitute(A, result, f, outer, args)
+        for entry in itertools.product(*(range(s) for s in shape)):
+            b_c, a_cs = entry[0], entry[1:]
+            expected = None
+            for outer, *args in itertools.product(
+                members[m][b_c],
+                *(members[fib_sizes[i]][c] for i, c in enumerate(a_cs)),
+            ):
+                got = _substitute(A, result, f, outer, args)
+                checked += 1
+                if expected is None:
+                    expected = tab[entry] = got
+                elif got != expected:
+                    raise WellDefinednessError(
+                        f"multiplication along {f} is not constant on "
+                        f"classes: entry {entry} with members "
+                        f"outer={outer} args={args} gave class {got}, "
+                        f"the representatives gave {expected}"
+                    )
         mult[f] = tab
     unit_arity = result.arities[1]
     unit_class = unit_arity.class_of[(0, A.label_index(terminal_ordinal(n), A.unit))]
-    return OperadTable(
+    operad = OperadTable(
         base, K, components, components[1][unit_class], mult, f"sym_{n}({A.name})"
     )
+    return operad, checked
 
 
 def _sym_action(A: OperadTable, result: SymResult) -> dict:
@@ -659,41 +659,6 @@ def _sym_action(A: OperadTable, result: SymResult) -> dict:
             table[rho] = tuple(images)
         action[k] = table
     return action
-
-
-def _verify_well_defined(A: OperadTable, result: SymResult) -> int:
-    """Recompute every multiplication entry from every member combination."""
-    base = result.operad.base
-    checked = 0
-    objects_cache = {k: _labeled_index(result.n, k)[0] for k in result.arities}
-    for f in base_morphisms(base, result.K):
-        k, m = f.source, f.target
-        fib_sizes = [len([x for x in f.map if x == i]) for i in range(m)]
-        tab = result.operad.mult[f]
-        for b_c in range(tab.shape[0]):
-            b_members = result.arities[m].classes[b_c]
-            for a_cs in itertools.product(*(range(s) for s in tab.shape[1:])):
-                expected = int(tab[(b_c,) + a_cs])
-                for b_obj, b_lab in b_members:
-                    outer = (objects_cache[m][b_obj], b_lab)
-                    for arg_members in itertools.product(
-                        *(result.arities[fib_sizes[i]].classes[a_cs[i]]
-                          for i in range(m))
-                    ):
-                        args = [
-                            (objects_cache[fib_sizes[i]][o], lab)
-                            for i, (o, lab) in enumerate(arg_members)
-                        ]
-                        got = _substitute(A, result, f, outer, args)
-                        checked += 1
-                        if got != expected:
-                            raise WellDefinednessError(
-                                f"multiplication along {f} is not constant on "
-                                f"classes: entry {(b_c,) + a_cs} with members "
-                                f"outer={outer} args={args} gave class {got}, "
-                                f"the representatives gave {expected}"
-                            )
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -788,32 +753,14 @@ def check_adjunction(
     return AdjunctionReport(len(sym_homs), len(des_homs), bijection)
 
 
-@dataclass
-class AlgebraEquivalenceReport:
-    direct_count: int
-    symmetrized_count: int
-    bijection: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.direct_count == self.symmetrized_count and self.bijection
-
-
 def algebra_equivalence(
     A: OperadTable, X, max_nodes: int = 2_000_000
-) -> AlgebraEquivalenceReport:
-    """Compare algebra structures on X before and after symmetrisation."""
-    if not isinstance(A.base, OrdBase):
-        raise ValueError("expected an operad over Ord(n)")
-    n = A.base.n
+) -> AdjunctionReport:
+    """Compare algebra structures on X before and after symmetrisation.
+
+    An algebra on X is a morphism into the endomorphism operad of X, so
+    this is the adjunction check with End_X as the target: des_hom_count
+    counts the algebras of A, sym_hom_count those of sym(A).
+    """
     end = endomorphism_operad(tuple(X), A.K, constant_free=A.base.constant_free)
-    result = symmetrize(A, A.K)
-    sym_algs = enumerate_operad_morphisms(result.operad, end, max_nodes=max_nodes)
-    direct = enumerate_operad_morphisms(A, desymmetrize(end, n), max_nodes=max_nodes)
-    transferred = [_transfer(A, result, end, g) for g in sym_algs]
-    direct_set = {phi.components for phi in direct}
-    bijection = (
-        len(set(transferred)) == len(transferred)
-        and set(transferred) == direct_set
-    )
-    return AlgebraEquivalenceReport(len(direct), len(sym_algs), bijection)
+    return check_adjunction(A, end, max_nodes=max_nodes)

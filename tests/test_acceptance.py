@@ -267,13 +267,13 @@ def test_criterion_11_adjunction_and_algebras():
 
     alg = algebra_equivalence(make_ass(OrdBase(2), 3), (0, 1))
     comm = count_commutative_monoids(2)
-    ok = ok and alg.direct_count == alg.symmetrized_count == comm and alg.bijection
+    ok = ok and alg.des_hom_count == alg.sym_hom_count == comm and alg.bijection
     _line(
         11,
         "adjunction and algebra equivalence",
         ok,
         f"monoids {adj.sym_hom_count}={adj.des_hom_count}, "
-        f"commutative {alg.direct_count}={alg.symmetrized_count} "
+        f"commutative {alg.des_hom_count}={alg.sym_hom_count} "
         f"(both equal the brute-force oracle)",
     )
 

@@ -1,22 +1,26 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from higherop.operads import (
     BudgetExceededError,
     FinBase,
+    OperadTable,
     OrdBase,
     check_operad_axioms,
+    desymmetrize,
     endomorphism_operad,
     enumerate_operad_morphisms,
     make_ass,
 )
-from higherop.ordinals import NOrdinal, is_morphism, ordinal
+from higherop.ordinals import NOrdinal, OrdinalMorphism, is_morphism, ordinal
 from higherop.symmetrize import (
     ClassifierPoset,
     LabeledOrdinal,
     UnionFind,
+    WellDefinednessError,
     algebra_equivalence,
     arrow_leq,
     arrow_morphism,
@@ -334,8 +338,17 @@ def test_sym_ass2_is_one_point_with_trivial_action():
 
 
 def test_welldef_checked_counts():
-    r = symmetrize(make_ass(OrdBase(2), 3), 3)
-    assert r.welldef_checked > 1000
+    # every combination of class members, representatives included
+    end = endomorphism_operad((0, 1), 2)
+    cases = [
+        (make_ass(OrdBase(1), 3), 533),
+        (make_ass(OrdBase(2), 3), 4499),
+        (make_ass(OrdBase(1, constant_free=True), 3), 73),
+        (desymmetrize(end, 1), 5914),
+        (desymmetrize(end, 2), 19994),
+    ]
+    for A, checked in cases:
+        assert symmetrize(A).welldef_checked == checked, A.name
 
 
 def test_sym_respects_component_sizes():
@@ -364,6 +377,62 @@ def test_sym_of_des_end_n2_merges_mirror_pairs():
     assert len(r.arities[2].classes) == 16
     rep = check_operad_axioms(r.operad)
     assert rep.ok, rep.violations
+
+
+def _with_entry(A, sigma, idx, value):
+    mult = dict(A.mult)
+    mult[sigma] = mult[sigma].copy()
+    mult[sigma][idx] = value
+    return OperadTable(A.base, A.K, A.components, A.unit, mult, A.name + "+corrupt")
+
+
+def _des2_end2():
+    return desymmetrize(endomorphism_operad((0, 1), 2), 2)
+
+
+def test_ill_defined_multiplication_is_detected():
+    # entries where some argument is not the unit transport nothing, so
+    # the classes stay; changing any of the first 40 at arity 2 makes some
+    # product of classes depend on the members chosen
+    A = _des2_end2()
+    u = A.unit_index()
+    corrupted = 0
+    for sigma, tab in A.mult.items():
+        if sigma.source.size != 2:
+            continue
+        for idx in itertools.product(*map(range, tab.shape)):
+            if sigma.target.size == 2 and all(a == u for a in idx[1:]):
+                continue
+            new = (int(tab[idx]) + 1) % len(A.components[sigma.source])
+            with pytest.raises(WellDefinednessError):
+                symmetrize(_with_entry(A, sigma, idx, new))
+            corrupted += 1
+            if corrupted == 40:
+                return
+
+
+_ZETA = OrdinalMorphism(ordinal(2, 0), ordinal(2, 1), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "make, sigma, idx, build_operad",
+    [
+        # a transport entry (b; unit, unit), read by the quotient: read as
+        # an element, the hole merged the last element of the previous
+        # labeling (14 classes at arity 2, not 16)
+        (_des2_end2, _ZETA, (3, 1, 1), False),
+        # the pull to the all-zero profile, read only while multiplying
+        (lambda: make_ass(OrdBase(2), 2), _ZETA, (0, 0, 0), True),
+        # an entry with a non-unit argument, read only while multiplying
+        (_des2_end2, OrdinalMorphism(ordinal(2, 0), ordinal(2), (0, 0)), (0, 0), True),
+    ],
+    ids=["transport", "zero-pull", "non-unit-argument"],
+)
+def test_holes_are_not_read_as_elements(make, sigma, idx, build_operad):
+    B = _with_entry(make(), sigma, idx, -1)
+    assert check_operad_axioms(B).ok
+    with pytest.raises(ValueError, match=re.escape(f"{sigma} has a hole at entry {idx}")):
+        symmetrize(B, build_operad=build_operad)
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +465,26 @@ def test_adjunction_terminal_target():
 
 def test_algebra_equivalence_ass1():
     rep = algebra_equivalence(make_ass(OrdBase(1), 3), (0, 1))
-    assert rep.direct_count == rep.symmetrized_count == 4
+    assert rep.des_hom_count == rep.sym_hom_count == 4
     assert rep.bijection
 
 
 def test_algebra_equivalence_ass2():
     rep = algebra_equivalence(make_ass(OrdBase(2), 3), (0, 1))
-    assert rep.direct_count == rep.symmetrized_count == count_commutative_monoids(2)
+    assert rep.des_hom_count == rep.sym_hom_count == count_commutative_monoids(2)
     assert rep.bijection
 
 
 def test_algebra_equivalence_one_point_set():
     rep = algebra_equivalence(make_ass(OrdBase(2), 2), (0,))
-    assert rep.direct_count == rep.symmetrized_count == 1
+    assert rep.des_hom_count == rep.sym_hom_count == 1
     assert rep.bijection
 
 
 def test_algebra_equivalence_empty_set_constant_free():
     A = make_ass(OrdBase(1, constant_free=True), 2)
     rep = algebra_equivalence(A, ())
-    assert rep.direct_count == rep.symmetrized_count == 1
+    assert rep.des_hom_count == rep.sym_hom_count == 1
     assert rep.bijection
 
 
