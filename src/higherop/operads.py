@@ -434,9 +434,11 @@ def endomorphism_operad(
             bshape = [1] * m + [n_inputs[k]]
             bshape[i] = g_shape[i]
             y_rank = y_rank * 1 + gi.reshape(bshape) * (x_size ** (m - 1 - i))
-        res = outs[m][:, y_rank]  # (N_m,) + g_shape + (x**k,)
-        powers = x_size ** np.arange(n_inputs[k] - 1, -1, -1, dtype=np.int64)
-        mult[f] = np.tensordot(res, powers, axes=([-1], [0])).astype(np.int32)
+        # labels by place value, one input at a time: no (N_m,) + g_shape + (x**k,) array
+        code = np.zeros((len(components[m]),) + g_shape, dtype=np.int32)
+        for pos in range(n_inputs[k]):
+            code += outs[m][:, y_rank[..., pos]] * x_size ** (n_inputs[k] - 1 - pos)
+        mult[f] = code
     unit = components[1][_identity_code(x_size)]
     return OperadTable(base, K, components, unit, mult, f"End[{x_size}]")
 
@@ -706,6 +708,11 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
     p_step = max(1, _SLAB_CELLS // max(nb * n_a * n_c, table_cells))
     a_step = min(n_a, max(1, _SLAB_CELLS // n_c))
     b_step = min(nb, max(1, _SLAB_CELLS // (a_step * n_c)))
+    # buffers for the per-b arrays, made once per group: made per b, each
+    # is mapped afresh whenever glibc's mmap threshold is below its size
+    lhs_buf = np.empty((min(P, p_step), b_step, a_step, n_c), flat.dtype)
+    rhs_buf = np.empty((b_step, min(P, p_step), a_step, n_c), flat.dtype)
+    bad_buf = np.empty(lhs_buf.shape, dtype=bool)
     for p0 in range(0, P, p_step):
         p1 = min(P, p0 + p_step)
         sig = stacked(0, p0, p1, n_s * n_c).reshape(-1, n_c)
@@ -731,9 +738,14 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
             for b0 in range(0, nb, b_step):
                 b1 = min(nb, b0 + b_step)
                 s_val = om[:, b0:b1, a0:a1]
-                lhs = sig[(pairs * n_s)[:, None, None] + s_val]
-                rhs = np.take(comp[b0:b1], mix, axis=1).transpose(1, 0, 2, 3)
-                bad = lhs != rhs
+                # mode="wrap" reads a hole's -1 as the last row, as indexing
+                # does; those instances are skipped below
+                lhs = np.take(sig, (pairs * n_s)[:, None, None] + s_val, axis=0, mode="wrap",
+                              out=lhs_buf[: p1 - p0, : b1 - b0, : a1 - a0])
+                rhs = np.take(comp[b0:b1], mix, axis=1, mode="wrap",
+                              out=rhs_buf[: b1 - b0, : p1 - p0, : a1 - a0])
+                rhs = rhs.transpose(1, 0, 2, 3)
+                bad = np.not_equal(lhs, rhs, out=bad_buf[: p1 - p0, : b1 - b0, : a1 - a0])
                 if masked:
                     skip = (s_val < 0)[..., None] | inner_hole[:, None] | (lhs < 0) | (rhs < 0)
                     rep.skipped_holes += int(skip.sum())

@@ -9,15 +9,17 @@ relation of the classifier poset at arity k.
 
 Symmetrising an operad over Ord(n) quotients the disjoint union of its
 components over all labelings at each arity by the relations
-(T, m_sigma(b; units)) ~ (S, b), one for every arrow sigma: T -> S.
-The quotient is computed by union-find.  For operads whose components
-are single points the relations carry no data, so the quotient only
-needs a generating family of arrows: profile increments inside one
-labeling, plus, for each source and each target labeling, the arrow to
-the componentwise-least structure above it.  Every arrow factors as one
-such minimal arrow followed by increments, and the general path (all
-arrows, with the transported elements) cross-checks the fast one in the
-tests.
+(T, m_sigma(b; units)) ~ (S, b), one for every arrow sigma: T -> S.  By
+the unit and associativity axioms, transport along a composite arrow is
+the composite of the transports, m_{tau sigma}(b; units) =
+m_sigma(m_tau(b; units); units), so a generating family of arrows gives
+the same quotient as all of them.  The generators are the profile
+increments inside one labeling, plus, for each source and each other
+target labeling, the arrow to the componentwise-least structure above
+it; every arrow factors as one such minimal arrow followed by
+increments.  The quotient is a union-find over the generators, one
+family at a time, with the transported elements read from the operad's
+tables.  The tests compare it with the quotient over all arrows.
 
 Poset construction is independent per object pair and safe to farm out;
 the union-find runs single-worker per arity, and every returned value
@@ -295,9 +297,6 @@ class SymResult:
         return {k: len(ar.classes) for k, ar in sorted(self.arities.items())}
 
 
-_FAST_CUTOFF = 600  # object count above which singleton operads use the fast path
-
-
 def symmetrize(
     A: OperadTable,
     K: int | None = None,
@@ -309,12 +308,16 @@ def symmetrize(
 
     Returns, per arity up to K, the classes of pairs (labeling, element)
     under (T, m_sigma(b; units)) ~ (S, b) for arrows sigma: T -> S, with
-    lexicographically least representatives.  When build_operad is set
-    the induced symmetric operad (components per arity, relabeling
-    action, substitution multiplication) is constructed, and every
-    multiplication entry is computed from every combination of class
-    members within the truncation; WellDefinednessError is raised when
-    two combinations land in different classes.
+    lexicographically least representatives.  The relations are applied
+    along the generating arrows only; A must pass check_operad_axioms,
+    which makes that the quotient over every arrow.  A truncation hole
+    on a generator's transport entry raises ValueError.  When
+    build_operad is set the induced symmetric operad (components per
+    arity, relabeling action, substitution multiplication) is
+    constructed, and every multiplication entry is computed from every
+    combination of class members within the truncation;
+    WellDefinednessError is raised when two combinations land in
+    different classes.
     shuffle_seed permutes the merge order (the result must not change).
     """
     if not isinstance(A.base, OrdBase):
@@ -335,31 +338,61 @@ def symmetrize(
     return result
 
 
-def _component_labels(A: OperadTable, shape: NOrdinal):
-    return A.components.get(shape, ())
-
-
 def _symmetrize_arity(A, n, k, max_elements, shuffle_seed):
-    shapes = {prof: NOrdinal(n, prof, k) for prof in _profiles(n, k)}
-    sizes = {prof: len(_component_labels(A, s)) for prof, s in shapes.items()}
-    singleton = all(v == 1 for v in sizes.values())
-    object_count = math.factorial(k) * n ** max(k - 1, 0)
-    total = math.factorial(k) * sum(sizes.values())
+    shapes = [NOrdinal(n, prof, k) for prof in _profiles(n, k)]
+    sizes = np.array([len(A.components.get(s, ())) for s in shapes], dtype=np.int64)
+    n_perm, n_prof = math.factorial(k), len(shapes)
+    total = n_perm * int(sizes.sum())
     if total > max_elements:
         raise BudgetExceededError(
             f"symmetrisation at arity {k} has {total} elements "
             f"(budget {max_elements})"
         )
-    if singleton and object_count > _FAST_CUTOFF:
-        classes = _fast_singleton_classes(n, k, shuffle_seed)
-        classes = tuple(tuple((obj, 0) for obj in cls) for cls in classes)
-    else:
-        classes = _general_classes(A, n, k, sizes, shuffle_seed)
-    class_of = {}
-    for ci, members in enumerate(classes):
-        for m in members:
-            class_of[m] = ci
-    return SymArity(k, object_count, sum(len(c) for c in classes), classes, class_of)
+    # elements are numbered object by object, in the order of labeled_objects
+    obj_sizes = np.tile(sizes, n_perm)
+    offsets = np.cumsum(obj_sizes) - obj_sizes
+
+    # an arrow's sigma is fixed by the two profiles and the relative
+    # permutation of the labelings, so each distinct sigma is built and
+    # its transport column read once; start[key] is where the column of
+    # the sigma with that key starts in flat
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    positions = np.argsort(perms, axis=1)
+    digits = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    units = (A.unit_index(),) * k
+    start, flat = {}, np.empty(0, dtype=np.int64)
+    uf = UnionFind(total)
+    for src, dst in _generator_arrows(n, k, shuffle_seed):
+        (r1, p1), (r2, p2) = divmod(src, n_prof), divmod(dst, n_prof)
+        sigma_map = positions[r2[:, None], perms[r1]]
+        keys, first, inverse = np.unique(
+            ((sigma_map @ digits) * n_prof + p1) * n_prof + p2,
+            return_index=True, return_inverse=True,
+        )
+        for key, i in zip(keys.tolist(), first.tolist()):
+            if key not in start:
+                sigma = OrdinalMorphism(
+                    shapes[p1[i]], shapes[p2[i]], tuple(sigma_map[i].tolist())
+                )
+                transports = A.mult[sigma][(slice(None),) + units]
+                if (transports < 0).any():  # _entry names the first hole
+                    _entry(A, sigma, (int(np.argmax(transports < 0)),) + units)
+                start[key] = len(flat)
+                flat = np.concatenate([flat, transports])
+        at = np.fromiter(map(start.get, keys.tolist()), np.int64, len(keys))[inverse]
+        # each arrow gives (src, m_sigma(b; units)) ~ (dst, b) for every
+        # element b over dst
+        z = sizes[p2]
+        b = np.arange(int(z.sum())) - np.repeat(np.cumsum(z) - z, z)
+        uf.union(
+            np.repeat(offsets[src], z) + flat[np.repeat(at, z) + b],
+            np.repeat(offsets[dst], z) + b,
+        )
+    obj_of = np.repeat(np.arange(n_perm * n_prof), obj_sizes)
+    members = list(zip(obj_of.tolist(), (np.arange(total) - offsets[obj_of]).tolist()))
+    classes = tuple(tuple(members[e] for e in cls) for cls in uf.classes())
+    class_of = {m: ci for ci, cls in enumerate(classes) for m in cls}
+    return SymArity(k, n_perm * n_prof, total, classes, class_of)
 
 
 def _profiles(n: int, k: int):
@@ -368,127 +401,79 @@ def _profiles(n: int, k: int):
     return list(itertools.product(range(n), repeat=k - 1))
 
 
-def _general_classes(A, n, k, sizes, shuffle_seed):
-    objects = labeled_objects(n, k)
-    offsets = []
-    acc = 0
-    for T in objects:
-        offsets.append(acc)
-        acc += sizes[T.profile]
-    uf = UnionFind(acc)
-    singleton = all(v == 1 for v in sizes.values())
-    unit_idx = A.unit_index() if not singleton else 0
-    merges = []
-    for i, j in _strict_arrows(objects, k):
-        if singleton:
-            # one-point components force the transported element
-            merges.append((offsets[i], offsets[j]))
-            continue
-        T, S = objects[i], objects[j]
-        sigma = arrow_morphism(T, S)
-        for b in range(sizes[S.profile]):
-            pulled = _entry(A, sigma, (b,) + (unit_idx,) * k)
-            merges.append((offsets[i] + pulled, offsets[j] + b))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(merges)
-    flat = np.fromiter(itertools.chain.from_iterable(merges), np.int64, 2 * len(merges))
-    uf.union(flat[0::2], flat[1::2])
-    elem_of = []
-    for i, T in enumerate(objects):
-        for lab in range(sizes[T.profile]):
-            elem_of.append((i, lab))
-    return tuple(
-        tuple(sorted(elem_of[m] for m in cls)) for cls in uf.classes()
-    )
+def _generator_arrows(n: int, k: int, shuffle_seed):
+    """The generating arrows at arity k, one family at a time.
+
+    Yields (source, target) arrays of object indices, in the order of
+    labeled_objects.  A family is either the +1 steps on one profile
+    entry, for every labeling, or the arrows from every structure with
+    labeling x to the least structure above it with each other labeling.
+    Composites of these reach every arrow, and no family has more arrows
+    than there are objects.  shuffle_seed shuffles the order of the
+    families and of the arrows inside each.
+    """
+    if k < 2:
+        return
+    perms = np.array(list(itertools.permutations(range(k))))  # positions -> labels
+    n_perm, n_prof = len(perms), n ** (k - 1)
+    pairs = list(itertools.combinations(range(k), 2))
+    n_pairs = len(pairs)
+
+    profiles = np.array(_profiles(n, k), dtype=np.int16)
+
+    # per permutation and label pair: the orientation bit and the
+    # positions lo < hi of the two labels
+    pos = np.argsort(perms, axis=1)
+    a, b = np.array(pairs).T
+    orient = pos[:, a] < pos[:, b]
+    lo, hi = np.minimum(pos[:, a], pos[:, b]), np.maximum(pos[:, a], pos[:, b])
+    # the level between positions i < j: the least profile entry there
+    level = np.zeros((n_prof, k, k), dtype=np.int16)
+    for i, j in pairs:
+        level[:, i, j] = profiles[:, i:j].min(axis=1)
+    # spanning[m]: the rows r * n_pairs + t of the (m+1)(k-1-m) label
+    # pairs t that span consecutive position m in permutation r
+    spanning = [
+        np.flatnonzero((lo <= m) & (m < hi)).reshape(n_perm, -1) for m in range(k - 1)
+    ]
+
+    strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
+
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    keys = [("step", m) for m in range(k - 1)] + [("move", x) for x in range(n_perm)]
+    if rng is not None:
+        rng.shuffle(keys)
+    for kind, x in keys:
+        if kind == "step":  # +1 on profile entry x, for every labeling
+            below = np.flatnonzero(profiles[:, x] < n - 1)
+            src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
+            dst = src + strides[x]
+        else:
+            # labeling x to the least structure above it, for every labeling:
+            # digit m is the largest bound among the pairs spanning position m
+            bounds = level[:, lo[x], hi[x]].T[None] + (orient[x] != orient)[:, :, None]
+            bounds = bounds.reshape(n_perm * n_pairs, n_prof)
+            digits = np.stack([bounds[rows].max(axis=1) for rows in spanning], axis=2)
+            valid = (digits <= n - 1).all(axis=2)
+            valid[x] = False
+            r2, prof = np.nonzero(valid)
+            src, dst = x * n_prof + prof, r2 * n_prof + digits[valid] @ strides
+        if rng is not None:
+            order = list(range(len(src)))
+            rng.shuffle(order)
+            src, dst = src[order], dst[order]
+        yield src, dst
 
 
 def _fast_singleton_classes(n, k, shuffle_seed):
-    """Object-level quotient from a generating family of arrows.
+    """Classes of labelings under the generating arrows, without tables.
 
-    Generators: +1 on one profile entry (same labeling), and for every
-    object and every other labeling the arrow to the least structure
-    above it with that labeling.  Composites of these reach every arrow.
+    This is the quotient of a one-point operad, whose transports carry
+    no data; each family is unioned as it comes, so the
+    k!(k!-1)n^(k-1) arrows are never held at once.
     """
-    if k == 0:
-        return [[0]]
-    perms = list(itertools.permutations(range(k)))  # positions -> 0-based labels
-    n_perm, n_prof = len(perms), n ** (k - 1)
-    total = n_perm * n_prof
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    n_pairs = len(pairs)
-
-    profiles = np.empty((n_prof, max(k - 1, 1)), dtype=np.int16)
-    codes = np.arange(n_prof, dtype=np.int64)
-    for m in range(k - 2, -1, -1):
-        profiles[:, m] = codes % n
-        codes //= n
-
-    # per permutation: orientation bit and position span of every pair
-    orient = np.empty((n_perm, n_pairs), dtype=np.int16)
-    spans = []
-    for r, perm in enumerate(perms):
-        pos = {lab: p for p, lab in enumerate(perm)}
-        row_spans = []
-        for t, (a, b) in enumerate(pairs):
-            pa, pb = pos[a], pos[b]
-            orient[r, t] = 1 if pa < pb else 0
-            row_spans.append((min(pa, pb), max(pa, pb)))
-        spans.append(row_spans)
-
-    # pair levels per profile, per permutation: min over the position span
-    levels = np.empty((n_perm, n_prof, n_pairs), dtype=np.int16)
-    for r in range(n_perm):
-        for t, (lo, hi) in enumerate(spans[r]):
-            levels[r, :, t] = profiles[:, lo:hi].min(axis=1)
-
-    # crossing[m, t, r] = 1 when pair t spans consecutive position m in
-    # permutation r; every position is spanned by at least one pair
-    crossing = np.zeros((k - 1, n_pairs, n_perm), dtype=np.int16)
-    for r in range(n_perm):
-        for t, (lo, hi) in enumerate(spans[r]):
-            crossing[lo:hi, t, r] = 1
-
-    strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
-    prof_codes = np.arange(n_prof, dtype=np.int64)
-
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-
-    def ordered(items) -> list:
-        """items in order, or shuffled when a shuffle seed is given."""
-        items = list(items)
-        if rng is not None:
-            rng.shuffle(items)
-        return items
-
-    def family(key):
-        """The merge pairs of one generator family, as two arrays."""
-        kind, x = key
-        if kind == "step":  # +1 on profile entry x, for every labeling
-            below = prof_codes[profiles[:, x] < n - 1]
-            src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
-            return src, src + strides[x]
-        # labeling x to the least structure above it, for every other labeling:
-        # digit m is the largest bound among the pairs spanning position m
-        bounds = levels[x].T[:, None, :] + (orient[x] != orient).T[:, :, None]
-        target_digits = np.stack(
-            [(bounds * crossing[m][:, :, None]).max(axis=0) for m in range(k - 1)], axis=2
-        )
-        valid = (target_digits <= n - 1).all(axis=2)
-        valid[x] = False
-        r2, prof = np.nonzero(valid)
-        return x * n_prof + prof, r2 * n_prof + target_digits[valid] @ strides
-
-    # one union per family; no family has more pairs than there are
-    # elements, so the k!(k!-1)n^(k-1) merge pairs are never held at once
-    keys = [("step", m) for m in range(k - 1)]
-    if n_perm > 1:
-        keys += [("move", r) for r in range(n_perm)]
-    uf = UnionFind(total)
-    for key in ordered(keys):
-        src, dst = family(key)
-        if rng is not None:
-            order = ordered(range(len(src)))
-            src, dst = src[order], dst[order]
+    uf = UnionFind(math.factorial(k) * n ** max(k - 1, 0))
+    for src, dst in _generator_arrows(n, k, shuffle_seed):
         uf.union(src, dst)
     return uf.classes()
 
@@ -540,12 +525,13 @@ def _zero_pull(A: OperadTable, T: LabeledOrdinal, label_idx: int):
 def _substitute(A, result: SymResult, f: FinSetMorphism, outer, args):
     """One multiplication instance from explicit member choices.
 
-    outer is (LabeledOrdinal at arity m, label index); args[i] is the
-    member (LabeledOrdinal at arity |fiber i|, label index).  Returns the
-    class of the composite at arity k.
+    outer is (LabeledOrdinal at arity m with the all-zero profile, label
+    index), a member after _zero_pull; args[i] is the member
+    (LabeledOrdinal at arity |fiber i|, label index).  Returns the class
+    of the composite at arity k.
     """
     k, m, n = f.source, f.target, result.n
-    S, b_idx = _zero_pull(A, *outer)
+    S, b_idx = outer
     pos_s = {lab: p for p, lab in enumerate(S.labels)}
 
     # label x is label rank[i] of the argument on its fiber i; the composite
@@ -594,12 +580,14 @@ def _sym_operad(A: OperadTable, result: SymResult) -> tuple[OperadTable, int]:
     K = result.K
     components = {}
     members = {}
+    pulled = {}  # members[k] moved to the all-zero profile, member by member
     for k, arity in result.arities.items():
         components[k] = tuple(f"c{j}" for j in range(len(arity.classes)))
         objects = _labeled_index(n, k)[0]
         members[k] = [
             [(objects[o_idx], lab) for o_idx, lab in cls] for cls in arity.classes
         ]
+        pulled[k] = [[_zero_pull(A, *member) for member in cls] for cls in members[k]]
     mult = {}
     checked = 0
     for f in base_morphisms(base, K):
@@ -610,11 +598,11 @@ def _sym_operad(A: OperadTable, result: SymResult) -> tuple[OperadTable, int]:
         for entry in itertools.product(*(range(s) for s in shape)):
             b_c, a_cs = entry[0], entry[1:]
             expected = None
-            for outer, *args in itertools.product(
-                members[m][b_c],
+            for (outer, pulled_outer), *args in itertools.product(
+                zip(members[m][b_c], pulled[m][b_c]),
                 *(members[fib_sizes[i]][c] for i, c in enumerate(a_cs)),
             ):
-                got = _substitute(A, result, f, outer, args)
+                got = _substitute(A, result, f, pulled_outer, args)
                 checked += 1
                 if expected is None:
                     expected = tab[entry] = got

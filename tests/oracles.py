@@ -179,3 +179,39 @@ def pointwise_associativity(A):
                         elif lhs != rhs:
                             failing.add((sigma, omega))
     return failing, skipped, instances
+
+
+def all_arrows_classes(A, k: int):
+    """Symmetrisation classes of A at arity k, merged along every arrow.
+
+    For every identity-carried arrow sigma: T -> S of the classifier
+    poset and every element b over S, (T, m_sigma(b; units)) is merged
+    with (S, b) in a dictionary union-find.  Members are (object index,
+    element index) pairs in the order of labeled_objects; each class is
+    sorted and the classes are ordered by their least members.
+    """
+    from higherop.symmetrize import arrow_morphism, build_classifier
+
+    P = build_classifier(A.base.n, k)
+    sizes = [len(A.components.get(T.shape(), ())) for T in P.objects]
+    members = [(i, b) for i, size in enumerate(sizes) for b in range(size)]
+    parent = {m: m for m in members}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    units = (A.unit_index(),) * k
+    for i, j in P.arrows:
+        sigma = arrow_morphism(P.objects[i], P.objects[j])
+        for b in range(sizes[j]):
+            pulled = int(A.mult[sigma][(b,) + units])
+            if pulled < 0:
+                raise ValueError(f"the table of {sigma} has a hole at entry {(b,) + units}")
+            parent[find((i, pulled))] = find((j, b))
+    classes = {}
+    for m in members:
+        classes.setdefault(find(m), []).append(m)
+    return tuple(sorted(tuple(c) for c in classes.values()))

@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higherop.operads import (
     BudgetExceededError,
@@ -33,9 +35,9 @@ from higherop.symmetrize import (
     symmetrize,
     terminal_class_counts,
 )
-from higherop.symmetrize import _fast_singleton_classes, _general_classes
+from higherop.symmetrize import _fast_singleton_classes
 
-from oracles import count_commutative_monoids, count_monoids
+from oracles import all_arrows_classes, count_commutative_monoids, count_monoids
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +196,37 @@ def test_terminal_counts_k5():
     assert terminal_class_counts(3, 5) == {k: 1 for k in range(6)}
 
 
+@functools.lru_cache(maxsize=None)
+def _des_end2(n, K, constant_free=False):
+    return desymmetrize(endomorphism_operad((0, 1), K, constant_free=constant_free), n)
+
+
+# operads with more than one element per component, so the quotient
+# depends on the transported elements
+_NON_SINGLETON = {
+    "des_1(End_2), K=2": lambda: _des_end2(1, 2),
+    "des_2(End_2), K=2": lambda: _des_end2(2, 2),
+    "des_3(End_2), K=2": lambda: _des_end2(3, 2),
+    "constant-free des_2(End_2), K=2": lambda: _des_end2(2, 2, constant_free=True),
+    "des_1(End_2), K=3": lambda: _des_end2(1, 3),
+    "des_2(End_2), K=3": lambda: _des_end2(2, 3),
+}
+
+
 def test_fast_and_general_paths_agree():
+    # the generating arrows against every arrow: table-free and through
+    # the tables on one-point operads, and through the tables on operads
+    # whose transports carry data
     for n, k in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (1, 4)]:
         A = make_ass(OrdBase(n), k)
-        sizes = {prof: 1 for prof in itertools.product(range(n), repeat=k - 1)}
+        want = all_arrows_classes(A, k)
         fast = _fast_singleton_classes(n, k, None)
-        general = _general_classes(A, n, k, sizes, None)
-        assert tuple(tuple((obj, 0) for obj in cls) for cls in fast) == general
+        assert tuple(tuple((obj, 0) for obj in cls) for cls in fast) == want
+        assert symmetrize(A, build_operad=False).arities[k].classes == want
+    for name, make in _NON_SINGLETON.items():
+        A = make()
+        for k, arity in symmetrize(A, build_operad=False).arities.items():
+            assert arity.classes == all_arrows_classes(A, k), (name, k)
 
 
 def test_fast_route_merge_order_does_not_change_classes():
@@ -273,6 +299,26 @@ def test_union_find_batches_match_graph_components():
                     stack.append(w)
             want.append(sorted(comp))
         assert uf.classes() == sorted(want)
+
+
+_SHUFFLED = {
+    **_NON_SINGLETON,
+    "Ass over Ord(2), K=4": lambda: make_ass(OrdBase(2), 4),
+    "Ass over Ord(3), K=3": lambda: make_ass(OrdBase(3), 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unshuffled_classes(name):
+    r = symmetrize(_SHUFFLED[name](), build_operad=False)
+    return {k: arity.classes for k, arity in r.arities.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_SHUFFLED)), seed=st.integers(0, 2**32 - 1))
+def test_shuffled_merges_give_the_same_classes(name, seed):
+    r = symmetrize(_SHUFFLED[name](), build_operad=False, shuffle_seed=seed)
+    assert {k: arity.classes for k, arity in r.arities.items()} == _unshuffled_classes(name)
 
 
 def test_merge_order_does_not_change_classes():
@@ -421,12 +467,19 @@ _ZETA = OrdinalMorphism(ordinal(2, 0), ordinal(2, 1), (0, 1))
         # an element, the hole merged the last element of the previous
         # labeling (14 classes at arity 2, not 16)
         (_des2_end2, _ZETA, (3, 1, 1), False),
-        # the pull to the all-zero profile, read only while multiplying
+        # the transport along the move arrow (12|0) -> (21|1)
+        (_des2_end2, OrdinalMorphism(ordinal(2, 0), ordinal(2, 1), (1, 0)), (3, 1, 1), False),
+        # the pull to the all-zero profile; at arity 2 it is a step
+        # generator, so the quotient reads it first
         (lambda: make_ass(OrdBase(2), 2), _ZETA, (0, 0, 0), True),
+        # a pull along the composite (12|00) -> (12|11), which no generator is
+        (lambda: make_ass(OrdBase(2), 3),
+         OrdinalMorphism(ordinal(2, 0, 0), ordinal(2, 1, 1), (0, 1, 2)), (0, 0, 0, 0), True),
         # an entry with a non-unit argument, read only while multiplying
         (_des2_end2, OrdinalMorphism(ordinal(2, 0), ordinal(2), (0, 0)), (0, 0), True),
     ],
-    ids=["transport", "zero-pull", "non-unit-argument"],
+    ids=["transport", "transport-move", "zero-pull", "zero-pull-composite",
+         "non-unit-argument"],
 )
 def test_holes_are_not_read_as_elements(make, sigma, idx, build_operad):
     B = _with_entry(make(), sigma, idx, -1)
