@@ -49,6 +49,10 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or table build went past its explicit budget."""
 
 
+# one dense build: all int64 boundaries of one nerve, or all End tables of one set
+_MAX_DENSE_BYTES = 256 << 20
+
+
 # ---------------------------------------------------------------------------
 # finite sets as an operadic base
 
@@ -399,6 +403,18 @@ def endomorphism_operad(
         raise BudgetExceededError(
             f"End component at arity {K} would have {x_size ** (x_size ** K)} "
             f"elements (budget {max_component})"
+        )
+    n_fun = [x_size ** (x_size ** k) for k in range(K + 1)]
+    grid = {f: math.prod(n_fun[base.fiber(f, i)] for i in range(f.target))
+            for f in base_morphisms(base, K)}
+    # every int32 table, plus the int64 ranks and gather of the largest step
+    need = sum(4 * n_fun[f.target] * g for f, g in grid.items()) + max(
+        8 * g * (n_fun[f.target] + x_size ** f.source) for f, g in grid.items()
+    )
+    if need > _MAX_DENSE_BYTES:
+        raise BudgetExceededError(
+            f"End tables of a {x_size}-element set at K={K} need "
+            f"{need / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
         )
     labels = {k: _function_labels(x_size, k) for k in range(K + 1)}
     components = {k: labels[k] for k in base.objects(K)}

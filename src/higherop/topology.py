@@ -4,10 +4,12 @@ The nerve of a poset needs no degeneracy bookkeeping: its nondegenerate
 simplices are exactly the strictly increasing chains, so the complex is
 built by extending chains along the successor lists.  Boundary matrices
 carry the usual alternating signs, and homology is computed over the
-integers with Smith reduction; ranks and torsion are exact.  The
-elimination runs on int64 arrays and falls back to Python-integer
-arithmetic the moment entries approach the overflow guard, so results
-never silently wrap.
+integers with Smith reduction; ranks and torsion are exact.  One
+elimination loop runs on int64 arrays, and the divisibility chain comes
+from its diagonal alone.  The overflow guard checks every entry an
+operation writes, in the matrix and in both certificate matrices, and
+moves all three to Python integers together the moment one approaches
+it, so results never silently wrap.
 
 Chain enumeration can be split by starting vertex; each Smith reduction
 is single-worker per matrix, and all returned values are immutable.
@@ -16,15 +18,15 @@ is single-worker per matrix, and all returned values are immutable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operads import BudgetExceededError
+from .operads import _MAX_DENSE_BYTES, BudgetExceededError
 from .symmetrize import ClassifierPoset
 
 _OVERFLOW_GUARD = 1 << 31
-_MAX_BOUNDARY_BYTES = 256 << 20  # all dense int64 boundaries of one complex
 
 
 @dataclass
@@ -90,14 +92,14 @@ def boundary_matrices(C: NerveComplex) -> ChainComplex:
     """Alternating-sign boundaries of the chain complex; checks dd = 0.
 
     The matrices are dense, so a complex whose boundaries together need
-    more than _MAX_BOUNDARY_BYTES is refused before any is allocated.
+    more than _MAX_DENSE_BYTES is refused before any is allocated.
     """
     f = C.f_vector()
     need = 8 * sum(a * b for a, b in zip(f, f[1:]))
-    if need > _MAX_BOUNDARY_BYTES:
+    if need > _MAX_DENSE_BYTES:
         raise BudgetExceededError(
             f"dense boundaries of a nerve with f-vector {list(f)} need "
-            f"{need / 2**30:.1f} GiB (ceiling {_MAX_BOUNDARY_BYTES >> 20} MiB)"
+            f"{need / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
         )
     out = []
     for d in range(1, len(C.simplices)):
@@ -134,11 +136,18 @@ class SmithNormalForm:
 def smith_normal_form(M, want_certificate: bool = True) -> SmithNormalForm:
     """Diagonalise an integer matrix as U @ M @ V with unimodular U, V.
 
-    Returns the invariant factors d_1 | d_2 | ... (zeros dropped).  The
-    certificate matrices are built from elementary operations, so their
-    determinants are +-1 by construction; when requested, the identity
-    U @ M @ V == diag is re-verified explicitly.  Arithmetic switches to
-    arbitrary-precision integers if any entry approaches the int64 guard.
+    Returns the invariant factors d_1 | d_2 | ... (zeros dropped).  One
+    elimination loop takes as pivot the smallest nonzero |entry| of the
+    first nonzero column of the trailing block and clears its column and
+    row, touching only rows and columns with a nonzero multiplier.  Every
+    row operation acts on A and U, every column operation on A and V, so
+    U and V are products of elementary operations and unimodular by
+    construction; when requested, U @ M @ V == diag is re-verified.  The
+    divisibility chain then comes from the diagonal alone: each pair
+    d_i, d_j with d_i not dividing d_j becomes gcd, lcm through one 2x2
+    unimodular operation on each side.  The input is checked once, then
+    the overflow guard checks every entry an operation wrote, in A, U
+    and V alike, and moves all three to Python integers together.
 
     >>> smith_normal_form([[2, 0], [0, 3]]).factors
     (1, 6)
@@ -152,161 +161,94 @@ def smith_normal_form(M, want_certificate: bool = True) -> SmithNormalForm:
         raise ValueError("expected a matrix")
     original = A.copy()
     m, n = A.shape
-    U = np.eye(m, dtype=np.int64) if want_certificate else None
-    V = np.eye(n, dtype=np.int64) if want_certificate else None
+    mats = [A, np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)] if want_certificate else [A]
     exact = False
 
-    def to_exact():
-        nonlocal A, U, V, exact
-        if not exact:
-            A = A.astype(object)
-            if U is not None:
-                U = U.astype(object)
-            if V is not None:
-                V = V.astype(object)
-            exact = True
+    def check(blocks):
+        # every entry below the guard before an operation keeps its results below 2**63
+        nonlocal A, exact
+        if not exact and any(b.size and np.abs(b).max() >= _OVERFLOW_GUARD for b in blocks):
+            mats[:] = [X.astype(object) for X in mats]
+            A, exact = mats[0], True
 
-    def guard():
-        if not exact and A.size and int(np.abs(A).max()) >= _OVERFLOW_GUARD:
-            to_exact()
+    def side(axis):
+        # row operations (axis 0) act on A and U; column operations on A and V, as rows of X.T
+        return mats[:2] if axis == 0 else [X.T for X in mats[::2]]
 
-    t = 0
+    def mix(axis, idx, W):
+        """Replace lines idx by W @ lines idx, for a unimodular W of order <= 2."""
+        check([np.array(W, dtype=object)])
+        blocks = []
+        for X in side(axis):
+            X[idx] = b = np.array(W, dtype=X.dtype) @ X[idx]
+            blocks.append(b)
+        check(blocks)
+
+    def eliminate(axis, dst, src, q):
+        """Subtract q[i] times line src from line dst[i]."""
+        blocks = []
+        for X in side(axis):
+            support = np.flatnonzero(X[src])
+            cells = np.ix_(dst, support)
+            X[cells] = b = X[cells] - np.multiply.outer(q, X[src, support])
+            blocks.append(b)
+        check(blocks)
+
+    swap = [[0, 1], [1, 0]]
+    check([A])
+    t = c = 0
     while t < min(m, n):
-        guard()
-        block = A[t:, t:]
-        nz = np.nonzero(block)
-        if len(nz[0]) == 0:
+        # columns t..c-1 are zero in rows >= t: skipped, or a zero column swapped out
+        while c < n and not A[t:, c].any():
+            c += 1
+        if c == n:
             break
-        absvals = np.abs(block[nz]).astype(object if exact else np.int64)
-        best = int(np.argmin(absvals))
-        pi, pj = int(nz[0][best]) + t, int(nz[1][best]) + t
-        if pi != t:
-            A[[t, pi], :] = A[[pi, t], :]
-            if U is not None:
-                U[[t, pi], :] = U[[pi, t], :]
-        if pj != t:
-            A[:, [t, pj]] = A[:, [pj, t]]
-            if V is not None:
-                V[:, [t, pj]] = V[:, [pj, t]]
-        if A[t, t] < 0:
-            A[t, :] = -A[t, :]
-            if U is not None:
-                U[t, :] = -U[t, :]
+        if c != t:
+            mix(1, [t, c], swap)
         while True:
-            guard()
-            pivot = A[t, t]
-            col = A[t + 1 :, t]
-            if np.any(col):
-                q = col // pivot
-                A[t + 1 :, :] -= q[:, None] * A[t, :][None, :]
-                if U is not None:
-                    U[t + 1 :, :] -= q[:, None] * U[t, :][None, :]
-                if np.any(A[t + 1 :, t]):
-                    # a remainder became the new, strictly smaller pivot
-                    rows = np.nonzero(A[t + 1 :, t])[0]
-                    r = int(rows[np.argmin(np.abs(A[t + 1 :, t][rows]))]) + t + 1
-                    A[[t, r], :] = A[[r, t], :]
-                    if U is not None:
-                        U[[t, r], :] = U[[r, t], :]
+            rows = t + np.flatnonzero(A[t:, t])
+            p = int(rows[np.argmin(np.abs(A[rows, t]))])
+            if p != t:
+                mix(0, [t, p], swap)
+            if A[t, t] < 0:
+                mix(0, [t], [[-1]])
+            below = t + 1 + np.flatnonzero(A[t + 1 :, t])
+            if len(below):
+                eliminate(0, below, t, A[below, t] // A[t, t])
+                if A[below, t].any():
+                    continue  # a remainder is the new, smaller pivot
+            right = t + 1 + np.flatnonzero(A[t, t + 1 :])
+            if len(right):
+                eliminate(1, right, t, A[t, right] // A[t, t])
+                rest = right[A[t, right] != 0]
+                if len(rest):
+                    mix(1, [t, int(rest[np.argmin(np.abs(A[t, rest]))])], swap)
                     continue
-            row = A[t, t + 1 :]
-            if np.any(row):
-                q = row // A[t, t]
-                A[:, t + 1 :] -= A[:, t][:, None] * q[None, :]
-                if V is not None:
-                    V[:, t + 1 :] -= V[:, t][:, None] * q[None, :]
-                if np.any(A[t, t + 1 :]):
-                    cols = np.nonzero(A[t, t + 1 :])[0]
-                    c = int(cols[np.argmin(np.abs(A[t, t + 1 :][cols]))]) + t + 1
-                    A[:, [t, c]] = A[:, [c, t]]
-                    if V is not None:
-                        V[:, [t, c]] = V[:, [c, t]]
-                    continue
-            if np.any(A[t + 1 :, t]):
-                continue
             break
         t += 1
+        c += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = A[i, i], A[i + 1, i + 1]
-            if b % a != 0:
-                changed = True
-                # fold column i+1 into column i and rediagonalise the 2x2 block
-                A[:, i] += A[:, i + 1]
-                if V is not None:
-                    V[:, i] += V[:, i + 1]
-                _rediagonalise(A, U, V, i)
-    for i in range(r):
-        if A[i, i] < 0:
-            A[i, :] = -A[i, :]
-            if U is not None:
-                U[i, :] = -U[i, :]
-    factors = []
-    for i in range(r):
-        d = int(A[i, i])
-        if d != 0:
-            factors.append(d)
-    factors.sort()
-    snf = SmithNormalForm(tuple(factors), U, V)
-    if want_certificate:
-        D = (U.astype(object) @ original.astype(object)) @ V.astype(object)
-        expect = np.zeros_like(D)
-        for i, dgt in enumerate(factors):
-            expect[i, i] = dgt
-        if not np.array_equal(D, expect):
-            raise AssertionError("smith reduction certificate failed")
-    return snf
-
-
-def _rediagonalise(A, U, V, t):
-    """Clear row and column t again after a divisibility fold."""
-    while True:
-        if A[t, t] == 0:
-            sub = A[t:, t:]
-            nz = np.nonzero(sub)
-            if len(nz[0]) == 0:
-                return
-            pi, pj = int(nz[0][0]) + t, int(nz[1][0]) + t
-            A[[t, pi], :] = A[[pi, t], :]
-            if U is not None:
-                U[[t, pi], :] = U[[pi, t], :]
-            A[:, [t, pj]] = A[:, [pj, t]]
-            if V is not None:
-                V[:, [t, pj]] = V[:, [pj, t]]
-        if A[t, t] < 0:
-            A[t, :] = -A[t, :]
-            if U is not None:
-                U[t, :] = -U[t, :]
-        pivot = A[t, t]
-        col = A[t + 1 :, t]
-        row = A[t, t + 1 :]
-        if not np.any(col) and not np.any(row):
-            return
-        if np.any(col):
-            q = col // pivot
-            A[t + 1 :, :] -= q[:, None] * A[t, :][None, :]
-            if U is not None:
-                U[t + 1 :, :] -= q[:, None] * U[t, :][None, :]
-        if np.any(A[t + 1 :, t]):
-            rows = np.nonzero(A[t + 1 :, t])[0]
-            rr = int(rows[0]) + t + 1
-            A[[t, rr], :] = A[[rr, t], :]
-            if U is not None:
-                U[[t, rr], :] = U[[rr, t], :]
-            continue
-        if np.any(row):
-            q = row // pivot
-            A[:, t + 1 :] -= A[:, t][:, None] * q[None, :]
-            if V is not None:
-                V[:, t + 1 :] -= V[:, t][:, None] * q[None, :]
-        if np.any(A[t, t + 1 :]) or np.any(A[t + 1 :, t]):
-            continue
-        return
+    # d_1 | d_2 | ...: gcd and lcm replace each pair that breaks the chain
+    for i in range(t):
+        for j in range(i + 1, t):
+            di, dj = int(A[i, i]), int(A[j, j])
+            if dj % di:
+                g = math.gcd(di, dj)
+                s = pow(di // g, -1, dj // g)  # s*di + r*dj == g
+                r = (g - s * di) // dj
+                mix(0, [i, j], [[s, r], [-dj // g, di // g]])
+                mix(1, [i, j], [[1, 1], [-r * dj // g, s * di // g]])
+    factors = tuple(int(A[i, i]) for i in range(t))
+    if not want_certificate:
+        return SmithNormalForm(factors, None, None)
+    U, V = mats[1:]
+    D = (U.astype(object) @ original.astype(object)) @ V.astype(object)
+    expect = np.zeros_like(D)
+    for i, d in enumerate(factors):
+        expect[i, i] = d
+    if not np.array_equal(D, expect):
+        raise AssertionError("smith reduction certificate failed")
+    return SmithNormalForm(factors, U, V)
 
 
 # ---------------------------------------------------------------------------

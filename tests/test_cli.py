@@ -110,6 +110,12 @@ def test_oversized_dense_boundary_is_a_budget_error(capsys):
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_oversized_end_tables_are_a_budget_error(capsys):
+    assert main(["operad", "check", "--which", "end", "--x-size", "3", "--K", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: End tables") and "ceiling" in err[0]
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [(MemoryError("Unable to allocate 5.4 GiB"), 2), (RecursionError("too deep"), 2),
