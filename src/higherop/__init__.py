@@ -9,7 +9,7 @@ The package is organised bottom-up:
   free operads
 - symmetrize: labeled-ordinal classifier posets and the symmetrisation
   quotient, adjunction and algebra-equivalence checks
-- topology: nerves of the classifier posets and exact integer homology
+- topology: cellular complexes of the classifier posets, exact homology
 - cli: command line front end with a disk cache
 """
 

@@ -49,7 +49,7 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or table build went past its explicit budget."""
 
 
-# one dense build: all int64 boundaries of one nerve, or all End tables of one set
+# one dense build: the int64 boundaries of one cellular complex, or the End tables of one set
 _MAX_DENSE_BYTES = 256 << 20
 
 
@@ -383,9 +383,7 @@ def _function_labels(x_size: int, arity: int) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def endomorphism_operad(
-    X, K: int, max_component: int = 1 << 17, constant_free: bool = False
-) -> OperadTable:
+def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
     """The endomorphism operad of a finite set over the FinSet base.
 
     Component at arity k is the set of all functions X^k -> X; the
@@ -399,11 +397,13 @@ def endomorphism_operad(
     if x_size < 1 and not constant_free:
         raise ValueError("the empty set only supports the constant-free variant")
     base = FinBase(constant_free=constant_free)
-    if x_size ** (x_size ** K) > max_component:
+    # the table over K -> 1 holds all x^(x^K) arity-K functions: refuse from the exponent
+    exponent, cap = x_size ** K, _MAX_DENSE_BYTES // 4
+    if x_size > 1 and (exponent >= cap.bit_length() or x_size ** exponent > cap):
         raise BudgetExceededError(
-            f"End component at arity {K} would have {x_size ** (x_size ** K)} "
-            f"elements (budget {max_component})"
-        )
+            f"End tables of a {x_size}-element set at K={K} exceed the ceiling "
+            f"({_MAX_DENSE_BYTES >> 20} MiB): one table alone holds all "
+            f"{x_size}^{exponent} functions of arity {K}")
     n_fun = [x_size ** (x_size ** k) for k in range(K + 1)]
     grid = {f: math.prod(n_fun[base.fiber(f, i)] for i in range(f.target))
             for f in base_morphisms(base, K)}

@@ -1,18 +1,11 @@
-"""Order complexes of classifier posets and exact integer homology.
+"""Cellular homology of the classifier posets, exact over the integers.
 
-The nerve of a poset needs no degeneracy bookkeeping: its nondegenerate
-simplices are exactly the strictly increasing chains, so the complex is
-built by extending chains along the successor lists.  Boundary matrices
-carry the usual alternating signs, and homology is computed over the
-integers with Smith reduction; ranks and torsion are exact.  One
-elimination loop runs on int64 arrays, and the divisibility chain comes
-from its diagonal alone.  The overflow guard checks every entry an
-operation writes, in the matrix and in both certificate matrices, and
-moves all three to Python integers together the moment one approaches
-it, so results never silently wrap.
-
-Chain enumeration can be split by starting vertex; each Smith reduction
-is single-worker per matrix, and all returned values are immutable.
+The classifier posets are face posets of regular CW complexes, so their
+homology is cellular: one cell per object, of dimension its rank (the
+longest chain below it, here the level sum of its profile), with signs
+on the covers propagated around diamonds (Bjorner 1984).  Ranking the
+objects also counts the chains of each length: the nerve's f-vector.
+Smith reduction over the integers makes ranks and torsion exact.
 """
 
 from __future__ import annotations
@@ -30,93 +23,100 @@ _OVERFLOW_GUARD = 1 << 31
 
 
 @dataclass
-class NerveComplex:
-    """Strictly increasing chains of a poset, dimension by dimension."""
-
-    simplices: list  # simplices[d] = list of (d+1)-tuples of object indices
-    complete: bool  # False if chains above the requested dimension were cut
-
-    @property
-    def dimension(self) -> int:
-        return len(self.simplices) - 1
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.simplices)
-
-
-def nerve(P: ClassifierPoset, dmax: int | None = None, max_simplices: int = 2_000_000) -> NerveComplex:
-    """All chains of length <= dmax+1 (default: until they stop growing)."""
-    if dmax is not None and dmax < 0:
-        raise ValueError("dmax must be nonnegative")
-    n_obj = len(P.objects)
-    succ = [[] for _ in range(n_obj)]
-    for i, j in P.arrows:
-        succ[i].append(j)
-    for lst in succ:
-        lst.sort()
-    simplices = [[(i,) for i in range(n_obj)]]
-    total = n_obj
-    d = 0
-    complete = True
-    while True:
-        if dmax is not None and d >= dmax:
-            # truncated only if a longer chain would exist
-            complete = not any(succ[ch[-1]] for ch in simplices[d])
-            break
-        nxt = []
-        for ch in simplices[d]:
-            for j in succ[ch[-1]]:
-                nxt.append(ch + (j,))
-        if not nxt:
-            break
-        total += len(nxt)
-        if total > max_simplices:
-            raise BudgetExceededError(
-                f"nerve exceeded {max_simplices} simplices at dimension {d + 1}"
-            )
-        simplices.append(nxt)
-        d += 1
-    return NerveComplex(simplices, complete)
-
-
-@dataclass
 class ChainComplex:
     """Integer boundary matrices; boundaries[d] maps degree d+1 to degree d."""
 
-    f_vector: tuple
+    f_vector: tuple  # cells per degree
     boundaries: list  # boundaries[d]: ndarray of shape (f_d, f_{d+1})
-    complete: bool
+    complete: bool  # False if cells above the top stored degree were cut
+    chains: tuple = ()  # chains of d+1 objects per degree d: the nerve's f-vector
 
 
-def boundary_matrices(C: NerveComplex) -> ChainComplex:
-    """Alternating-sign boundaries of the chain complex; checks dd = 0.
+def _grading(src, dst, n_obj: int, dmax: int | None):
+    """Rank of every object, chains per degree, and whether nothing was cut.
 
-    The matrices are dense, so a complex whose boundaries together need
-    more than _MAX_DENSE_BYTES is refused before any is allocated.
+    Step d counts the chains of d+1 objects ending at each object, and an
+    object's rank is the last step that reaches it.  With dmax the pass
+    stops after dmax + 1 steps; objects of rank dmax + 1 are not cells.
     """
-    f = C.f_vector()
+    rank = np.zeros(n_obj, dtype=np.int64)
+    counts, chains = np.ones(n_obj, dtype=np.int64), [n_obj]
+    fan_in = int(np.bincount(dst, minlength=1).max())
+    while True:
+        if counts.dtype != object and int(counts.max(initial=0)) * fan_in * n_obj >> 63:
+            counts = counts.astype(object)  # the next step could pass int64
+        step = np.zeros_like(counts)
+        np.add.at(step, dst, counts[src])
+        reached = step != 0
+        rank[reached] = len(chains)
+        if not reached.any() or dmax is not None and len(chains) > dmax:
+            return rank, tuple(chains), not reached.any()
+        chains.append(int(step.sum()))
+        counts = step
+
+
+def cellular_complex(P: ClassifierPoset, dmax: int | None = None) -> ChainComplex:
+    """One cell per object of rank <= dmax, with +1/-1 incidences on the covers.
+
+    The covers are the arrows whose rank steps by 1.  A cell's first facet
+    gets +1, and each ridge passes the sign on so that both paths around its
+    diamond cancel.  ValueError: a 1-cell without two vertices, a ridge not
+    in two facets, a disconnected facet graph, or two diamonds disagreeing.
+    Boundaries over _MAX_DENSE_BYTES are refused before any is allocated.
+
+    >>> from .symmetrize import build_classifier
+    >>> C = cellular_complex(build_classifier(2, 3))
+    >>> C.f_vector, C.chains
+    ((6, 12, 6), (24, 96, 72))
+    """
+    if dmax is not None and dmax < 0:
+        raise ValueError("dmax must be nonnegative")
+    flat = np.fromiter(itertools.chain.from_iterable(P.arrows), np.int64, 2 * len(P.arrows))
+    src, dst = flat[0::2], flat[1::2]
+    rank, chains, complete = _grading(src, dst, len(P.objects), dmax)
+    cells = [np.flatnonzero(rank == r) for r in range(len(chains))]
+    f = tuple(map(len, cells))
     need = 8 * sum(a * b for a, b in zip(f, f[1:]))
     if need > _MAX_DENSE_BYTES:
-        raise BudgetExceededError(
-            f"dense boundaries of a nerve with f-vector {list(f)} need "
-            f"{need / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
-        )
-    out = []
-    for d in range(1, len(C.simplices)):
-        prev_index = {s: i for i, s in enumerate(C.simplices[d - 1])}
-        M = np.zeros((len(C.simplices[d - 1]), len(C.simplices[d])), dtype=np.int64)
-        for col, s in enumerate(C.simplices[d]):
-            sign = 1
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1 :]
-                M[prev_index[face], col] += sign
-                sign = -sign
-        out.append(M)
-    for d in range(len(out) - 1):
-        prod = out[d] @ out[d + 1]
-        if np.any(prod):
-            raise AssertionError(f"boundary squared is nonzero in degree {d + 2}")
-    return ChainComplex(C.f_vector(), out, C.complete)
+        raise BudgetExceededError(f"dense boundaries of {list(f)} cells per degree need "
+                                  f"{need / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)")
+    # bd[r] maps rank r to rank r-1; bd[0] puts every vertex on the empty face, index -1
+    bd = [np.ones((1, f[0]), dtype=np.int64)]
+    bd += [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
+    at = np.zeros(len(P.objects) + 1, dtype=np.int64)  # each cell's place in its rank; at[-1] = 0
+    for c in cells:
+        at[c] = np.arange(len(c))
+    facets = [[-1] if r == 0 else [] for r in rank.tolist()]
+    covers = (rank[dst] == rank[src] + 1) & (rank[dst] < len(f))
+    for a, b in zip(src[covers].tolist(), dst[covers].tolist()):
+        facets[b].append(a)
+    for r in range(1, len(f)):
+        for c in cells[r].tolist():
+            col, below = bd[r][:, at[c]], bd[r - 1]
+            through = {}  # ridge -> the facets of c that contain it
+            for x in facets[c]:
+                for g in facets[x]:
+                    through.setdefault(g, []).append(x)
+            signed = facets[c][:1]
+            col[at[signed[0]]] = 1
+            for x in signed:  # grows as the signs spread
+                for g in facets[x]:
+                    if (n_in := len(through[g])) != 2:
+                        raise ValueError(f"1-cell {c} has {n_in} vertices, not 2" if r == 1 else
+                                         f"a ridge of cell {c} lies in {n_in} facets, not 2")
+                    y = sum(through[g]) - x  # the other facet through g
+                    s = -col[at[x]] * below[at[g], at[x]] * below[at[g], at[y]]
+                    if not col[at[y]]:
+                        col[at[y]] = s
+                        signed.append(y)
+                    elif col[at[y]] != s:
+                        raise ValueError(f"two diamonds disagree on the facet signs of cell {c}")
+            if len(signed) != len(facets[c]):
+                raise ValueError(f"the facet graph of cell {c} is disconnected")
+    for d in range(2, len(bd)):
+        if np.any(bd[d - 1] @ bd[d]):
+            raise AssertionError(f"boundary squared is nonzero in degree {d}")
+    return ChainComplex(f, bd[1:], complete, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +314,21 @@ def euler_characteristic(C: ChainComplex) -> int:
 
 def classifier_homology(n: int, k: int, dmax: int | None = None,
                         max_objects: int = 20000) -> dict:
-    """The full pipeline: poset, nerve, boundaries, homology, components.
+    """The full pipeline: poset, cellular complex, homology, components.
 
     Returns the report payload used by the command line and the cache:
-    f-vector, Betti numbers (null above the reliable range), torsion
-    lists and the component count.
+    the nerve's f-vector, Betti numbers (null above the reliable range),
+    torsion lists and the component count.
     """
     from .symmetrize import build_classifier
 
     P = build_classifier(n, k, max_objects=max_objects)
-    N = nerve(P, dmax)
-    CC = boundary_matrices(N)
+    CC = cellular_complex(P, dmax)
     H = homology(CC)
     return {
         "n": n,
         "k": k,
-        "fvector": list(CC.f_vector),
+        "fvector": list(CC.chains),
         "betti": [b for b in H.betti],
         "torsion": [list(t) for t in H.torsion],
         "components": components(P),

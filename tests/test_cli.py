@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
-from higherop import cli
+from higherop import cli, topology
 from higherop.cli import cache_key, cache_lookup, cache_store, main
 from higherop.operads import (
     OperadTable,
@@ -103,17 +105,41 @@ def test_usage_error_exit_code(capsys):
     assert main(["classifier", "--n", "2", "--k", "7"]) == 2
 
 
-def test_oversized_dense_boundary_is_a_budget_error(capsys):
-    for argv in (["--n", "4", "--k", "3"], ["--n", "2", "--k", "5", "--dmax", "1"]):
-        assert main(["classifier"] + argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+def test_oversized_dense_boundary_is_a_budget_error(capsys, monkeypatch):
+    for argv, betti in ((["--n", "4", "--k", "3"], [1, 0, 0, 3, 0, 0, 2]),
+                        (["--n", "2", "--k", "5", "--dmax", "1"], [1, None])):
+        code, rep = run_json(capsys, ["classifier", "--fresh"] + argv)
+        assert code == 0 and rep["data"]["betti"] == betti
+    # a few KiB refuse (3,3), whose cellular boundaries need 4.5 KiB, before any is allocated
+    real_zeros, shapes = np.zeros, []
+
+    def zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    monkeypatch.setattr(topology, "_MAX_DENSE_BYTES", 4 << 10)
+    assert main(["classifier", "--fresh", "--n", "3", "--k", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dense boundaries")
+    assert not {(6, 12), (12, 18), (18, 12), (12, 6)} & set(shapes)
 
 
 def test_oversized_end_tables_are_a_budget_error(capsys):
     assert main(["operad", "check", "--which", "end", "--x-size", "3", "--K", "2"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: End tables") and "ceiling" in err[0]
+
+
+@pytest.mark.parametrize("x_size", ["5", "4"])
+def test_astronomical_end_tables_are_a_budget_error(capsys, x_size):
+    # x^(x^6) has thousands of digits; the refusal never forms or prints it
+    start = time.perf_counter()
+    assert main(["operad", "check", "--which", "end", "--x-size", x_size, "--K", "6"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: End tables") and "256 MiB" in err[0]
+    assert len(err[0]) < 200
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,7 @@ def test_end_unit_is_identity_function(end2_k3):
 
 
 def test_end_budget():
-    # K=3 fails the component budget; K=2 passes it, but one table alone needs 4.3 GiB
+    # K=3 is refused from the 3^27 functions of arity 3 alone; K=2 by the byte count of its tables
     for K in (3, 2):
         with pytest.raises(BudgetExceededError):
             endomorphism_operad((0, 1, 2), K)

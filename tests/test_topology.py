@@ -1,28 +1,30 @@
+import functools
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from oracles import nerve, nerve_boundaries, nerve_homology
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from higherop.operads import BudgetExceededError
 from higherop.symmetrize import ClassifierPoset, build_classifier
 from higherop.topology import (
-    boundary_matrices,
+    _grading,
+    cellular_complex,
     classifier_homology,
     components,
     euler_characteristic,
     homology,
-    nerve,
     smith_normal_form,
 )
 
 
 # ---------------------------------------------------------------------------
-# nerves
+# the nerve oracle
 
 
 def test_nerve_of_the_four_cycle():
@@ -60,37 +62,95 @@ def test_nerve_faces_are_present():
                 assert s[:drop] + s[drop + 1 :] in lower
 
 
-def test_nerve_budget():
-    with pytest.raises(BudgetExceededError):
-        nerve(build_classifier(2, 3), max_simplices=10)
-
-
 # ---------------------------------------------------------------------------
 # boundaries
 
 
+def _poset(names, relations):
+    """The poset on `names` generated by the pairs (lower, upper) in `relations`."""
+    index = {x: i for i, x in enumerate(names)}
+    R = np.zeros((len(names), len(names)), dtype=bool)
+    for lo, hi in relations:
+        R[index[lo], index[hi]] = True
+    for m in range(len(names)):  # transitive closure
+        R |= R[:, [m]] & R[[m], :]
+    return ClassifierPoset(0, 0, tuple(names), tuple(map(tuple, np.argwhere(R).tolist())))
+
+
+def _rp2_face_poset():
+    """Face poset of the 6-vertex RP^2; its nerve is the barycentric subdivision."""
+    triangles = ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"]
+    faces = sorted(
+        {frozenset(c) for t in triangles for r in (1, 2, 3) for c in itertools.combinations(t, r)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+    arrows = tuple((i, j) for i, a in enumerate(faces) for j, b in enumerate(faces) if a < b)
+    return ClassifierPoset(2, 0, tuple("".join(sorted(f)) for f in faces), arrows)
+
+
 def test_single_edge_boundary_pattern():
     P = ClassifierPoset(1, 0, ("a", "b"), ((0, 1),))
-    CC = boundary_matrices(nerve(P))
+    CC = nerve_boundaries(nerve(P))
     assert CC.boundaries[0].tolist() == [[-1], [1]]
 
 
+_RP2 = _rp2_face_poset().objects
+
+
+@pytest.mark.parametrize(
+    "P, message",
+    [(ClassifierPoset(1, 0, ("a", "b"), ((0, 1),)), "vertices, not 2"),
+     (_poset("abcdet", [("a", "d"), ("b", "d"), ("b", "e"), ("c", "e"), ("d", "t"), ("e", "t")]),
+      "facets, not 2"),
+     (_poset("abcdpqrst", [("a", "p"), ("b", "p"), ("a", "q"), ("b", "q"), ("c", "r"),
+                           ("d", "r"), ("c", "s"), ("d", "s")] + [(e, "t") for e in "pqrs"]),
+      "disconnected"),
+     (_poset(_RP2 + ("top",), [(a, b) for a in _RP2 for b in _RP2 if set(a) < set(b)]
+             + [(f, "top") for f in _RP2]),
+      "disagree")],
+    ids=["lone-edge", "open-path", "two-circles", "rp2-cone"],
+)
+def test_cellular_refuses_a_non_regular_poset(P, message):
+    with pytest.raises(ValueError, match=message):
+        cellular_complex(P)
+
+
 def test_four_cycle_boundary_rank():
-    CC = boundary_matrices(nerve(build_classifier(2, 2)))
+    CC = nerve_boundaries(nerve(build_classifier(2, 2)))
     assert smith_normal_form(CC.boundaries[0]).rank() == 3
 
 
 def test_boundary_squared_is_zero():
-    for n, k in [(3, 2), (4, 2), (2, 3)]:
-        CC = boundary_matrices(nerve(build_classifier(n, k)))
+    for n, k in [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]:
+        CC = cellular_complex(build_classifier(n, k))
+        assert all(np.abs(M).max() == 1 for M in CC.boundaries)
         for d in range(len(CC.boundaries) - 1):
             assert not np.any(CC.boundaries[d] @ CC.boundaries[d + 1])
 
 
 def test_point_has_no_boundaries():
-    CC = boundary_matrices(nerve(build_classifier(2, 1)))
+    CC = cellular_complex(build_classifier(2, 1))
     assert CC.boundaries == []
     assert CC.f_vector == (1,)
+
+
+def test_cells_are_objects_by_level_sum():
+    for n, k in [(2, 3), (3, 3), (2, 4)]:
+        P = build_classifier(n, k)
+        CC = cellular_complex(P)
+        levels = [sum(T.profile) for T in P.objects]
+        assert CC.f_vector == tuple(levels.count(r) for r in range(max(levels) + 1))
+        assert CC.chains == nerve(P).f_vector()
+
+
+def test_chain_counts_stay_exact_past_int64():
+    # eleven layers of 64 objects, each below every object of a higher layer
+    width, layers = 64, 11
+    layer = np.repeat(np.arange(layers), width)
+    src, dst = np.nonzero(layer[:, None] < layer[None, :])
+    rank, chains, complete = _grading(src, dst, width * layers, None)
+    assert chains == tuple(math.comb(layers, d + 1) * width ** (d + 1) for d in range(layers))
+    assert chains[-1] > 2**63 and complete and (rank == layer).all()
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +313,19 @@ def test_stable_range_3_3():
 
 
 def test_real_projective_plane_has_two_torsion():
-    # face poset of the 6-vertex RP^2; its nerve is the barycentric subdivision
-    triangles = ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"]
-    faces = sorted(
-        {frozenset(c) for t in triangles for r in (1, 2, 3) for c in itertools.combinations(t, r)},
-        key=lambda f: (len(f), sorted(f)),
-    )
-    arrows = tuple((i, j) for i, a in enumerate(faces) for j, b in enumerate(faces) if a < b)
-    P = ClassifierPoset(2, 0, tuple("".join(sorted(f)) for f in faces), arrows)
+    P = _rp2_face_poset()
     N = nerve(P)
     assert N.f_vector() == (31, 90, 60)
-    H = homology(boundary_matrices(N))
-    assert H.betti == (1, 0, 0)
-    assert H.torsion == ((), (2,), ())
+    CC = cellular_complex(P)
+    assert CC.f_vector == (6, 15, 10) and CC.chains == N.f_vector()
+    for H in (homology(nerve_boundaries(N)), homology(CC)):
+        assert H.betti == (1, 0, 0)
+        assert H.torsion == ((), (2,), ())
 
 
 def test_truncated_homology_marks_top_degree():
     P = build_classifier(3, 2)
-    H = homology(boundary_matrices(nerve(P, dmax=1)))
+    H = homology(cellular_complex(P, dmax=1))
     assert H.betti[0] == 1
     assert H.betti[1] is None
     assert H.computed_through == 0
@@ -278,25 +333,158 @@ def test_truncated_homology_marks_top_degree():
 
 def test_euler_characteristic_matches_betti():
     for n, k in [(2, 2), (3, 2), (4, 2), (2, 3)]:
-        CC = boundary_matrices(nerve(build_classifier(n, k)))
+        P = build_classifier(n, k)
+        CC = cellular_complex(P)
         H = homology(CC)
         assert euler_characteristic(CC) == sum(
             (-1) ** d * b for d, b in enumerate(H.betti)
         )
+        assert euler_characteristic(CC) == euler_characteristic(nerve_boundaries(nerve(P)))
 
 
 def test_reduced_nontrivial_degrees():
-    H = homology(boundary_matrices(nerve(build_classifier(3, 2))))
+    H = homology(cellular_complex(build_classifier(3, 2)))
     assert H.reduced_nontrivial_degrees() == [2]
-    H0 = homology(boundary_matrices(nerve(build_classifier(2, 1))))
+    H0 = homology(cellular_complex(build_classifier(2, 1)))
     assert H0.reduced_nontrivial_degrees() == []
 
 
 def test_contractibility_trend_at_arity_two():
     # the first nonvanishing reduced degree climbs with the level count
     for n in (2, 3, 4):
-        H = homology(boundary_matrices(nerve(build_classifier(n, 2))))
+        H = homology(cellular_complex(build_classifier(n, 2)))
         assert H.reduced_nontrivial_degrees() == [n - 1]
+
+
+def _config_space_betti(n, k):
+    """Coefficients of prod_{j<k} (1 + j t^(n-1)), the Poincare polynomial of F(R^n, k)."""
+    coeffs = [1]
+    for j in range(1, k):
+        shifted = [0] * (n - 1) + [j * c for c in coeffs]
+        coeffs = [a + b for a, b in itertools.zip_longest(coeffs, shifted, fillvalue=0)]
+    return coeffs
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (2, 4), (4, 3), (3, 4), (2, 5)])
+def test_full_homology_is_the_configuration_space(n, k):
+    rep = classifier_homology(n, k)
+    want = _config_space_betti(n, k)
+    assert rep["betti"] == want + [0] * (len(rep["betti"]) - len(want))
+    assert not any(rep["torsion"])
+    assert rep["complete"] and rep["computed_through"] == len(rep["betti"]) - 1
+
+
+def test_full_homology_at_four_levels_three_points():
+    rep = classifier_homology(4, 3)
+    assert rep["betti"] == [1, 0, 0, 3, 0, 0, 2]
+    assert rep["fvector"] == [96, 1920, 14496, 49920, 82944, 65280, 19584]
+
+
+# ---------------------------------------------------------------------------
+# the cellular route against the nerve oracle
+
+# the deepest truncation the oracle decides in a fraction of a second, for the
+# (n, k) whose full nerve is out of its reach (-1: not even dmax = 0)
+_ORACLE_DMAX = {(3, 3): 2, (4, 3): 1, (5, 3): 1, (2, 4): 1, (3, 4): 0, (4, 4): 0, (5, 4): -1}
+PARITY = [
+    (n, k, dmax)
+    for n in range(1, 6)
+    for k in range(5)
+    for dmax in (None, 0, 1, 2, 3)
+    if (n, k) not in _ORACLE_DMAX or (dmax is not None and dmax <= _ORACLE_DMAX[n, k])
+]
+
+
+@pytest.mark.parametrize("n, k, dmax", PARITY)
+def test_payload_matches_the_nerve(n, k, dmax):
+    assert json.dumps(classifier_homology(n, k, dmax)) == json.dumps(nerve_homology(n, k, dmax))
+
+
+@functools.lru_cache(maxsize=None)
+def _classifier(n, k):
+    return build_classifier(n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PARITY), st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_lower_ideals_match_the_nerve(case, picks):
+    """A lower ideal of the classifier is a subcomplex; both routes agree on it."""
+    n, k, dmax = case
+    P = _classifier(n, k)
+    keep = {p % len(P.objects) for p in picks}
+    keep |= {i for i, j in P.arrows if j in keep}
+    index = {o: i for i, o in enumerate(sorted(keep))}
+    Q = ClassifierPoset(n, k, tuple(P.objects[o] for o in sorted(keep)),
+                        tuple((index[i], index[j]) for i, j in P.arrows if j in index))
+    N = nerve(Q, dmax)
+    CC = cellular_complex(Q, dmax)
+    assert (CC.chains, CC.complete) == (N.f_vector(), N.complete)
+    assert homology(CC) == homology(nerve_boundaries(N))
+
+
+# ---------------------------------------------------------------------------
+# regular-CW evidence: the classifier is the face poset of a regular CW complex
+# when every open lower interval is a sphere (Bjorner 1984); thinness is the
+# length-2 case, and it is what makes the diamond signs well defined
+
+
+REGULAR = [(2, 3), (3, 3), (2, 4), (4, 3)]
+
+
+def _relation(P):
+    R = np.zeros((len(P.objects), len(P.objects)), dtype=np.int64)
+    for i, j in P.arrows:
+        R[i, j] = 1
+    return R
+
+
+@pytest.mark.parametrize("n, k", REGULAR)
+def test_classifier_is_thin(n, k):
+    P = build_classifier(n, k)
+    R = _relation(P)
+    levels = np.array([sum(T.profile) for T in P.objects])
+    middle = R @ R  # middle[a, b] = #{m : a < m < b}
+    length_two = (R == 1) & (levels[None, :] - levels[:, None] == 2)
+    assert length_two.any() and (middle[length_two] == 2).all()
+    # the level sum is the rank: every arrow raises it, and every nonminimal
+    # object covers something one level below
+    assert (levels[R.nonzero()[1]] > levels[R.nonzero()[0]]).all()
+    covered = (R == 1) & (middle == 0)
+    steps = levels[covered.nonzero()[1]] - levels[covered.nonzero()[0]]
+    assert (steps == 1).all()
+
+
+@pytest.mark.parametrize("n, k", REGULAR)
+def test_lower_intervals_are_spheres(n, k):
+    """P_{<c} has the integer homology of S^(r-1) for every object c of rank r.
+
+    Relabeling the points is an automorphism of the classifier, so one
+    object per profile covers them all.  The nerve oracle decides every
+    interval within its reach.  The one beyond it, below the top profile
+    at (4, 3), needs 1.5 GiB of dense nerve boundaries; it is a union of
+    closed cells whose own lower intervals passed first, so its cellular
+    homology is its homology.
+    """
+    P = build_classifier(n, k)
+    firsts = {}
+    for c, T in enumerate(P.objects):
+        firsts.setdefault(T.profile, c)
+    for profile in sorted(firsts, key=sum):
+        c, r = firsts[profile], sum(profile)
+        below = sorted(i for i, j in P.arrows if j == c)
+        index = {o: i for i, o in enumerate(below)}
+        Q = ClassifierPoset(n, k, tuple(P.objects[o] for o in below),
+                            tuple((index[i], index[j]) for i, j in P.arrows
+                                  if i in index and j in index))
+        N = nerve(Q)
+        f = N.f_vector()
+        if 8 * sum(a * b for a, b in zip(f, f[1:])) <= 64 << 20:
+            H = homology(nerve_boundaries(N))
+        else:
+            assert (n, k, profile) == (4, 3, (3, 3))
+            H = homology(cellular_complex(Q))
+        sphere = (0,) if r == 0 else (2,) if r == 1 else (1,) + (0,) * (r - 2) + (1,)
+        assert H.betti == sphere and not any(H.torsion), (profile, H)
 
 
 # ---------------------------------------------------------------------------
