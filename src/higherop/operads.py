@@ -49,7 +49,8 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or table build went past its explicit budget."""
 
 
-# one dense build: the int64 boundaries of one cellular complex, or the End tables of one set
+# one dense build: the int64 boundaries of one cellular complex, the End tables of one
+# set, or the composable pairs of one truncation
 _MAX_DENSE_BYTES = 256 << 20
 
 
@@ -291,9 +292,18 @@ def composable_pairs(base, K: int) -> np.ndarray:
     """Every composable pair as a row (sigma, omega, composite, blocks...).
 
     Rows follow sigma in base_morphisms order, then omega; the restriction
-    block ids are padded with -1 up to K columns.
+    block ids are padded with -1 up to K columns.  The rows are counted
+    from the in- and out-degrees of the objects, and BudgetExceededError
+    is raised before any is built when they pass _MAX_DENSE_BYTES.
     """
     C = compile_base(base, K)
+    n_obj = len(C.objects)
+    count = int(np.bincount(C.target, minlength=n_obj) @ np.bincount(C.source, minlength=n_obj))
+    if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
+        raise BudgetExceededError(
+            f"{count} composable pairs at K={K} need "
+            f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
+        )
     rows = []
     for s in range(len(C.morphisms)):
         for w in C.by_source[C.target[s]]:
@@ -362,6 +372,8 @@ def tables_equal(A: OperadTable, B: OperadTable) -> bool:
 
 def make_ass(base, K: int) -> OperadTable:
     """The terminal operad over the base: every component is one point."""
+    if K < 1:
+        raise ValueError("an operad table needs K >= 1, where its unit lives")
     components = {T: ("*",) for T in base.objects(K)}
     mult = {}
     shared = {}  # all-zero tables shared per shape; never mutated
@@ -393,6 +405,8 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
     no function from a point to nothing at arity zero).  The result is
     cached and must be treated as immutable.
     """
+    if K < 1:
+        raise ValueError("an operad table needs K >= 1, where its unit lives")
     x_size = len(tuple(X))
     if x_size < 1 and not constant_free:
         raise ValueError("the empty set only supports the constant-free variant")

@@ -21,9 +21,11 @@ increments.  The quotient is a union-find over the generators, one
 family at a time, with the transported elements read from the operad's
 tables.  The tests compare it with the quotient over all arrows.
 
-Poset construction is independent per object pair and safe to farm out;
-the union-find runs single-worker per arity, and every returned value
-is immutable afterwards.
+The labeled objects at each arity are numbered once, by _labelings:
+permutation-major, profile-lexicographic.  The arrow relation, its
+generating family and the quotient all read their permutations, pair
+orientations and pair levels from that one table, and every returned
+value is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -85,56 +87,48 @@ class LabeledOrdinal:
         return self.labels.index(label)
 
 
+@dataclass(frozen=True)
+class Labelings:
+    """The labeled objects at one arity as read-only arrays.
+
+    Object r * n^(k-1) + p carries permutation r and profile p, the order
+    of labeled_objects.  Labels and positions count from 0 here, and the
+    label pairs a < b go in the order of itertools.combinations.
+    """
+
+    perms: np.ndarray  # (k!, k): position -> label
+    pos: np.ndarray  # (k!, k): label -> position
+    orient: np.ndarray  # (k!, pairs): does label a come before label b
+    lo: np.ndarray  # (k!, pairs): the lesser of the two positions
+    hi: np.ndarray  # (k!, pairs): the greater
+    profiles: np.ndarray  # (n^(k-1), k-1), lexicographic
+    level: np.ndarray  # (n^(k-1), k, k): level[p, i, j], i < j, is the least of p[i:j]
+
+
+@functools.lru_cache(maxsize=None)
+def _labelings(n: int, k: int) -> Labelings:
+    """The one numbering of the labeled objects at arity k, with pair data."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)  # (1, 0) at k = 0
+    pos = np.argsort(perms, axis=1)
+    a, b = np.array(list(itertools.combinations(range(k), 2)), dtype=np.int64).reshape(-1, 2).T
+    profiles = np.array(list(itertools.product(range(n), repeat=max(k - 1, 0))), dtype=np.int64)
+    profiles = profiles.reshape(n ** max(k - 1, 0), max(k - 1, 0))
+    # the least signed type that holds every level plus one keeps the generator moves lean
+    level = np.zeros((len(profiles), k, k), dtype=np.min_scalar_type(-n - 1))
+    for i, j in itertools.combinations(range(k), 2):
+        level[:, i, j] = profiles[:, i:j].min(axis=1)
+    t = Labelings(perms, pos, pos[:, a] < pos[:, b], np.minimum(pos[:, a], pos[:, b]),
+                  np.maximum(pos[:, a], pos[:, b]), profiles, level)
+    for arr in vars(t).values():
+        arr.flags.writeable = False
+    return t
+
+
 def labeled_objects(n: int, k: int) -> list[LabeledOrdinal]:
     """All labeled structures at arity k: permutation-major, profile-lex."""
-    if k == 0:
-        return [LabeledOrdinal(n, (), ())]
-    out = []
-    for perm in itertools.permutations(range(1, k + 1)):
-        for prof in itertools.product(range(n), repeat=k - 1):
-            out.append(LabeledOrdinal(n, perm, prof))
-    return out
-
-
-def pair_state(T: LabeledOrdinal) -> dict:
-    """(a, b) -> (a_before_b, level) for every label pair a < b."""
-    pos = {lab: p for p, lab in enumerate(T.labels)}
-    out = {}
-    for a in range(1, T.k + 1):
-        for b in range(a + 1, T.k + 1):
-            pa, pb = pos[a], pos[b]
-            lo, hi = (pa, pb) if pa < pb else (pb, pa)
-            out[(a, b)] = (pa < pb, min(T.profile[lo:hi]) if T.k > 1 else 0)
-    return out
-
-
-def _pair_arrays(objects, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orientation bits and levels of every label pair, one row per object."""
-    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
-    orient = np.zeros((len(objects), len(pairs)), dtype=np.int16)
-    levels = np.zeros((len(objects), len(pairs)), dtype=np.int16)
-    for r, T in enumerate(objects):
-        state = pair_state(T)
-        for c, pair in enumerate(pairs):
-            orient[r, c], levels[r, c] = state[pair]
-    return orient, levels
-
-
-def _arrows_from(orient: np.ndarray, levels: np.ndarray, i: int) -> np.ndarray:
-    """Mask of the objects j with an identity-carried arrow i -> j.
-
-    Pair by pair, the level of j must reach the level of i, plus one
-    where the pair changes orientation.
-    """
-    return (levels >= levels[i] + (orient != orient[i])).all(axis=1)
-
-
-def arrow_leq(T: LabeledOrdinal, S: LabeledOrdinal) -> bool:
-    """Is the identity of {1..k} a morphism T -> S?"""
-    if T.n != S.n or T.k != S.k:
-        raise ValueError("labeled structures are not comparable")
-    orient, levels = _pair_arrays((T, S), T.k)
-    return bool(_arrows_from(orient, levels, 0)[1])
+    t = _labelings(n, k)
+    return [LabeledOrdinal(n, tuple(perm), tuple(prof))
+            for perm in (t.perms + 1).tolist() for prof in t.profiles.tolist()]
 
 
 def arrow_morphism(T: LabeledOrdinal, S: LabeledOrdinal) -> OrdinalMorphism:
@@ -157,7 +151,10 @@ class ClassifierPoset:
     n: int
     k: int
     objects: tuple
-    arrows: tuple  # (source index, target index), strict only
+    arrows: np.ndarray  # (A, 2) int32 rows (source index, target index), strict only
+
+    def __post_init__(self) -> None:
+        self.arrows = np.asarray(self.arrows, dtype=np.int32).reshape(-1, 2)
 
 
 def build_classifier(n: int, k: int, max_objects: int = 20000) -> ClassifierPoset:
@@ -170,20 +167,38 @@ def build_classifier(n: int, k: int, max_objects: int = 20000) -> ClassifierPose
             f"classifier at (n={n}, k={k}) has {count} objects "
             f"(budget {max_objects})"
         )
-    objects = tuple(labeled_objects(n, k))
-    return ClassifierPoset(n, k, objects, _strict_arrows(objects, k))
+    return ClassifierPoset(n, k, tuple(labeled_objects(n, k)), _strict_arrows(n, k))
 
 
-def _strict_arrows(objects, k: int) -> tuple:
-    """All pairs (i, j), i != j, with an identity-carried arrow, i-major."""
-    orient, levels = _pair_arrays(objects, k)
-    arrows = []
-    for i in range(len(objects)):
-        arrows.extend(
-            (i, j) for j in np.flatnonzero(_arrows_from(orient, levels, i)).tolist()
-            if j != i
-        )
-    return tuple(arrows)
+_ARROW_BLOCK = 1 << 22
+
+
+def _strict_arrows(n: int, k: int) -> np.ndarray:
+    """All pairs (i, j), i != j, with an identity-carried arrow, i-major.
+
+    Pair by pair, the level of j must reach the level of i, plus one
+    where the pair changes orientation.  Sources go in blocks of objects
+    sharing a permutation, each one object or _ARROW_BLOCK comparisons.
+    """
+    t = _labelings(n, k)
+    n_prof, n_pairs = len(t.profiles), t.orient.shape[1]
+    n_obj = len(t.perms) * n_prof
+    # each object's pair levels, one column per object
+    levels = t.level[:, t.lo, t.hi].transpose(2, 1, 0).reshape(n_pairs, n_obj)
+    rows = max(1, _ARROW_BLOCK // max(n_pairs * n_obj, 1))
+    out = []
+    for r in range(len(t.perms)):
+        # the target's levels, less one on each pair it orients unlike r
+        reach = levels - np.repeat(t.orient != t.orient[r], n_prof, axis=0).T
+        for first in range(r * n_prof, (r + 1) * n_prof, rows):
+            src = levels[:, first : min(first + rows, (r + 1) * n_prof)]
+            above = np.ones((src.shape[1], n_obj), dtype=bool)
+            for c in range(n_pairs):
+                above &= reach[c] >= src[c, :, None]
+            i, j = np.nonzero(above)
+            i += first
+            out.append(np.stack([i, j], axis=1)[i != j].astype(np.int32))
+    return np.concatenate(out)
 
 
 def classifier_dot(P: ClassifierPoset) -> str:
@@ -193,7 +208,7 @@ def classifier_dot(P: ClassifierPoset) -> str:
         labs = "".join(map(str, T.labels))
         prof = "".join(map(str, T.profile))
         lines.append(f'  o{i} [label="{labs}|{prof}"];')
-    for i, j in P.arrows:
+    for i, j in P.arrows.tolist():
         lines.append(f"  o{i} -> o{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -339,9 +354,10 @@ def symmetrize(
 
 
 def _symmetrize_arity(A, n, k, max_elements, shuffle_seed):
-    shapes = [NOrdinal(n, prof, k) for prof in _profiles(n, k)]
+    t = _labelings(n, k)
+    shapes = [NOrdinal(n, prof, k) for prof in map(tuple, t.profiles.tolist())]
     sizes = np.array([len(A.components.get(s, ())) for s in shapes], dtype=np.int64)
-    n_perm, n_prof = math.factorial(k), len(shapes)
+    n_perm, n_prof = len(t.perms), len(shapes)
     total = n_perm * int(sizes.sum())
     if total > max_elements:
         raise BudgetExceededError(
@@ -356,15 +372,13 @@ def _symmetrize_arity(A, n, k, max_elements, shuffle_seed):
     # permutation of the labelings, so each distinct sigma is built and
     # its transport column read once; start[key] is where the column of
     # the sigma with that key starts in flat
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-    positions = np.argsort(perms, axis=1)
     digits = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
     units = (A.unit_index(),) * k
     start, flat = {}, np.empty(0, dtype=np.int64)
     uf = UnionFind(total)
     for src, dst in _generator_arrows(n, k, shuffle_seed):
         (r1, p1), (r2, p2) = divmod(src, n_prof), divmod(dst, n_prof)
-        sigma_map = positions[r2[:, None], perms[r1]]
+        sigma_map = t.pos[r2[:, None], t.perms[r1]]
         keys, first, inverse = np.unique(
             ((sigma_map @ digits) * n_prof + p1) * n_prof + p2,
             return_index=True, return_inverse=True,
@@ -395,12 +409,6 @@ def _symmetrize_arity(A, n, k, max_elements, shuffle_seed):
     return SymArity(k, n_perm * n_prof, total, classes, class_of)
 
 
-def _profiles(n: int, k: int):
-    if k == 0:
-        return [()]
-    return list(itertools.product(range(n), repeat=k - 1))
-
-
 def _generator_arrows(n: int, k: int, shuffle_seed):
     """The generating arrows at arity k, one family at a time.
 
@@ -414,27 +422,12 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
     """
     if k < 2:
         return
-    perms = np.array(list(itertools.permutations(range(k))))  # positions -> labels
-    n_perm, n_prof = len(perms), n ** (k - 1)
-    pairs = list(itertools.combinations(range(k), 2))
-    n_pairs = len(pairs)
-
-    profiles = np.array(_profiles(n, k), dtype=np.int16)
-
-    # per permutation and label pair: the orientation bit and the
-    # positions lo < hi of the two labels
-    pos = np.argsort(perms, axis=1)
-    a, b = np.array(pairs).T
-    orient = pos[:, a] < pos[:, b]
-    lo, hi = np.minimum(pos[:, a], pos[:, b]), np.maximum(pos[:, a], pos[:, b])
-    # the level between positions i < j: the least profile entry there
-    level = np.zeros((n_prof, k, k), dtype=np.int16)
-    for i, j in pairs:
-        level[:, i, j] = profiles[:, i:j].min(axis=1)
-    # spanning[m]: the rows r * n_pairs + t of the (m+1)(k-1-m) label
-    # pairs t that span consecutive position m in permutation r
+    t = _labelings(n, k)
+    n_perm, n_prof, n_pairs = len(t.perms), len(t.profiles), t.orient.shape[1]
+    # spanning[m]: the rows r * n_pairs + c of the (m+1)(k-1-m) label
+    # pairs c that span consecutive position m in permutation r
     spanning = [
-        np.flatnonzero((lo <= m) & (m < hi)).reshape(n_perm, -1) for m in range(k - 1)
+        np.flatnonzero((t.lo <= m) & (m < t.hi)).reshape(n_perm, -1) for m in range(k - 1)
     ]
 
     strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
@@ -445,13 +438,13 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
         rng.shuffle(keys)
     for kind, x in keys:
         if kind == "step":  # +1 on profile entry x, for every labeling
-            below = np.flatnonzero(profiles[:, x] < n - 1)
+            below = np.flatnonzero(t.profiles[:, x] < n - 1)
             src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
             dst = src + strides[x]
         else:
             # labeling x to the least structure above it, for every labeling:
             # digit m is the largest bound among the pairs spanning position m
-            bounds = level[:, lo[x], hi[x]].T[None] + (orient[x] != orient)[:, :, None]
+            bounds = t.level[:, t.lo[x], t.hi[x]].T[None] + (t.orient[x] != t.orient)[:, :, None]
             bounds = bounds.reshape(n_perm * n_pairs, n_prof)
             digits = np.stack([bounds[rows].max(axis=1) for rows in spanning], axis=2)
             valid = (digits <= n - 1).all(axis=2)

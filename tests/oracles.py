@@ -205,7 +205,7 @@ def all_arrows_classes(A, k: int):
         return m
 
     units = (A.unit_index(),) * k
-    for i, j in P.arrows:
+    for i, j in P.arrows.tolist():
         sigma = arrow_morphism(P.objects[i], P.objects[j])
         for b in range(sizes[j]):
             pulled = int(A.mult[sigma][(b,) + units])
@@ -240,7 +240,7 @@ class NerveComplex:
 def nerve(P, dmax: int | None = None) -> NerveComplex:
     """All chains of length <= dmax+1 (default: until they stop growing)."""
     succ = [[] for _ in P.objects]
-    for i, j in P.arrows:
+    for i, j in P.arrows.tolist():
         succ[i].append(j)
     for lst in succ:
         lst.sort()

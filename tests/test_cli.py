@@ -99,6 +99,32 @@ def test_sym_command(capsys):
     code, rep = run_json(capsys, ["sym", "--n", "1", "--K", "4"])
     assert code == 0
     assert rep["data"]["class_counts"] == {"0": 1, "1": 1, "2": 2, "3": 6, "4": 24}
+    code, rep = run_json(capsys, ["sym", "--n", "1", "--K", "0"])
+    assert code == 0 and rep["data"]["class_counts"] == {"0": 1}
+
+
+# operad tables need K >= 1 and End needs a point; every other input here is decided
+@pytest.mark.parametrize("argv, want", [
+    (["sym", "--n", "2", "--K", "0"], 0),
+    (["operad", "check", "--which", "ass", "--K", "0"], 2),
+    (["operad", "check", "--which", "end", "--K", "0"], 2),
+    (["operad", "check", "--which", "des-end", "--K", "0"], 2),
+    (["ordinals", "--n", "2", "--k", "0"], 0),
+    (["ordinals", "--n", "2", "--k", "1"], 0),
+    (["classifier", "--fresh", "--n", "2", "--k", "0"], 0),
+    (["classifier", "--fresh", "--n", "2", "--k", "1"], 0),
+    (["export", "classifier", "--n", "2", "--k", "0"], 0),
+    (["export", "classifier", "--n", "2", "--k", "1"], 0),
+    (["operad", "check", "--which", "end", "--x-size", "0"], 2),
+    (["operad", "check", "--which", "des-end", "--x-size", "0"], 2),
+    (["trees", "--n", "1", "--vmax", "0"], 0),
+    (["verify", "monad-laws", "--n", "1", "--vmax", "0", "--kmax", "2"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_degenerate_inputs_finish_or_refuse_cleanly(capsys, argv, want):
+    assert main(argv) == want  # an uncaught exception fails the test here
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("error:") for line in err) == (want == 2)
+    assert not any("Traceback" in line for line in err)
 
 
 def test_usage_error_exit_code(capsys):

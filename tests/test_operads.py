@@ -290,6 +290,33 @@ def test_compiled_lookups_match_base_operations(base):
     )
 
 
+def test_composable_pairs_are_counted_before_they_are_built(monkeypatch):
+    # the uncached function, so the outcome does not depend on earlier calls
+    build = composable_pairs.__wrapped__
+    base, K = OrdBase(1), 3
+    rows = build(base, K)
+    need = 8 * (3 + K) * len(rows)
+    monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need)
+    assert np.array_equal(build(base, K), rows)
+
+    def boom(*args):
+        raise AssertionError("a pair was built past the ceiling")
+
+    monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need - 1)
+    monkeypatch.setattr(operads.CompiledBase, "pair", boom)
+    with pytest.raises(BudgetExceededError, match=f"{len(rows)} composable pairs"):
+        build(base, K)
+
+
+@pytest.mark.parametrize("build", [lambda K: make_ass(OrdBase(1), K),
+                                   lambda K: make_ass(FinBase(), K),
+                                   lambda K: endomorphism_operad((0, 1), K)])
+def test_tables_need_the_unit_arity(build):
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="K >= 1"):
+            build(K)
+
+
 def _chain(k):
     return ordinal(1, *([0] * (k - 1)))
 

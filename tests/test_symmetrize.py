@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,18 +25,16 @@ from higherop.symmetrize import (
     UnionFind,
     WellDefinednessError,
     algebra_equivalence,
-    arrow_leq,
     arrow_morphism,
     build_classifier,
     check_adjunction,
     classifier_dot,
     labeled_objects,
-    pair_state,
     relabel,
     symmetrize,
     terminal_class_counts,
 )
-from higherop.symmetrize import _fast_singleton_classes
+from higherop.symmetrize import _fast_singleton_classes, _labelings
 
 from oracles import all_arrows_classes, count_commutative_monoids, count_monoids
 
@@ -64,10 +63,14 @@ def test_labeled_validation():
 
 def test_pair_state_and_relabel():
     T = LabeledOrdinal(2, (2, 1, 3), (1, 0))
-    st = pair_state(T)
-    assert st[(1, 2)] == (False, 1)  # 2 sits before 1
-    assert st[(1, 3)] == (True, 0)
-    assert st[(2, 3)] == (True, 0)
+    t = _labelings(2, 3)
+    r, p = divmod(labeled_objects(2, 3).index(T), len(t.profiles))
+    assert t.perms[r].tolist() == [1, 0, 2] and t.profiles[p].tolist() == [1, 0]
+    # label pairs (1, 2), (1, 3), (2, 3): 2 sits before 1
+    assert t.orient[r].tolist() == [False, True, True]
+    assert t.level[p, t.lo[r], t.hi[r]].tolist() == [1, 0, 0]
+    with pytest.raises(ValueError):
+        t.level[p, 0, 1] = 0  # the cached table is read-only
     flipped = relabel(T, {1: 3, 2: 2, 3: 1})
     assert flipped.labels == (2, 3, 1)
     assert flipped.profile == T.profile
@@ -82,10 +85,21 @@ def test_arrow_relation_matches_morphism_condition():
             direct = is_morphism(
                 arrow_morphism_map(T, S), T.shape(), S.shape()
             )
-            assert arrow_leq(T, S) == direct
             if direct and i != j:
                 strict.add((i, j))
-        assert set(build_classifier(n, k).arrows) == strict
+        P = build_classifier(n, k)
+        assert P.arrows.dtype == np.int32 and P.arrows.tolist() == sorted(map(list, strict))
+
+
+def test_arrow_blocks_do_not_change_the_relation(monkeypatch):
+    # blocks of one source object, and blocks that end inside a permutation
+    import higherop.symmetrize as symm
+
+    want = {nk: build_classifier(*nk).arrows for nk in [(2, 4), (3, 3), (4, 3)]}
+    for block in (1, 500, 5000):
+        monkeypatch.setattr(symm, "_ARROW_BLOCK", block)
+        for nk, arrows in want.items():
+            assert np.array_equal(build_classifier(*nk).arrows, arrows), (nk, block)
 
 
 def arrow_morphism_map(T, S):
@@ -96,10 +110,14 @@ def arrow_morphism_map(T, S):
 def test_arrow_morphism_object():
     T = LabeledOrdinal(2, (1, 2), (0,))
     S = LabeledOrdinal(2, (2, 1), (1,))
-    assert arrow_leq(T, S)
+    objects = labeled_objects(2, 2)
+    arrows = build_classifier(2, 2).arrows.tolist()
+    assert [objects.index(T), objects.index(S)] in arrows
     f = arrow_morphism(T, S)
     assert f.map == (1, 0)
-    assert not arrow_leq(S, T)
+    assert [objects.index(S), objects.index(T)] not in arrows
+    with pytest.raises(ValueError):
+        arrow_morphism(S, T)
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +144,14 @@ def test_classifier_n1_discrete():
         import math
 
         assert len(P.objects) == math.factorial(k)
-        assert P.arrows == ()
+        assert P.arrows.shape == (0, 2)
 
 
 def test_classifier_arity_one_and_zero():
     P = build_classifier(3, 1)
-    assert len(P.objects) == 1 and P.arrows == ()
+    assert len(P.objects) == 1 and P.arrows.shape == (0, 2)
     P0 = build_classifier(3, 0)
-    assert len(P0.objects) == 1 and P0.arrows == ()
+    assert len(P0.objects) == 1 and P0.arrows.shape == (0, 2)
 
 
 def test_classifier_budget():
@@ -148,7 +166,7 @@ def test_classifier_budget():
 )
 def test_classifier_poset_axioms(n, k):
     P = build_classifier(n, k)
-    arrows = set(P.arrows)
+    arrows = set(map(tuple, P.arrows.tolist()))
     succ = {}
     for i, j in arrows:
         assert (j, i) not in arrows  # antisymmetry
