@@ -242,7 +242,7 @@ def cmd_operad(args) -> Report:
         "skipped_holes": rep.skipped_holes,
         "empty_domains": rep.empty_domains,
     }
-    return Report("operad-check", "pass" if rep.ok else "fail", data, {})
+    return Report("operad-check", "pass" if rep.ok else "fail", data, dict(rep.timing))
 
 
 def cmd_sym(args) -> Report:

@@ -14,6 +14,15 @@ variants Ord_0(n) / FinSet_0 (nonempty objects, surjective maps only).
 
 Tables are built once and then treated as immutable; all checkers and
 enumerators are pure functions, so concurrent reads are safe.
+
+The associativity check runs its groups of composable pairs on a pool
+of threads, one per core this process may run on
+(os.sched_getaffinity), while numpy's gathers and comparisons release
+the interpreter lock.  Each worker reuses its own buffers, sized so
+that all workers together hold one slab of _SLAB_CELLS instances.  The
+groups' reports are merged in group order, and a group is checked to
+the same answer whatever its slab size, so the report does not depend
+on the number of workers.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,16 +186,21 @@ class FinBase:
         return FinSetMorphism(T, T, tuple(range(T)))
 
     def morphisms(self, T, S):
-        if T == 0:
-            maps = [FinSetMorphism(0, S, ())]
-        else:
-            maps = [
-                FinSetMorphism(T, S, m)
-                for m in itertools.product(range(S), repeat=T)
-            ]
+        maps = itertools.product(range(S), repeat=T)
         if self.constant_free:
-            maps = [f for f in maps if is_surjective(f)]
-        return maps
+            maps = (m for m in maps if len(set(m)) == S)
+        return [FinSetMorphism(T, S, m) for m in maps]
+
+    def morphism_count(self, K: int) -> int:
+        """len(base_morphisms(self, K)) in closed form: the sum of m^k over
+        0 <= k, m <= K with 0^0 = 1, or of the surjection counts when
+        constant-free."""
+        if not self.constant_free:
+            return sum(m ** k for k in range(K + 1) for m in range(K + 1))
+        return sum(
+            (-1) ** j * math.comb(m, j) * (m - j) ** k
+            for k in range(1, K + 1) for m in range(1, K + 1) for j in range(m + 1)
+        )
 
     def compose(self, g, f):
         return finset_compose(g, f)
@@ -199,9 +215,26 @@ class FinBase:
         return json.dumps(T)
 
 
+# bytes of one FinSet morphism once compiled with its pair index (compile_base),
+# measured with tracemalloc at K = 5 and 6: 824 and 838
+_MORPHISM_BYTES = 830
+
+
 @functools.lru_cache(maxsize=None)
 def base_morphisms(base, K: int) -> tuple:
-    """All base morphisms with both endpoints inside the truncation."""
+    """All base morphisms with both endpoints inside the truncation.
+
+    FinSet's are counted first, and BudgetExceededError is raised before
+    any is built when they would pass _MAX_DENSE_BYTES once compiled.
+    """
+    if isinstance(base, FinBase):
+        count = base.morphism_count(K)
+        if count * _MORPHISM_BYTES > _MAX_DENSE_BYTES:
+            raise BudgetExceededError(
+                f"{count} {base.kind} morphisms at K={K} need "
+                f"{count * _MORPHISM_BYTES / 2**30:.1f} GiB "
+                f"(ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
+            )
     objs = base.objects(K)
     out = []
     for T in objs:
@@ -214,10 +247,9 @@ def base_morphisms(base, K: int) -> tuple:
 class CompiledBase:
     """Integer ids for the objects and morphisms inside one truncation.
 
-    Morphism ids follow the order of base_morphisms(base, K).  Composites
-    and restrictions are found by dictionary lookup on ids and maps, so
-    no morphism is rebuilt or revalidated.  Only base data lives here;
-    operad tables are always read from the operad itself.
+    Morphism ids follow the order of base_morphisms(base, K).  Only base
+    data lives here; operad tables are always read from the operad
+    itself.
     """
 
     objects: tuple  # object id -> object
@@ -228,29 +260,55 @@ class CompiledBase:
     maps: tuple  # morphism id -> underlying map
     fibers: tuple  # morphism id -> fiber object id per target element
     fiber_elems: tuple  # morphism id -> source elements per target element
-    by_map: dict  # (source id, target id, map) -> morphism id
-    by_source: tuple  # object id -> ids of the morphisms out of it
-    restrictions: dict = field(default_factory=dict)  # (sigma id, subset) -> id
 
-    def pair(self, s: int, w: int) -> tuple[int, tuple[int, ...]]:
-        """Composite id and restriction block ids of sigma = s, omega = w.
+    @functools.cached_property
+    def index(self) -> _MorphismIndex:
+        return _MorphismIndex(self)
 
-        The restriction of sigma over the fiber of omega at i depends only
-        on sigma and the subset omega^-1(i) of its target, which is the
-        memo key.
-        """
-        smap, wmap = self.maps[s], self.maps[w]
-        c = self.by_map[(self.source[s], self.target[w], tuple([wmap[v] for v in smap]))]
-        memo = self.restrictions
-        blocks = []
-        for i, elems in enumerate(self.fiber_elems[w]):
-            rid = memo.get((s, elems))
-            if rid is None:
-                rank = {e: r for r, e in enumerate(elems)}
-                m = tuple([rank[smap[a]] for a in self.fiber_elems[c][i]])
-                rid = memo[(s, elems)] = self.by_map[(self.fibers[c][i], self.fibers[w][i], m)]
-            blocks.append(rid)
-        return c, tuple(blocks)
+
+class _MorphismIndex:
+    """The compiled base as padded int64 arrays, with lookup by map.
+
+    A map m is coded as sum_j (m[j] + 1) * radix^j, to which the -1
+    padding adds nothing, and a morphism is found by its (source, target,
+    code) key in one sorted array.
+    """
+
+    def __init__(self, C: CompiledBase) -> None:
+        self.n_obj, M = len(C.objects), len(C.morphisms)
+        width = max(map(len, C.maps), default=0)
+        self.radix = width + 1  # no target has more points than the widest source
+        self.span = self.radix ** width
+        if self.n_obj ** 2 * self.span >= 2**63:
+            raise BudgetExceededError(f"the maps of {M} morphisms need keys past 64 bits")
+        self.source = np.array(C.source, dtype=np.int64)
+        self.target = np.array(C.target, dtype=np.int64)
+        self.maps = np.full((M, width), -1, dtype=np.int64)
+        self.fibers = np.full((M, width), -1, dtype=np.int64)
+        for m, (mp, fib) in enumerate(zip(C.maps, C.fibers)):
+            self.maps[m, :len(mp)] = mp
+            self.fibers[m, :len(fib)] = fib
+        # the position of each source element within its fiber
+        same = self.maps[:, :, None] == self.maps[:, None, :]
+        earlier = np.tri(width, k=-1, dtype=bool)
+        self.rank = np.where(self.maps >= 0, (same & earlier).sum(axis=2), -1)
+        keys = self.key(self.source, self.target, self.code(self.maps))
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def code(self, maps: np.ndarray) -> np.ndarray:
+        return (maps + 1) @ self.radix ** np.arange(maps.shape[1], dtype=np.int64)
+
+    def key(self, source, target, code) -> np.ndarray:
+        return (source * self.n_obj + target) * self.span + code
+
+    def find(self, source, target, code) -> np.ndarray:
+        """Ids of the morphisms with these endpoints and map codes."""
+        keys = self.key(source, target, code)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        if not np.array_equal(self.keys[pos], keys):
+            raise RuntimeError("a composite or restriction is missing from the base")
+        return self.order[pos]
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,9 +328,6 @@ def compile_base(base, K: int) -> CompiledBase:
         for m in morphisms
     )
     maps = tuple(m.map for m in morphisms)
-    by_source = [[] for _ in objects]
-    for mid, t in enumerate(source):
-        by_source[t].append(mid)
     return CompiledBase(
         objects=objects,
         morphisms=morphisms,
@@ -282,9 +337,10 @@ def compile_base(base, K: int) -> CompiledBase:
         maps=maps,
         fibers=fibers,
         fiber_elems=fiber_elems,
-        by_map={(s, t, mp): i for i, (s, t, mp) in enumerate(zip(source, target, maps))},
-        by_source=tuple(map(tuple, by_source)),
     )
+
+
+_PAIR_CHUNK = 1 << 16  # composable pairs built at once
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,25 +349,54 @@ def composable_pairs(base, K: int) -> np.ndarray:
 
     Rows follow sigma in base_morphisms order, then omega; the restriction
     block ids are padded with -1 up to K columns.  The rows are counted
-    from the in- and out-degrees of the objects, and BudgetExceededError
-    is raised before any is built when they pass _MAX_DENSE_BYTES.
+    from the out-degrees of the objects, and BudgetExceededError is
+    raised before any is built when they pass _MAX_DENSE_BYTES.
     """
     C = compile_base(base, K)
-    n_obj = len(C.objects)
-    count = int(np.bincount(C.target, minlength=n_obj) @ np.bincount(C.source, minlength=n_obj))
+    out_degree = np.bincount(C.source, minlength=len(C.objects))
+    per_sigma = out_degree[list(C.target)]
+    count = int(per_sigma.sum())
     if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
         raise BudgetExceededError(
             f"{count} composable pairs at K={K} need "
             f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
         )
-    rows = []
-    for s in range(len(C.morphisms)):
-        for w in C.by_source[C.target[s]]:
-            c, blocks = C.pair(s, w)
-            rows.append((s, w, c) + blocks + (-1,) * (K - len(blocks)))
-    out = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + K)
+    X = C.index
+    by_source = np.argsort(X.source, kind="stable")  # ids grouped by source, ascending
+    first_out = np.cumsum(out_degree) - out_degree
+    ends = np.cumsum(per_sigma)
+    out = np.empty((count, 3 + K), dtype=np.int64)
+    for r0 in range(0, count, _PAIR_CHUNK):
+        r = np.arange(r0, min(count, r0 + _PAIR_CHUNK))
+        s = np.searchsorted(ends, r, side="right")
+        w = by_source[first_out[X.target[s]] + r - (ends[s] - per_sigma[s])]
+        out[r0:r0 + len(r)] = _pair_rows(X, K, s, w)
     out.flags.writeable = False
     return out
+
+
+def _pair_rows(X: _MorphismIndex, K: int, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows (sigma, omega, composite, blocks...) of the pairs (s[j], w[j]).
+
+    The restriction of sigma over omega's fiber i maps the composite's
+    fiber i, in order, to the positions of their sigma-images within
+    omega's fiber i.
+    """
+    smap = X.maps[s]
+    inside = smap >= 0
+    at = np.where(inside, smap, 0)
+    comp = np.where(inside, np.take_along_axis(X.maps[w], at, axis=1), -1)
+    c = X.find(X.source[s], X.target[w], X.code(comp))
+    # digit (position in omega's fiber + 1) at place radix^(position in the composite's fiber)
+    digit = np.where(inside, np.take_along_axis(X.rank[w], at, axis=1) + 1, 0)
+    weighted = digit * X.radix ** np.maximum(X.rank[c], 0)
+    rows = np.full((len(s), 3 + K), -1, dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 2] = s, w, c
+    for i in range(X.maps.shape[1]):
+        has = X.fibers[w, i] >= 0
+        code = (weighted * (comp == i)).sum(axis=1)
+        rows[has, 3 + i] = X.find(X.fibers[c[has], i], X.fibers[w[has], i], code[has])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +612,8 @@ class AxiomReport:
     assoc_instances: int = 0
     skipped_holes: int = 0
     empty_domains: int = 0
+    # wall-clock figures (associativity workers and seconds), outside comparisons
+    timing: dict = field(default_factory=dict, compare=False, repr=False)
 
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.violations)} violations)"
@@ -636,8 +723,7 @@ def associativity_violations(
     s, w = C.morphism_id[sigma], C.morphism_id[omega]
     if C.target[s] != C.source[w]:
         raise ValueError("sigma and omega are not composable")
-    c, blocks = C.pair(s, w)
-    row = np.array([(s, w, c) + blocks], dtype=np.int64)
+    row = _pair_rows(C.index, A.K, np.array([s]), np.array([w]))
     rep = AxiomReport(ok=True, violations=[])
     _check_associativity(A, C, row, rep, max_pair_cells)
     return rep.violations
@@ -648,13 +734,30 @@ def unit_violations(A: OperadTable) -> list:
     return check_operad_axioms(A, units_only=True).violations
 
 
+def _worker_count() -> int:
+    """The cores this process may run on: the size of the associativity pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
     """Check the pairs in `rows` (see composable_pairs) group by group.
 
     Pairs whose sigma, omega and composite tables have the same shapes
     and whose omega has the same fiber elements form one group, checked
-    by one call of the kernel over their stacked tables.
+    by one call of the kernel over their stacked tables.  The groups run
+    on a pool of _worker_count() threads, each against its own report,
+    and the reports are merged in the order of the groups' first pairs
+    until the violations reach _MAX_VIOLATIONS.  A group is always
+    checked to its end, so the report is the one of a check of the
+    groups one after another.  At the cap or at an error, the groups
+    still queued are skipped.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    import threading
+
+    start = time.perf_counter()
     used = np.unique(rows)
     used = used[used >= 0]  # -1 pads the block columns
     off = np.zeros(len(C.morphisms), dtype=np.int64)
@@ -680,14 +783,57 @@ def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
     _, first, group_of = np.unique(signature, return_index=True, return_inverse=True)
     members = np.argsort(group_of, kind="stable")
     ends = np.cumsum(np.bincount(group_of))
-    for g in np.argsort(first).tolist():  # groups in order of their first pair
-        group = rows[members[ends[g - 1] if g else 0:ends[g]]]
-        _check_group(C, flat, off, holes, shapes, group, rep, max_pair_cells)
-        if len(rep.violations) >= _MAX_VIOLATIONS:
-            return
+    groups = [rows[members[ends[g - 1] if g else 0:ends[g]]]
+              for g in np.argsort(first).tolist()]  # in order of their first pair
+    workers = min(_worker_count(), len(groups))
+    slab = max(1, _SLAB_CELLS // workers)
+    scratch = {}  # thread id -> the buffers of that worker
+
+    last = len(groups) - 1  # groups past this index are skipped
+
+    def task(g):
+        nonlocal last
+        if g > last:
+            return None
+        own = scratch.setdefault(threading.get_ident(), {})
+        try:
+            return _check_group(C, flat, off, holes, shapes, groups[g], max_pair_cells, slab, own)
+        except BaseException:
+            last = g  # every group dequeued from now on comes after g
+            raise
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(task, g) for g in range(len(groups))]
+        try:
+            for future in futures:
+                _merge(rep, future.result())
+                if len(rep.violations) >= _MAX_VIOLATIONS:
+                    break
+        finally:
+            last = -1
+    rep.timing.update(workers=workers, assoc_s=round(time.perf_counter() - start, 3))
 
 
-def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None:
+def _merge(rep: AxiomReport, part: AxiomReport) -> None:
+    rep.violations += part.violations[: max(0, _MAX_VIOLATIONS - len(rep.violations))]
+    for name in ("assoc_pairs", "assoc_instances", "skipped_holes", "empty_domains"):
+        setattr(rep, name, getattr(rep, name) + getattr(part, name))
+
+
+def _buffer(scratch: dict, name: str, shape, dtype) -> np.ndarray:
+    """A view of the worker's buffer `name`, made anew only when too small.
+
+    Made per slab, each array would be mapped and faulted in afresh
+    whenever glibc's mmap threshold is below its size.
+    """
+    size = math.prod(shape)
+    buf = scratch.get(name)
+    if buf is None or buf.size < size:
+        buf = scratch[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _check_group(C, flat, off, holes, shapes, rows, max_pair_cells, slab, scratch) -> AxiomReport:
     """The associativity kernel: m_sigma(m_omega(b; a); c) against
     m_(omega sigma)(b; m_(block_i)(a_i; c|block_i)) over every (b, a, c)
     of every pair in the group.
@@ -695,10 +841,13 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
     Path 1 gathers sigma's table rows at omega's values, path 2 takes the
     composites' rows, laid side by side per b, at a mix index built from
     the restriction blocks, so no index array grows with b.  Tables are
-    stacked and both paths run in slabs of at most
-    _SLAB_CELLS cells.  Holes (-1) are masked only in groups whose tables
-    contain one.
+    stacked, or read in place for a single pair, and both paths run in
+    slabs of at most `slab` cells.  Holes (-1) are masked only in groups
+    whose tables contain one.  The report holds the first
+    _MAX_VIOLATIONS violations in (pair, b, a, c) order, whatever the
+    slab size.
     """
+    rep = AxiomReport(ok=True, violations=[])
     P = len(rows)
     s0, w0, c0 = rows[0, :3].tolist()
     elems = C.fiber_elems[w0]
@@ -710,7 +859,7 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
     rep.assoc_pairs += P
     if nb * n_a * n_c == 0:
         rep.empty_domains += P
-        return
+        return rep
     if n_a * n_c > max_pair_cells:
         raise BudgetExceededError(
             f"associativity pair for {C.morphisms[s0]} ; {C.morphisms[w0]} needs "
@@ -732,17 +881,26 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
         blocks.append((math.prod(shapes[int(rows[0, 3 + i])]), cblk, stride))
 
     def stacked(col: int, p0: int, p1: int, size: int) -> np.ndarray:
+        if p1 - p0 == 1:
+            o = int(off[rows[p0, col]])
+            return flat[o:o + size].reshape(1, size)
         return flat[off[rows[p0:p1, col]][:, None] + np.arange(size)]
 
     table_cells = n_s * n_c + nb * n_a + nb * n_comp + sum(size for size, _, _ in blocks)
-    p_step = max(1, _SLAB_CELLS // max(nb * n_a * n_c, table_cells))
-    a_step = min(n_a, max(1, _SLAB_CELLS // n_c))
-    b_step = min(nb, max(1, _SLAB_CELLS // (a_step * n_c)))
-    # buffers for the per-b arrays, made once per group: made per b, each
-    # is mapped afresh whenever glibc's mmap threshold is below its size
-    lhs_buf = np.empty((min(P, p_step), b_step, a_step, n_c), flat.dtype)
-    rhs_buf = np.empty((b_step, min(P, p_step), a_step, n_c), flat.dtype)
-    bad_buf = np.empty(lhs_buf.shape, dtype=bool)
+    p_step = max(1, slab // max(nb * n_a * n_c, table_cells))
+    a_step = min(n_a, max(1, slab // n_c))
+    b_step = min(nb, max(1, slab // (a_step * n_c)))
+    n_p = min(P, p_step)
+    lhs_buf = _buffer(scratch, "lhs", (n_p, b_step, a_step, n_c), flat.dtype)
+    rhs_buf = _buffer(scratch, "rhs", (b_step, n_p, a_step, n_c), flat.dtype)
+    bad_buf = _buffer(scratch, "bad", lhs_buf.shape, bool)
+    mix_buf = _buffer(scratch, "mix", (n_p, a_step, n_c), np.int64)
+    a_sub = max(1, a_step // 8)  # a-rows gathered at once into the mix, by an 8-byte index
+    at_buf = _buffer(scratch, "at", (a_sub, n_c), np.intp)
+    block_buf = _buffer(scratch, "block", (n_p, a_sub, n_c), flat.dtype)
+    if masked:
+        hole_buf = _buffer(scratch, "hole", mix_buf.shape, bool)
+    found = []  # ((p, b, a, c), lhs, rhs) of the first violations
     for p0 in range(0, P, p_step):
         p1 = min(P, p0 + p_step)
         sig = stacked(0, p0, p1, n_s * n_c).reshape(-1, n_c)
@@ -751,20 +909,24 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
         comp = stacked(2, p0, p1, nb * n_comp).reshape(p1 - p0, nb, n_comp)
         comp = comp.transpose(1, 0, 2).reshape(nb, -1)
         pairs = np.arange(p1 - p0)
-        blks = [stacked(3 + i, p0, p1, size).reshape(p1 - p0, a_sizes[i], -1)
-                for i, (size, _, _) in enumerate(blocks)]
+        blks = [stacked(3 + i, p0, p1, size) for i, (size, _, _) in enumerate(blocks)]
         for a0 in range(0, n_a, a_step):
             a1 = min(n_a, a0 + a_step)
-            mix = np.zeros((p1 - p0, a1 - a0, n_c), dtype=np.int64)
-            inner_hole = np.zeros(mix.shape, dtype=bool) if masked else None
-            for i, (blk, (_, cblk, stride)) in enumerate(zip(blks, blocks)):
-                v = blk[:, a_dig[i][a0:a1, None], cblk[None, :]]
-                if masked:
-                    inner_hole |= v < 0
-                mix += v * stride
+            mix = mix_buf[: p1 - p0, : a1 - a0]
+            mix[...] = (pairs * n_comp)[:, None, None]
             if masked:
-                mix[inner_hole] = 0
-            mix += (pairs * n_comp)[:, None, None]
+                inner_hole = hole_buf[: p1 - p0, : a1 - a0]
+                inner_hole[...] = False
+            for i, (blk, (size, cblk, stride)) in enumerate(zip(blks, blocks)):
+                for lo in range(a0, a1, a_sub):
+                    hi = min(a1, lo + a_sub)
+                    at = np.add((a_dig[i][lo:hi] * (size // a_sizes[i]))[:, None], cblk,
+                                out=at_buf[: hi - lo])
+                    v = np.take(blk, at, axis=1, mode="wrap", out=block_buf[: p1 - p0, : hi - lo])
+                    if masked:
+                        inner_hole[:, lo - a0:hi - a0] |= v < 0
+                    v *= stride
+                    mix[:, lo - a0:hi - a0] += v
             for b0 in range(0, nb, b_step):
                 b1 = min(nb, b0 + b_step)
                 s_val = om[:, b0:b1, a0:a1]
@@ -781,21 +943,20 @@ def _check_group(C, flat, off, holes, shapes, rows, rep, max_pair_cells) -> None
                     rep.skipped_holes += int(skip.sum())
                     bad &= ~skip
                 if bad.any():
-                    _report(C, rows, rep, bad, (p0, b0, a0), lhs, rhs, a_dig, c_dig)
-                    if len(rep.violations) >= _MAX_VIOLATIONS:
-                        return
-
-
-def _report(C, rows, rep, bad, origin, lhs, rhs, a_dig, c_dig) -> None:
-    for where in map(tuple, np.argwhere(bad)[: _MAX_VIOLATIONS - len(rep.violations)]):
-        p, b, a, c = (int(x) + o for x, o in zip(where, origin + (0,)))
+                    for where in map(tuple, np.argwhere(bad)[:_MAX_VIOLATIONS]):
+                        pbac = tuple(int(x) + o for x, o in zip(where, (p0, b0, a0, 0)))
+                        found.append((pbac, int(lhs[where]), int(rhs[where])))
+                    found.sort()  # a later slab may hold a smaller b
+                    del found[_MAX_VIOLATIONS:]
+    for (p, b, a, c), lhs, rhs in found:
         sigma, omega = C.morphisms[rows[p, 0]], C.morphisms[rows[p, 1]]
         a_idx = tuple(int(d[a]) for d in a_dig)
         c_idx = tuple(int(d[c]) for d in c_dig)
         rep.violations.append(
             f"associativity fails for {sigma} then {omega} at "
-            f"b={b}, a={a_idx}, c={c_idx}: {int(lhs[where])} != {int(rhs[where])}"
+            f"b={b}, a={a_idx}, c={c_idx}: {lhs} != {rhs}"
         )
+    return rep
 
 
 def _digits(total: int, sizes) -> list[np.ndarray]:

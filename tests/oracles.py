@@ -142,6 +142,34 @@ def _monoid_tables(size: int):
             yield table
 
 
+def composable_pairs_loop(C, K: int) -> np.ndarray:
+    """The rows of operads.composable_pairs, one pair at a time.
+
+    For each sigma in id order and each omega out of its target, the
+    composite and each restriction block are looked up by
+    (source id, target id, map) in a dictionary; a restriction is
+    memoised on sigma and the fiber of omega that it lands in.
+    """
+    by_map = {key: i for i, key in enumerate(zip(C.source, C.target, C.maps))}
+    by_source = {}
+    for m, t in enumerate(C.source):
+        by_source.setdefault(t, []).append(m)
+    memo, rows = {}, []
+    for s, smap in enumerate(C.maps):
+        for w in by_source.get(C.target[s], ()):
+            wmap = C.maps[w]
+            c = by_map[(C.source[s], C.target[w], tuple(wmap[v] for v in smap))]
+            blocks = []
+            for i, elems in enumerate(C.fiber_elems[w]):
+                if (s, elems) not in memo:
+                    rank = {e: r for r, e in enumerate(elems)}
+                    m = tuple(rank[smap[a]] for a in C.fiber_elems[c][i])
+                    memo[(s, elems)] = by_map[(C.fibers[c][i], C.fibers[w][i], m)]
+                blocks.append(memo[(s, elems)])
+            rows.append([s, w, c] + blocks + [-1] * (K - len(blocks)))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3 + K)
+
+
 def pointwise_associativity(A):
     """Failing pairs and skipped holes of every associativity square.
 

@@ -37,7 +37,7 @@ from higherop.operads import (
     tables_equal,
     unit_violations,
 )
-from higherop.operads import compile_base
+from higherop.operads import compile_base, composable_pairs
 from higherop.ordinals import enumerate_ordinals, ordinal, relations
 from higherop.symmetrize import (
     algebra_equivalence,
@@ -203,10 +203,10 @@ def test_criterion_10_operad_axioms_and_fuzz(des_end):
     all_pairs = [(s, w) for s in all_m for w in by_src.get(s.target, [])]
     containing = {mm: [] for mm in all_m}
     compiled = compile_base(base, 3)
+    rows = {tuple(row[:2]): row[2:] for row in composable_pairs(base, 3).tolist()}
     for s, w in all_pairs:
-        c, block_ids = compiled.pair(compiled.morphism_id[s], compiled.morphism_id[w])
-        comp, blocks = compiled.morphisms[c], [compiled.morphisms[b] for b in block_ids]
-        for member in {s, w, comp, *blocks}:
+        ids = rows[(compiled.morphism_id[s], compiled.morphism_id[w])]
+        for member in {s, w, *(compiled.morphisms[m] for m in ids if m >= 0)}:
             containing[member].append((s, w))
 
     def cost(pair):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from higherop import cli, topology
+from higherop import cli, operads, topology
 from higherop.cli import cache_key, cache_lookup, cache_store, main
 from higherop.operads import (
     OperadTable,
@@ -75,6 +75,10 @@ def test_operad_check_pass(capsys):
     code, rep = run_json(capsys, ["operad", "check", "--which", "ass", "--n", "2", "--K", "2"])
     assert code == 0
     assert rep["status"] == "pass"
+    # the pool's size and the associativity seconds are wall-clock facts: timing only
+    assert set(rep["timing"]) == {"assoc_s", "ms", "workers"}
+    assert 1 <= rep["timing"]["workers"] <= operads._worker_count()
+    assert "workers" not in rep["data"] and "assoc_s" not in rep["data"]
 
 
 def test_operad_check_corrupted_file_fails(tmp_path, capsys):
@@ -117,11 +121,15 @@ def test_sym_command(capsys):
     (["export", "classifier", "--n", "2", "--k", "1"], 0),
     (["operad", "check", "--which", "end", "--x-size", "0"], 2),
     (["operad", "check", "--which", "des-end", "--x-size", "0"], 2),
+    (["operad", "check", "--which", "end", "--x-size", "1", "--K", "7"], 2),
+    (["operad", "check", "--which", "end", "--x-size", "1", "--K", "9"], 2),
     (["trees", "--n", "1", "--vmax", "0"], 0),
     (["verify", "monad-laws", "--n", "1", "--vmax", "0", "--kmax", "2"], 0),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_degenerate_inputs_finish_or_refuse_cleanly(capsys, argv, want):
+    start = time.perf_counter()
     assert main(argv) == want  # an uncaught exception fails the test here
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err.splitlines()
     assert sum(line.startswith("error:") for line in err) == (want == 2)
     assert not any("Traceback" in line for line in err)

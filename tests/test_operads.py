@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from higherop.operads import (
 )
 from higherop.ordinals import ordinal, terminal_ordinal
 
-from oracles import count_monoids, pointwise_associativity
+from oracles import composable_pairs_loop, count_monoids, pointwise_associativity
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +291,39 @@ def test_compiled_lookups_match_base_operations(base):
     )
 
 
+@pytest.mark.parametrize(
+    "base",
+    [OrdBase(1), OrdBase(2), OrdBase(3), OrdBase(2, constant_free=True), FinBase(),
+     FinBase(constant_free=True)],
+    ids=["Ord1", "Ord2", "Ord3", "Ord0_2", "FinSet", "FinSet0"],
+)
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_composable_pairs_match_the_loop(base, K):
+    rows = composable_pairs(base, K)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, composable_pairs_loop(compile_base(base, K), K))
+
+
+@pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)],
+                         ids=["FinSet", "FinSet0"])
+def test_finset_base_is_counted_before_it_is_built(monkeypatch, base):
+    # the uncached function, so the outcome does not depend on earlier calls
+    build = base_morphisms.__wrapped__
+    for K in range(1, 6):
+        assert base.morphism_count(K) == len(build(base, K))
+    need = base.morphism_count(4) * operads._MORPHISM_BYTES
+    monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need)
+    assert len(build(base, 4)) == base.morphism_count(4)
+
+    def boom(*args):
+        raise AssertionError("a morphism was built past the ceiling")
+
+    monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need - 1)
+    monkeypatch.setattr(FinBase, "morphisms", boom)
+    with pytest.raises(BudgetExceededError, match=f"{base.morphism_count(4)} FinSet"):
+        build(base, 4)
+
+
 def test_composable_pairs_are_counted_before_they_are_built(monkeypatch):
     # the uncached function, so the outcome does not depend on earlier calls
     build = composable_pairs.__wrapped__
@@ -303,7 +337,7 @@ def test_composable_pairs_are_counted_before_they_are_built(monkeypatch):
         raise AssertionError("a pair was built past the ceiling")
 
     monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need - 1)
-    monkeypatch.setattr(operads.CompiledBase, "pair", boom)
+    monkeypatch.setattr(operads, "_pair_rows", boom)
     with pytest.raises(BudgetExceededError, match=f"{len(rows)} composable pairs"):
         build(base, K)
 
@@ -434,6 +468,86 @@ def test_slab_size_does_not_change_the_report(monkeypatch):
         monkeypatch.setattr(operads, "_SLAB_CELLS", slab)
         for B, rep in list(zip(cases, want))[: 1 if slab == 1 else 3]:
             assert report(B) == rep
+
+
+def _fields(rep):
+    return (rep.ok, rep.violations, rep.unit_instances, rep.assoc_pairs,
+            rep.assoc_instances, rep.skipped_holes, rep.empty_domains)
+
+
+def test_merged_report_does_not_depend_on_the_worker_count(monkeypatch):
+    rng = random.Random(1)
+    A = desymmetrize(endomorphism_operad((0, 1), 2), 2)
+    sigma = rng.choice(sorted(A.mult, key=str))
+    flat = rng.randrange(A.mult[sigma].size)
+    # more than 20 violations, and the 20th falls inside a group with more of them
+    capped = _corrupted(A, sigma, flat, (int(A.mult[sigma].flat[flat]) + 1) % 16)
+    holes = _with_holes(
+        desymmetrize(endomorphism_operad((0, 1), 2, constant_free=True), 2), rng, 2
+    )
+    sigma = max(holes.mult, key=lambda m: holes.mult[m].size)
+    holed = _corrupted(holes, sigma, 5, (int(holes.mult[sigma].flat[5]) + 1) % 16)
+    cases = [make() for make, _ in _COUNTERS.values()] + [capped, holes, holed]
+    want = [_fields(check_operad_axioms(B)) for B in cases]
+    assert len(want[-3][1]) == 20 and want[-2][5] > 0 and len(want[-1][1]) == 20
+    monkeypatch.setattr(operads, "_MAX_VIOLATIONS", 10**6)
+    assert len(check_operad_axioms(capped).violations) > 20
+    monkeypatch.undo()
+
+    # the 20th violation falls inside a group that follows violating groups
+    found = []  # violations per group; one worker checks the groups in order
+    check_group = operads._check_group
+
+    def recording(*args):
+        rep = check_group(*args)
+        found.append(len(rep.violations))
+        return rep
+
+    monkeypatch.setattr(operads, "_worker_count", lambda: 1)
+    monkeypatch.setattr(operads, "_check_group", recording)
+    check_operad_axioms(capped)
+    monkeypatch.setattr(operads, "_check_group", check_group)
+    total = np.cumsum(found)
+    g = int(np.argmax(total >= 20))
+    assert 0 < total[g - 1] < 20 < total[g]
+
+    # then small slabs, which split pairs differently for each number of workers;
+    # frequent thread switches, so the workers interleave within groups
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for slab, first in ((operads._SLAB_CELLS, 0), (400, -3)):
+            monkeypatch.setattr(operads, "_SLAB_CELLS", slab)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(operads, "_worker_count", lambda: workers)
+                for B, rep in list(zip(cases, want))[first:]:
+                    got = check_operad_axioms(B)
+                    assert _fields(got) == rep
+                    assert 1 <= got.timing["workers"] <= workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_budget_error_skips_the_queued_groups(monkeypatch):
+    A = desymmetrize(endomorphism_operad((0, 1), 2), 1)
+    calls = []
+    check_group = operads._check_group
+
+    def counting(*args):
+        calls.append(args)
+        return check_group(*args)
+
+    monkeypatch.setattr(operads, "_check_group", counting)
+    messages = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(operads, "_worker_count", lambda: workers)
+        calls.clear()
+        # every group needs at least one cell, so every group raises
+        with pytest.raises(BudgetExceededError) as err:
+            check_operad_axioms(A, max_pair_cells=0)
+        messages.add(str(err.value))
+        assert 1 <= len(calls) <= workers
+    assert len(messages) == 1
 
 
 def test_associativity_violations_of_one_pair():
