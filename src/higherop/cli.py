@@ -214,15 +214,25 @@ def cmd_trees(args) -> Report:
 
 
 def _build_named_operad(args):
+    """The operad that `operad check` reads.  The composable pairs of the
+    base that it is checked over are counted, and refused past their
+    budget, before any table over that base is built."""
     if args.file:
         with open(args.file) as fh:
-            return operads.operad_from_json(json.load(fh))
+            A = operads.operad_from_json(json.load(fh))
+        operads._pair_count(A.base, A.K)
+        return A
     if args.which == "ass":
-        return operads.make_ass(operads.OrdBase(args.n), args.K)
+        base = operads.OrdBase(args.n)
+        operads._pair_count(base, args.K)
+        return operads.make_ass(base, args.K)
     if args.which == "end":
+        operads._check_end_exponent(args.x_size, args.K)
+        operads._pair_count(operads.FinBase(), args.K)
         return operads.endomorphism_operad(tuple(range(args.x_size)), args.K)
-    if args.which == "des-end":
+    if args.which == "des-end":  # End's tables come first, budgeted by End itself
         end = operads.endomorphism_operad(tuple(range(args.x_size)), args.K)
+        operads._pair_count(operads.OrdBase(args.n), args.K)
         return operads.desymmetrize(end, args.n)
     raise ValueError(f"unknown operad {args.which!r}")
 

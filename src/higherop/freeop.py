@@ -25,13 +25,13 @@ from .ordinals import OrdinalMorphism
 from .operads import (
     BudgetExceededError,
     FinBase,
-    FinSetMorphism,
     OperadTable,
     OrdBase,
     _target_size,
     base_morphism_from_json,
     base_morphism_to_json,
     base_morphisms,
+    cardinality_morphism,
     is_surjective,
 )
 
@@ -181,16 +181,6 @@ def insert(outer: TreeTerm, address: tuple[int, ...], inner: TreeTerm, base) -> 
 # enumeration
 
 
-def _split_budget(total: int, parts: int):
-    """All ways to spread a vertex budget over the children."""
-    if parts == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in _split_budget(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def enumerate_trees(
     T, vmax: int, kmax: int, regular: bool = True, base=None
 ) -> list[TreeTerm]:
@@ -253,7 +243,7 @@ def tree_cardinality(tree: TreeTerm) -> TreeTerm:
     if not isinstance(sigma, OrdinalMorphism):
         raise ValueError("tree is already over finite sets")
     return TreeTerm(
-        FinSetMorphism(sigma.source.size, sigma.target.size, sigma.map),
+        cardinality_morphism(sigma),
         tuple(tree_cardinality(c) for c in tree.children),
         tree.decoration,
     )
@@ -446,16 +436,12 @@ def _tag_vertices(tree: TreeTerm, prefix: str, counter) -> TreeTerm:
     )
 
 
-def _find_decoration(tree: TreeTerm, tag: str, addr=()):
-    if tree.is_trivial:
+def _decoration_at(tree: TreeTerm, address):
+    """The decoration of the vertex at address, or None if there is none."""
+    try:
+        return subtree_at(tree, address).decoration
+    except ValueError:
         return None
-    if tree.decoration == tag:
-        return addr
-    for i, c in enumerate(tree.children):
-        found = _find_decoration(c, tag, addr + (i,))
-        if found is not None:
-            return found
-    return None
 
 
 def check_monad_laws(
@@ -469,9 +455,10 @@ def check_monad_laws(
     over every two-level insertion whose flattened result still fits the
     vertex bound (so all instances that land in the enumerated world):
     inserting y at v and then z at a vertex w coming from y agrees with
-    inserting insert(y, w, z) at v directly.  Vertices are tracked through
-    the surgery by unique decorations.  Independent vertices are also
-    checked to commute.  An alternative insert_impl can be passed in to
+    inserting insert(y, w, z) at v directly.  Insertion keeps the
+    inserted tree's shape, so y's vertex w must be found, by its unique
+    decoration, at address v + w of the result.  Independent vertices are
+    also checked to commute.  An alternative insert_impl can be passed in to
     prove the checker catches broken implementations.
     """
     base = OrdBase(n)
@@ -515,8 +502,8 @@ def check_monad_laws(
                     xy = ins(x, v_addr, y, base)
                     for w_addr, S_w in vertices(y):
                         w_tag = subtree_at(y, w_addr).decoration
-                        w_in_xy = _find_decoration(xy, w_tag)
-                        if w_in_xy is None:
+                        w_in_xy = v_addr + w_addr
+                        if _decoration_at(xy, w_in_xy) != w_tag:
                             rep.violations.append(
                                 f"vertex {w_tag} vanished when inserting at {v_addr}"
                             )

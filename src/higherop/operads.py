@@ -15,6 +15,13 @@ variants Ord_0(n) / FinSet_0 (nonempty objects, surjective maps only).
 Tables are built once and then treated as immutable; all checkers and
 enumerators are pure functions, so concurrent reads are safe.
 
+Checkers read a truncation of the base through compile_base: integer
+ids for its objects and morphisms, each morphism's endpoints, map,
+fiber objects and positions within its fibers in read-only int64
+arrays, and one sorted key array that finds a morphism by its endpoints
+and map.  Composites and restrictions are found there in bulk, so
+composable_pairs builds its rows without calling the base.
+
 The associativity check runs its groups of composable pairs on a pool
 of threads, one per core this process may run on
 (os.sched_getaffinity), while numpy's gathers and comparisons release
@@ -52,7 +59,6 @@ from .ordinals import (
     suspend_morphism,
     suspend_p,
     terminal_ordinal,
-    to_terminal as ord_to_terminal,
 )
 
 
@@ -191,16 +197,24 @@ class FinBase:
             maps = (m for m in maps if len(set(m)) == S)
         return [FinSetMorphism(T, S, m) for m in maps]
 
-    def morphism_count(self, K: int) -> int:
-        """len(base_morphisms(self, K)) in closed form: the sum of m^k over
-        0 <= k, m <= K with 0^0 = 1, or of the surjection counts when
-        constant-free."""
+    def hom_count(self, T: int, S: int) -> int:
+        """len(self.morphisms(T, S)) in closed form: S^T with 0^0 = 1, or
+        the surjection count when constant-free."""
         if not self.constant_free:
-            return sum(m ** k for k in range(K + 1) for m in range(K + 1))
-        return sum(
-            (-1) ** j * math.comb(m, j) * (m - j) ** k
-            for k in range(1, K + 1) for m in range(1, K + 1) for j in range(m + 1)
-        )
+            return S ** T
+        return sum((-1) ** j * math.comb(S, j) * (S - j) ** T for j in range(S + 1))
+
+    def morphism_count(self, K: int) -> int:
+        """len(base_morphisms(self, K)) in closed form."""
+        objs = self.objects(K)
+        return sum(self.hom_count(T, S) for T in objs for S in objs)
+
+    def pair_count(self, K: int) -> int:
+        """The composable pairs inside the truncation in closed form: the sum
+        over middle objects S of (maps into S) * (maps out of S)."""
+        objs = self.objects(K)
+        return sum(sum(self.hom_count(T, S) for T in objs) * sum(self.hom_count(S, R) for R in objs)
+                   for S in objs)
 
     def compose(self, g, f):
         return finset_compose(g, f)
@@ -215,9 +229,9 @@ class FinBase:
         return json.dumps(T)
 
 
-# bytes of one FinSet morphism once compiled with its pair index (compile_base),
-# measured with tracemalloc at K = 5 and 6: 824 and 838
-_MORPHISM_BYTES = 830
+# bytes of one FinSet morphism once compiled (compile_base), measured with
+# tracemalloc at K = 5 and 6: 518 and 436
+_MORPHISM_BYTES = 520
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,64 +257,54 @@ def base_morphisms(base, K: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class CompiledBase:
     """Integer ids for the objects and morphisms inside one truncation.
 
-    Morphism ids follow the order of base_morphisms(base, K).  Only base
-    data lives here; operad tables are always read from the operad
-    itself.
+    Morphism ids follow the order of base_morphisms(base, K).  The data
+    per morphism are read-only int64 arrays, with the maps and fibers
+    padded by -1 up to the widest source.  A map m is coded as
+    sum_j (m[j] + 1) * radix^j, to which the padding adds nothing, and a
+    morphism is found by its (source, target, code) key in one sorted
+    array.  Only base data lives here; operad tables are always read
+    from the operad itself.
     """
 
-    objects: tuple  # object id -> object
-    morphisms: tuple  # morphism id -> morphism
-    morphism_id: dict  # morphism -> id
-    source: tuple  # morphism id -> source object id
-    target: tuple  # morphism id -> target object id
-    maps: tuple  # morphism id -> underlying map
-    fibers: tuple  # morphism id -> fiber object id per target element
-    fiber_elems: tuple  # morphism id -> source elements per target element
-
-    @functools.cached_property
-    def index(self) -> _MorphismIndex:
-        return _MorphismIndex(self)
-
-
-class _MorphismIndex:
-    """The compiled base as padded int64 arrays, with lookup by map.
-
-    A map m is coded as sum_j (m[j] + 1) * radix^j, to which the -1
-    padding adds nothing, and a morphism is found by its (source, target,
-    code) key in one sorted array.
-    """
-
-    def __init__(self, C: CompiledBase) -> None:
-        self.n_obj, M = len(C.objects), len(C.morphisms)
-        width = max(map(len, C.maps), default=0)
+    def __init__(self, base, K: int) -> None:
+        self.objects = tuple(base.objects(K))  # object id -> object
+        self.morphisms = base_morphisms(base, K)  # morphism id -> morphism
+        self.morphism_id = {m: i for i, m in enumerate(self.morphisms)}
+        object_id = {T: i for i, T in enumerate(self.objects)}
+        M, width = len(self.morphisms), max((len(m.map) for m in self.morphisms), default=0)
         self.radix = width + 1  # no target has more points than the widest source
         self.span = self.radix ** width
-        if self.n_obj ** 2 * self.span >= 2**63:
+        if len(self.objects) ** 2 * self.span >= 2**63:
             raise BudgetExceededError(f"the maps of {M} morphisms need keys past 64 bits")
-        self.source = np.array(C.source, dtype=np.int64)
-        self.target = np.array(C.target, dtype=np.int64)
-        self.maps = np.full((M, width), -1, dtype=np.int64)
-        self.fibers = np.full((M, width), -1, dtype=np.int64)
-        for m, (mp, fib) in enumerate(zip(C.maps, C.fibers)):
-            self.maps[m, :len(mp)] = mp
-            self.fibers[m, :len(fib)] = fib
-        # the position of each source element within its fiber
+        pad = (-1,) * width
+
+        def padded(rows) -> np.ndarray:
+            return np.array([(row + pad)[:width] for row in rows], dtype=np.int64).reshape(M, width)
+
+        self.source = np.array([object_id[m.source] for m in self.morphisms], dtype=np.int64)
+        self.target = np.array([object_id[m.target] for m in self.morphisms], dtype=np.int64)
+        self.maps = padded(m.map for m in self.morphisms)
+        # the object id of each fiber, and the position of each source element within its fiber
+        self.fibers = padded(tuple(object_id[base.fiber(m, i)] for i in range(_target_size(m)))
+                             for m in self.morphisms)
         same = self.maps[:, :, None] == self.maps[:, None, :]
         earlier = np.tri(width, k=-1, dtype=bool)
         self.rank = np.where(self.maps >= 0, (same & earlier).sum(axis=2), -1)
         keys = self.key(self.source, self.target, self.code(self.maps))
         self.order = np.argsort(keys)
         self.keys = keys[self.order]
+        for a in (self.source, self.target, self.maps, self.fibers, self.rank, self.order,
+                  self.keys):
+            a.flags.writeable = False
 
     def code(self, maps: np.ndarray) -> np.ndarray:
         return (maps + 1) @ self.radix ** np.arange(maps.shape[1], dtype=np.int64)
 
     def key(self, source, target, code) -> np.ndarray:
-        return (source * self.n_obj + target) * self.span + code
+        return (source * len(self.objects) + target) * self.span + code
 
     def find(self, source, target, code) -> np.ndarray:
         """Ids of the morphisms with these endpoints and map codes."""
@@ -313,31 +317,16 @@ class _MorphismIndex:
 
 @functools.lru_cache(maxsize=None)
 def compile_base(base, K: int) -> CompiledBase:
-    """The compiled form of base_morphisms(base, K), built once per (base, K)."""
-    morphisms = base_morphisms(base, K)
-    objects = tuple(base.objects(K))
-    object_id = {T: i for i, T in enumerate(objects)}
-    source = tuple(object_id[m.source] for m in morphisms)
-    target = tuple(object_id[m.target] for m in morphisms)
-    fibers = tuple(
-        tuple(object_id[base.fiber(m, i)] for i in range(_target_size(m)))
-        for m in morphisms
-    )
-    fiber_elems = tuple(
-        tuple(tuple(a for a, v in enumerate(m.map) if v == i) for i in range(_target_size(m)))
-        for m in morphisms
-    )
-    maps = tuple(m.map for m in morphisms)
-    return CompiledBase(
-        objects=objects,
-        morphisms=morphisms,
-        morphism_id={m: i for i, m in enumerate(morphisms)},
-        source=source,
-        target=target,
-        maps=maps,
-        fibers=fibers,
-        fiber_elems=fiber_elems,
-    )
+    """The compiled form of base_morphisms(base, K), built once per (base, K).
+
+    >>> C = compile_base(OrdBase(1), 2)
+    >>> [T.size for T in C.objects], len(C.morphisms), len(composable_pairs(OrdBase(1), 2))
+    ([0, 1, 2], 10, 36)
+    >>> [m] = C.find(2, 2, C.code(np.array([[0, 1]])))  # the identity of the 2-chain
+    >>> C.morphisms[m] == OrdBase(1).identity(C.objects[2])
+    True
+    """
+    return CompiledBase(base, K)
 
 
 _PAIR_CHUNK = 1 << 16  # composable pairs built at once
@@ -349,53 +338,66 @@ def composable_pairs(base, K: int) -> np.ndarray:
 
     Rows follow sigma in base_morphisms order, then omega; the restriction
     block ids are padded with -1 up to K columns.  The rows are counted
-    from the out-degrees of the objects, and BudgetExceededError is
-    raised before any is built when they pass _MAX_DENSE_BYTES.
+    by _pair_count, which refuses them before any is built.
     """
+    count = _pair_count(base, K)
     C = compile_base(base, K)
     out_degree = np.bincount(C.source, minlength=len(C.objects))
-    per_sigma = out_degree[list(C.target)]
-    count = int(per_sigma.sum())
-    if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
-        raise BudgetExceededError(
-            f"{count} composable pairs at K={K} need "
-            f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
-        )
-    X = C.index
-    by_source = np.argsort(X.source, kind="stable")  # ids grouped by source, ascending
+    per_sigma = out_degree[C.target]
+    by_source = np.argsort(C.source, kind="stable")  # ids grouped by source, ascending
     first_out = np.cumsum(out_degree) - out_degree
     ends = np.cumsum(per_sigma)
     out = np.empty((count, 3 + K), dtype=np.int64)
     for r0 in range(0, count, _PAIR_CHUNK):
         r = np.arange(r0, min(count, r0 + _PAIR_CHUNK))
         s = np.searchsorted(ends, r, side="right")
-        w = by_source[first_out[X.target[s]] + r - (ends[s] - per_sigma[s])]
-        out[r0:r0 + len(r)] = _pair_rows(X, K, s, w)
+        w = by_source[first_out[C.target[s]] + r - (ends[s] - per_sigma[s])]
+        out[r0:r0 + len(r)] = _pair_rows(C, K, s, w)
     out.flags.writeable = False
     return out
 
 
-def _pair_rows(X: _MorphismIndex, K: int, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _pair_count(base, K: int) -> int:
+    """The number of composable pairs inside the truncation.
+
+    FinSet's comes in closed form, before any morphism is built; every
+    other base's from the out-degrees of its compiled objects.  Raises
+    BudgetExceededError when their rows would pass _MAX_DENSE_BYTES.
+    """
+    if isinstance(base, FinBase):
+        count = base.pair_count(K)
+    else:
+        C = compile_base(base, K)
+        count = int(np.bincount(C.source, minlength=len(C.objects))[C.target].sum())
+    if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
+        raise BudgetExceededError(
+            f"{count} composable pairs at K={K} need "
+            f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
+        )
+    return count
+
+
+def _pair_rows(C: CompiledBase, K: int, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rows (sigma, omega, composite, blocks...) of the pairs (s[j], w[j]).
 
     The restriction of sigma over omega's fiber i maps the composite's
     fiber i, in order, to the positions of their sigma-images within
     omega's fiber i.
     """
-    smap = X.maps[s]
+    smap = C.maps[s]
     inside = smap >= 0
     at = np.where(inside, smap, 0)
-    comp = np.where(inside, np.take_along_axis(X.maps[w], at, axis=1), -1)
-    c = X.find(X.source[s], X.target[w], X.code(comp))
+    comp = np.where(inside, np.take_along_axis(C.maps[w], at, axis=1), -1)
+    c = C.find(C.source[s], C.target[w], C.code(comp))
     # digit (position in omega's fiber + 1) at place radix^(position in the composite's fiber)
-    digit = np.where(inside, np.take_along_axis(X.rank[w], at, axis=1) + 1, 0)
-    weighted = digit * X.radix ** np.maximum(X.rank[c], 0)
+    digit = np.where(inside, np.take_along_axis(C.rank[w], at, axis=1) + 1, 0)
+    weighted = digit * C.radix ** np.maximum(C.rank[c], 0)
     rows = np.full((len(s), 3 + K), -1, dtype=np.int64)
     rows[:, 0], rows[:, 1], rows[:, 2] = s, w, c
-    for i in range(X.maps.shape[1]):
-        has = X.fibers[w, i] >= 0
+    for i in range(C.maps.shape[1]):
+        has = C.fibers[w, i] >= 0
         code = (weighted * (comp == i)).sum(axis=1)
-        rows[has, 3 + i] = X.find(X.fibers[c[has], i], X.fibers[w[has], i], code[has])
+        rows[has, 3 + i] = C.find(C.fibers[c[has], i], C.fibers[w[has], i], code[has])
     return rows
 
 
@@ -496,13 +498,7 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
     if x_size < 1 and not constant_free:
         raise ValueError("the empty set only supports the constant-free variant")
     base = FinBase(constant_free=constant_free)
-    # the table over K -> 1 holds all x^(x^K) arity-K functions: refuse from the exponent
-    exponent, cap = x_size ** K, _MAX_DENSE_BYTES // 4
-    if x_size > 1 and (exponent >= cap.bit_length() or x_size ** exponent > cap):
-        raise BudgetExceededError(
-            f"End tables of a {x_size}-element set at K={K} exceed the ceiling "
-            f"({_MAX_DENSE_BYTES >> 20} MiB): one table alone holds all "
-            f"{x_size}^{exponent} functions of arity {K}")
+    _check_end_exponent(x_size, K)
     n_fun = [x_size ** (x_size ** k) for k in range(K + 1)]
     grid = {f: math.prod(n_fun[base.fiber(f, i)] for i in range(f.target))
             for f in base_morphisms(base, K)}
@@ -556,6 +552,17 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
         mult[f] = code
     unit = components[1][_identity_code(x_size)]
     return OperadTable(base, K, components, unit, mult, f"End[{x_size}]")
+
+
+def _check_end_exponent(x_size: int, K: int) -> None:
+    """Refuse End tables from the exponent alone: the table over K -> 1
+    holds all x^(x^K) functions of arity K."""
+    exponent, cap = x_size ** K, _MAX_DENSE_BYTES // 4
+    if x_size > 1 and (exponent >= cap.bit_length() or x_size ** exponent > cap):
+        raise BudgetExceededError(
+            f"End tables of a {x_size}-element set at K={K} exceed the ceiling "
+            f"({_MAX_DENSE_BYTES >> 20} MiB): one table alone holds all "
+            f"{x_size}^{exponent} functions of arity {K}")
 
 
 def _identity_code(x_size: int) -> int:
@@ -654,16 +661,17 @@ def check_operad_axioms(
     # totality and shapes
     C = compile_base(base, K)
     n_labels = [len(A.components[T]) for T in C.objects]
+    source, target, fibers = C.source.tolist(), C.target.tolist(), C.fibers.tolist()
     for m, sigma in enumerate(C.morphisms):
         if sigma not in A.mult:
             rep.violations.append(f"missing table for {sigma}")
             continue
         tab = A.mult[sigma]
-        shape = (n_labels[C.target[m]],) + tuple(n_labels[F] for F in C.fibers[m])
+        shape = (n_labels[target[m]],) + tuple(n_labels[F] for F in fibers[m] if F >= 0)
         if tuple(tab.shape) != shape:
             rep.violations.append(f"table for {sigma} has shape {tab.shape}, want {shape}")
             continue
-        if tab.size and (int(tab.max()) >= n_labels[C.source[m]] or int(tab.min()) < -1):
+        if tab.size and (int(tab.max()) >= n_labels[source[m]] or int(tab.min()) < -1):
             rep.violations.append(f"table for {sigma} has out-of-range values")
         if tab.size == 0:
             rep.empty_domains += 1
@@ -687,10 +695,7 @@ def check_operad_axioms(
                     f"unit diagram fails at id_{T}: m(a; units) = "
                     f"{labs[got]} for a = {labs[a]}"
                 )
-        if base.constant_free and base.size(T) == 0:
-            continue
-        bang = _to_terminal(base, T)
-        if bang is not None:
+        for bang in base.morphisms(T, terminal):  # the one morphism T -> terminal
             tab = A.mult[bang]
             for a in range(len(labs)):
                 got = int(tab[(unit_idx, a)])
@@ -709,12 +714,6 @@ def check_operad_axioms(
     return rep
 
 
-def _to_terminal(base, T):
-    if isinstance(base, OrdBase):
-        return ord_to_terminal(T)
-    return FinSetMorphism(T, 1, (0,) * T)
-
-
 def associativity_violations(
     A: OperadTable, sigma, omega, max_pair_cells: int = 1 << 28
 ) -> list:
@@ -723,7 +722,7 @@ def associativity_violations(
     s, w = C.morphism_id[sigma], C.morphism_id[omega]
     if C.target[s] != C.source[w]:
         raise ValueError("sigma and omega are not composable")
-    row = _pair_rows(C.index, A.K, np.array([s]), np.array([w]))
+    row = _pair_rows(C, A.K, np.array([s]), np.array([w]))
     rep = AxiomReport(ok=True, violations=[])
     _check_associativity(A, C, row, rep, max_pair_cells)
     return rep.violations
@@ -745,7 +744,8 @@ def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
     """Check the pairs in `rows` (see composable_pairs) group by group.
 
     Pairs whose sigma, omega and composite tables have the same shapes
-    and whose omega has the same fiber elements form one group, checked
+    and whose omega has the same map (so the same fiber elements) form
+    one group, checked
     by one call of the kernel over their stacked tables.  The groups run
     on a pool of _worker_count() threads, each against its own report,
     and the reports are merged in the order of the groups' first pairs
@@ -758,12 +758,12 @@ def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
     import threading
 
     start = time.perf_counter()
-    used = np.unique(rows)
-    used = used[used >= 0]  # -1 pads the block columns
-    off = np.zeros(len(C.morphisms), dtype=np.int64)
-    holes = np.zeros(len(C.morphisms), dtype=bool)
-    shape_key = np.zeros(len(C.morphisms), dtype=np.int64)
-    omega_key = np.zeros(len(C.morphisms), dtype=np.int64)
+    M = len(C.morphisms)
+    used = np.flatnonzero(np.bincount(rows[rows >= 0], minlength=M))  # -1 pads the blocks
+    off = np.zeros(M, dtype=np.int64)
+    holes = np.zeros(M, dtype=bool)
+    shape_key = np.zeros(M, dtype=np.int64)
+    omega_key = np.zeros(M, dtype=np.int64)
     shapes, keys, parts, pos = {}, {}, [], 0
     for m in used.tolist():
         tab = A.mult[C.morphisms[m]]
@@ -773,7 +773,7 @@ def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
         parts.append(tab.ravel())
         holes[m] = tab.size and int(tab.min()) < 0
         shape_key[m] = keys.setdefault(tab.shape, len(keys))
-        omega_key[m] = keys.setdefault((tab.shape, C.fiber_elems[m]), len(keys))
+        omega_key[m] = keys.setdefault((tab.shape, C.maps[m].tobytes()), len(keys))
     flat = np.concatenate(parts).astype(np.int32, copy=False)
 
     n_keys = len(keys)
@@ -850,8 +850,7 @@ def _check_group(C, flat, off, holes, shapes, rows, max_pair_cells, slab, scratc
     rep = AxiomReport(ok=True, violations=[])
     P = len(rows)
     s0, w0, c0 = rows[0, :3].tolist()
-    elems = C.fiber_elems[w0]
-    r = len(elems)
+    r = len(shapes[w0]) - 1
     n_s, c_sizes = shapes[s0][0], shapes[s0][1:]
     nb, a_sizes = shapes[w0][0], shapes[w0][1:]
     n_a = math.prod(a_sizes)
@@ -873,10 +872,10 @@ def _check_group(C, flat, off, holes, shapes, rows, max_pair_cells, slab, scratc
     c_dig = _digits(n_c, c_sizes)
     blocks = []  # (table size, flat block input per c, stride into the composite)
     stride = n_comp
-    for i, block_elems in enumerate(elems):
+    for i in range(r):
         stride //= comp_shape[1 + i]
         cblk = np.zeros(n_c, dtype=np.int64)
-        for e in block_elems:
+        for e in np.flatnonzero(C.maps[w0] == i).tolist():  # omega's fiber i
             cblk = cblk * c_sizes[e] + c_dig[e]
         blocks.append((math.prod(shapes[int(rows[0, 3 + i])]), cblk, stride))
 

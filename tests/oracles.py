@@ -142,29 +142,40 @@ def _monoid_tables(size: int):
             yield table
 
 
-def composable_pairs_loop(C, K: int) -> np.ndarray:
+def composable_pairs_loop(base, C, K: int) -> np.ndarray:
     """The rows of operads.composable_pairs, one pair at a time.
 
     For each sigma in id order and each omega out of its target, the
     composite and each restriction block are looked up by
     (source id, target id, map) in a dictionary; a restriction is
-    memoised on sigma and the fiber of omega that it lands in.
+    memoised on sigma and the fiber of omega that it lands in.  Only
+    C.objects and C.morphisms are read from the compiled base C: the
+    ids, maps and fibers are derived here from the morphisms themselves.
     """
-    by_map = {key: i for i, key in enumerate(zip(C.source, C.target, C.maps))}
+    object_id = {T: i for i, T in enumerate(C.objects)}
+    source = [object_id[m.source] for m in C.morphisms]
+    target = [object_id[m.target] for m in C.morphisms]
+    maps = [m.map for m in C.morphisms]
+    n_fibers = [base.size(m.target) for m in C.morphisms]
+    fibers = [[object_id[base.fiber(m, i)] for i in range(r)]
+              for m, r in zip(C.morphisms, n_fibers)]
+    fiber_elems = [[tuple(a for a, v in enumerate(mp) if v == i) for i in range(r)]
+                   for mp, r in zip(maps, n_fibers)]
+    by_map = {key: i for i, key in enumerate(zip(source, target, maps))}
     by_source = {}
-    for m, t in enumerate(C.source):
+    for m, t in enumerate(source):
         by_source.setdefault(t, []).append(m)
     memo, rows = {}, []
-    for s, smap in enumerate(C.maps):
-        for w in by_source.get(C.target[s], ()):
-            wmap = C.maps[w]
-            c = by_map[(C.source[s], C.target[w], tuple(wmap[v] for v in smap))]
+    for s, smap in enumerate(maps):
+        for w in by_source.get(target[s], ()):
+            wmap = maps[w]
+            c = by_map[(source[s], target[w], tuple(wmap[v] for v in smap))]
             blocks = []
-            for i, elems in enumerate(C.fiber_elems[w]):
+            for i, elems in enumerate(fiber_elems[w]):
                 if (s, elems) not in memo:
                     rank = {e: r for r, e in enumerate(elems)}
-                    m = tuple(rank[smap[a]] for a in C.fiber_elems[c][i])
-                    memo[(s, elems)] = by_map[(C.fibers[c][i], C.fibers[w][i], m)]
+                    m = tuple(rank[smap[a]] for a in fiber_elems[c][i])
+                    memo[(s, elems)] = by_map[(fibers[c][i], fibers[w][i], m)]
                 blocks.append(memo[(s, elems)])
             rows.append([s, w, c] + blocks + [-1] * (K - len(blocks)))
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3 + K)

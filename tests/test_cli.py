@@ -135,6 +135,20 @@ def test_degenerate_inputs_finish_or_refuse_cleanly(capsys, argv, want):
     assert not any("Traceback" in line for line in err)
 
 
+@pytest.mark.parametrize("K", [5, 6])
+def test_end_check_is_refused_on_its_pair_count(capsys, monkeypatch, K):
+    def boom(*args, **kwargs):
+        raise AssertionError("an End table or the base was built")
+
+    monkeypatch.setattr(operads, "endomorphism_operad", boom)
+    monkeypatch.setattr(operads, "compile_base", boom)
+    start = time.perf_counter()
+    assert main(["operad", "check", "--which", "end", "--x-size", "1", "--K", str(K)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "composable pairs" in err[0]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["classifier", "--n", "2", "--k", "7"]) == 2
 

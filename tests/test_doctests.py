@@ -1,16 +1,18 @@
 import doctest
+import importlib
+import pkgutil
 
-import higherop.ordinals
-import higherop.topology
+import pytest
+
+import higherop
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(higherop.__path__))
+# examples that each module must keep
+MIN_EXAMPLES = {"ordinals": 2, "topology": 3, "operads": 4}
 
 
-def test_ordinals_doctests():
-    result = doctest.testmod(higherop.ordinals)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(f"higherop.{name}"))
     assert result.failed == 0
-    assert result.attempted >= 2
-
-
-def test_topology_doctests():
-    result = doctest.testmod(higherop.topology)
-    assert result.failed == 0
-    assert result.attempted >= 3
+    assert result.attempted >= MIN_EXAMPLES.get(name, 0)

@@ -1,6 +1,9 @@
+import collections
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 
 import numpy as np
@@ -272,6 +275,13 @@ def test_single_corruption_fuzz_k2():
 def test_compiled_lookups_match_base_operations(base):
     C = compile_base(base, 3)
     assert C.morphisms == base_morphisms(base, 3)
+    for m, f in enumerate(C.morphisms):
+        r = base.size(f.target)
+        assert C.objects[C.source[m]] == f.source and C.objects[C.target[m]] == f.target
+        assert C.maps[m].tolist() == list(f.map) + [-1] * (3 - len(f.map))
+        assert C.fibers[m].tolist() == [
+            C.objects.index(base.fiber(f, i)) for i in range(r)] + [-1] * (3 - r)
+        assert C.find(C.source[m], C.target[m], C.code(C.maps[m:m + 1])).tolist() == [m]
     rows = composable_pairs(base, 3)
     seen = set()
     for row in rows.tolist():
@@ -279,7 +289,7 @@ def test_compiled_lookups_match_base_operations(base):
         sigma, omega = C.morphisms[s], C.morphisms[w]
         assert sigma.target == omega.source
         assert C.morphisms[c] == base.compose(omega, sigma)
-        r = len(C.fibers[w])
+        r = base.size(omega.target)
         assert [C.morphisms[b] for b in row[3:3 + r]] == [
             base.restrict(sigma, omega, i) for i in range(r)
         ]
@@ -301,7 +311,7 @@ def test_compiled_lookups_match_base_operations(base):
 def test_composable_pairs_match_the_loop(base, K):
     rows = composable_pairs(base, K)
     assert rows.dtype == np.int64
-    assert np.array_equal(rows, composable_pairs_loop(compile_base(base, K), K))
+    assert np.array_equal(rows, composable_pairs_loop(base, compile_base(base, K), K))
 
 
 @pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)],
@@ -322,6 +332,34 @@ def test_finset_base_is_counted_before_it_is_built(monkeypatch, base):
     monkeypatch.setattr(FinBase, "morphisms", boom)
     with pytest.raises(BudgetExceededError, match=f"{base.morphism_count(4)} FinSet"):
         build(base, 4)
+
+
+@pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)],
+                         ids=["FinSet", "FinSet0"])
+def test_finset_pairs_are_counted_in_closed_form(monkeypatch, base):
+    counts = []
+    for K in range(5):
+        C = compile_base(base, K)
+        out_of = collections.Counter(m.source for m in C.morphisms)
+        counts.append(sum(out_of[m.target] for m in C.morphisms))
+        assert counts[-1] == np.bincount(C.source, minlength=len(C.objects))[C.target].sum()
+
+    def boom(*args):
+        raise AssertionError("the base was compiled")
+
+    monkeypatch.setattr(operads, "compile_base", boom)
+    assert [operads._pair_count(base, K) for K in range(5)] == counts
+
+
+def test_axiom_check_does_not_import_numpy_ma():
+    code = ("import sys\n"
+            "from higherop.operads import OrdBase, check_operad_axioms, make_ass\n"
+            "assert check_operad_axioms(make_ass(OrdBase(1), 2)).ok\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(operads.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_composable_pairs_are_counted_before_they_are_built(monkeypatch):
@@ -554,7 +592,7 @@ def test_associativity_violations_of_one_pair():
     A = desymmetrize(endomorphism_operad((0, 1), 2), 1)
     base = A.base
     sigma = base.identity(ordinal(1, 0))
-    omega = operads._to_terminal(base, ordinal(1, 0))
+    (omega,) = base.morphisms(ordinal(1, 0), base.terminal())
     assert associativity_violations(A, sigma, omega) == []
     B = _corrupted(A, omega, 5, (int(A.mult[omega].flat[5]) + 1) % 16)
     bad = associativity_violations(B, sigma, omega)
