@@ -225,6 +225,45 @@ def _enum_trees(T, budget: int, kmax: int, regular: bool, base) -> tuple:
     return tuple(out)
 
 
+def count_trees(T, vmax: int, kmax: int, regular: bool = True, base=None) -> int:
+    """len(enumerate_trees(T, vmax, kmax, regular, base)), counted without
+    building a tree.
+
+    >>> from higherop.ordinals import terminal_ordinal
+    >>> count_trees(terminal_ordinal(1), 3, 3)  # the trivial tree and 1, 2, 3 unary vertices
+    4
+    """
+    if base is None:
+        base = OrdBase(T.n)
+    if vmax < 0 or kmax < 0:
+        raise ValueError("bounds must be nonnegative")
+    return sum(_tree_counts(T, vmax, kmax, regular, base))
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_counts(T, vmax: int, kmax: int, regular: bool, base) -> tuple:
+    """counts[v]: the terms over T with v <= vmax vertices that _enum_trees
+    yields, node morphism by node morphism, with the children's vertex
+    counts convolved over the fibers."""
+    counts = [int(T == base.terminal())] + [0] * vmax
+    if vmax == 0:
+        return tuple(counts)
+    for k in range(kmax + 1):
+        if regular and k > base.size(T):
+            break  # no surjection onto a larger object
+        for S in _objects_of_size(base, k):
+            for sigma in base.morphisms(T, S):
+                if regular and not is_surjective(sigma):
+                    continue
+                ways = [1] + [0] * (vmax - 1)  # the children, by their total vertex count
+                for i in range(k):
+                    child = _tree_counts(base.fiber(sigma, i), vmax - 1, kmax, regular, base)
+                    ways = [sum(ways[a] * child[v - a] for a in range(v + 1)) for v in range(vmax)]
+                for v, w in enumerate(ways):
+                    counts[v + 1] += w
+    return tuple(counts)
+
+
 def _objects_of_size(base, k: int):
     if isinstance(base, FinBase):
         return [k] if (k >= 1 or not base.constant_free) else []
@@ -444,6 +483,10 @@ def _decoration_at(tree: TreeTerm, address):
         return None
 
 
+# trees that check_monad_laws enumerates at most; n=2, vmax=3, kmax=4 has 8,853
+_MAX_TREES = 10_000
+
+
 def check_monad_laws(
     n: int, vmax: int, kmax: int, regular: bool = True, insert_impl=None
 ) -> LawReport:
@@ -459,13 +502,24 @@ def check_monad_laws(
     inserted tree's shape, so y's vertex w must be found, by its unique
     decoration, at address v + w of the result.  Independent vertices are
     also checked to commute.  An alternative insert_impl can be passed in to
-    prove the checker catches broken implementations.
+    prove the checker catches broken implementations.  The trees are
+    counted first, and BudgetExceededError is raised before any is built
+    when there are more than _MAX_TREES.
     """
     base = OrdBase(n)
     ins = insert_impl if insert_impl is not None else insert
     rep = LawReport(ok=True, violations=[])
 
-    all_objects = [T for k in range(kmax + 1) for T in _objects_of_size(base, k)]
+    all_objects, count = [], 0
+    for k in range(kmax + 1):  # smallest first, so the largest are not counted past the budget
+        for T in _objects_of_size(base, k):
+            count += count_trees(T, vmax, kmax, regular, base)
+            if count > _MAX_TREES:
+                raise BudgetExceededError(
+                    f"the monad laws at n={n}, vmax={vmax}, kmax={kmax} range over at least "
+                    f"{count} trees (budget {_MAX_TREES})"
+                )
+            all_objects.append(T)
     trees_by_target = {
         T: enumerate_trees(T, vmax, kmax, regular, base) for T in all_objects
     }

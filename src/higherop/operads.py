@@ -47,6 +47,7 @@ import numpy as np
 from .ordinals import (
     OrdinalMorphism,
     compose as ord_compose,
+    count_morphisms,
     enumerate_morphisms,
     enumerate_ordinals,
     fiber as ord_fiber,
@@ -158,6 +159,10 @@ class OrdBase:
             out = [f for f in out if is_surjective(f)]
         return out
 
+    def hom_count(self, T, S) -> int:
+        """len(self.morphisms(T, S)), counted without building a morphism."""
+        return count_morphisms(T, S, self.constant_free)
+
     def compose(self, g, f):
         return ord_compose(g, f)
 
@@ -208,13 +213,6 @@ class FinBase:
         """len(base_morphisms(self, K)) in closed form."""
         objs = self.objects(K)
         return sum(self.hom_count(T, S) for T in objs for S in objs)
-
-    def pair_count(self, K: int) -> int:
-        """The composable pairs inside the truncation in closed form: the sum
-        over middle objects S of (maps into S) * (maps out of S)."""
-        objs = self.objects(K)
-        return sum(sum(self.hom_count(T, S) for T in objs) * sum(self.hom_count(S, R) for R in objs)
-                   for S in objs)
 
     def compose(self, g, f):
         return finset_compose(g, f)
@@ -287,9 +285,17 @@ class CompiledBase:
         self.source = np.array([object_id[m.source] for m in self.morphisms], dtype=np.int64)
         self.target = np.array([object_id[m.target] for m in self.morphisms], dtype=np.int64)
         self.maps = padded(m.map for m in self.morphisms)
-        # the object id of each fiber, and the position of each source element within its fiber
-        self.fibers = padded(tuple(object_id[base.fiber(m, i)] for i in range(_target_size(m)))
-                             for m in self.morphisms)
+        # the object id of each fiber, and the position of each source element within its
+        # fiber; a fiber is fixed by the source and the points mapped to i, so base.fiber
+        # runs once per distinct pair
+        self.fibers = np.full((M, width), -1, dtype=np.int64)
+        points = np.array([base.size(T) for T in self.objects], dtype=np.int64)[self.target]
+        for i in range(width):
+            has = np.flatnonzero(points > i)
+            key = self.source[has] << width | (self.maps[has] == i) @ (1 << np.arange(width))
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            ids = [object_id[base.fiber(self.morphisms[m], i)] for m in has[first].tolist()]
+            self.fibers[has, i] = np.array(ids, dtype=np.int64)[inverse]
         same = self.maps[:, :, None] == self.maps[:, None, :]
         earlier = np.tri(width, k=-1, dtype=bool)
         self.rank = np.where(self.maps >= 0, (same & earlier).sum(axis=2), -1)
@@ -358,22 +364,23 @@ def composable_pairs(base, K: int) -> np.ndarray:
 
 
 def _pair_count(base, K: int) -> int:
-    """The number of composable pairs inside the truncation.
-
-    FinSet's comes in closed form, before any morphism is built; every
-    other base's from the out-degrees of its compiled objects.  Raises
-    BudgetExceededError when their rows would pass _MAX_DENSE_BYTES.
+    """The number of composable pairs inside the truncation: the sum over
+    middle objects S of (morphisms into S) * (morphisms out of S), from
+    base.hom_count, so no morphism is built.  Raises BudgetExceededError
+    when their rows would pass _MAX_DENSE_BYTES, as soon as the partial
+    sum over the middle objects does.
     """
-    if isinstance(base, FinBase):
-        count = base.pair_count(K)
-    else:
-        C = compile_base(base, K)
-        count = int(np.bincount(C.source, minlength=len(C.objects))[C.target].sum())
-    if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
-        raise BudgetExceededError(
-            f"{count} composable pairs at K={K} need "
-            f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
-        )
+    objs = base.objects(K)
+    count = 0
+    for S in objs:
+        count += (sum(base.hom_count(T, S) for T in objs)
+                  * sum(base.hom_count(S, R) for R in objs))
+        if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
+            more = "more than " if S != objs[-1] else ""
+            raise BudgetExceededError(
+                f"{more}{count} composable pairs at K={K} need {more}"
+                f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
+            )
     return count
 
 
@@ -987,10 +994,6 @@ class OperadMorphism:
         raise KeyError(T)
 
 
-def _object_order(base, objs):
-    return sorted(objs, key=lambda T: (base.size(T), base.key(T)))
-
-
 def is_operad_morphism(A: OperadTable, B: OperadTable, phi: OperadMorphism) -> bool:
     """Validate that phi commutes with units and all defined table entries."""
     if A.base != B.base or A.K != B.K:
@@ -1043,7 +1046,7 @@ def enumerate_operad_morphisms(
     if A.base != B.base or A.K != B.K:
         raise ValueError("operads live over different bases or truncations")
     base, K = A.base, A.K
-    objs = _object_order(base, base.objects(K))
+    objs = base.objects(K)  # by size, then profile
     terminal = base.terminal()
 
     if A.unit is None:

@@ -224,13 +224,17 @@ def _allowed_values(S: NOrdinal) -> list[list[int]]:
     return allowed
 
 
+def _levels(T: NOrdinal) -> list[list[int]]:
+    """levels[j][i] = level(i, j) in T, for i < j."""
+    return [[min(T.profile[i:j]) for i in range(j)] for j in range(T.size)]
+
+
 @functools.lru_cache(maxsize=None)
 def _morphisms_cached(T: NOrdinal, S: NOrdinal) -> tuple[OrdinalMorphism, ...]:
     # depth first over f(0), f(1), ... with ascending values, so the maps
     # come out in lexicographic order; f(j) is pruned against f(0..j-1)
     allowed = _allowed_values(S)
-    # levels[j][i] = level(i, j) in T, for i < j
-    levels = [[min(T.profile[i:j]) for i in range(j)] for j in range(T.size)]
+    levels = _levels(T)
     out = []
     f = []
 
@@ -249,6 +253,49 @@ def _morphisms_cached(T: NOrdinal, S: NOrdinal) -> tuple[OrdinalMorphism, ...]:
 
     extend(0)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def count_morphisms(T: NOrdinal, S: NOrdinal, surjective: bool = False) -> int:
+    """len(enumerate_morphisms(T, S)), or the number of surjections among
+    them, by the same pruned search with no map built.
+
+    The last value of a map is not branched on: its allowed values are
+    counted at once, so the search visits one node per prefix.
+
+    >>> T, S = ordinal(2, 0, 1), ordinal(2, 1)
+    >>> count_morphisms(T, S), len(enumerate_morphisms(T, S)), count_morphisms(T, S, True)
+    (6, 6, 4)
+    """
+    if T.n != S.n:
+        raise ValueError("source and target live over different n")
+    if T.size == 0:
+        return int(not surjective or S.size == 0)
+    allowed = _allowed_values(S)
+    levels = _levels(T)
+    full = (1 << S.size) - 1
+    f = []
+
+    def extend(j: int, hit: int) -> int:
+        missing = full & ~hit if surjective else 0
+        if missing.bit_count() > T.size - j:
+            return 0  # too few values left to cover the target
+        mask = full
+        for fi, p in zip(f, levels[j]):
+            mask &= allowed[fi][p]
+        if j == T.size - 1:
+            if not missing:
+                return mask.bit_count()
+            return int(missing & (missing - 1) == 0 and mask & missing != 0)
+        count = 0
+        for v in range(S.size):
+            if mask >> v & 1:
+                f.append(v)
+                count += extend(j + 1, hit | 1 << v)
+                f.pop()
+        return count
+
+    return extend(0, 0)
 
 
 def enumerate_morphisms(T: NOrdinal, S: NOrdinal) -> list[OrdinalMorphism]:

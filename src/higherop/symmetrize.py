@@ -25,7 +25,10 @@ The labeled objects at each arity are numbered once, by _labelings:
 permutation-major, profile-lexicographic.  The arrow relation, its
 generating family and the quotient all read their permutations, pair
 orientations and pair levels from that one table, and every returned
-value is immutable afterwards.
+value is immutable afterwards.  The elements of an arity are numbered
+object by object; the induced operad, the relabeling action and the unit
+insertion are arithmetic on those numbers, and read every table entry by
+the compiled id of its morphism (compile_base).
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ordinals import NOrdinal, OrdinalMorphism, terminal_ordinal
 from .operads import (
     BudgetExceededError,
+    CompiledBase,
     FinBase,
     FinSetMorphism,
     OperadTable,
     OrdBase,
     base_morphisms,
+    compile_base,
     desymmetrize,
     endomorphism_operad,
     enumerate_operad_morphisms,
@@ -75,17 +79,6 @@ class LabeledOrdinal:
         if any(not 0 <= l < self.n for l in self.profile):
             raise ValueError("profile level out of range")
 
-    @property
-    def k(self) -> int:
-        return len(self.labels)
-
-    def shape(self) -> NOrdinal:
-        """The underlying canonical ordinal (labels forgotten)."""
-        return NOrdinal(self.n, self.profile, self.k)
-
-    def position(self, label: int) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class Labelings:
@@ -94,6 +87,17 @@ class Labelings:
     Object r * n^(k-1) + p carries permutation r and profile p, the order
     of labeled_objects.  Labels and positions count from 0 here, and the
     label pairs a < b go in the order of itertools.combinations.
+    Relabeling by rho sends permutation r to the rank of rho after it.
+
+    >>> t, objects = _labelings(2, 3), labeled_objects(2, 3)
+    >>> r, p = divmod(14, len(t.profiles))  # object 14 at arity 3 over Ord(2)
+    >>> objects[14], t.perms[r].tolist(), t.profiles[p].tolist()
+    (LabeledOrdinal(n=2, labels=(2, 3, 1), profile=(1, 0)), [1, 2, 0], [1, 0])
+    >>> rho = np.array([2, 1, 0])  # swap labels 1 and 3
+    >>> objects[_perm_ranks(t, rho[t.perms[r]]) * len(t.profiles) + p]
+    LabeledOrdinal(n=2, labels=(2, 1, 3), profile=(1, 0))
+    >>> int(_profile_ranks(2, t.profiles[p]))  # the identity labeling of profile p is object p
+    2
     """
 
     perms: np.ndarray  # (k!, k): position -> label
@@ -124,24 +128,24 @@ def _labelings(n: int, k: int) -> Labelings:
     return t
 
 
+def _perm_ranks(t: Labelings, perms: np.ndarray) -> np.ndarray:
+    """The numbers in t.perms of permutations given as rows position -> label."""
+    k = t.perms.shape[1]
+    digits = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(t.perms @ digits, perms @ digits)  # lexicographic, so ascending
+
+
+def _profile_ranks(n: int, profiles: np.ndarray) -> np.ndarray:
+    """The numbers of profiles given as rows: their base-n values."""
+    width = profiles.shape[-1]
+    return profiles @ n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
 def labeled_objects(n: int, k: int) -> list[LabeledOrdinal]:
     """All labeled structures at arity k: permutation-major, profile-lex."""
     t = _labelings(n, k)
     return [LabeledOrdinal(n, tuple(perm), tuple(prof))
             for perm in (t.perms + 1).tolist() for prof in t.profiles.tolist()]
-
-
-def arrow_morphism(T: LabeledOrdinal, S: LabeledOrdinal) -> OrdinalMorphism:
-    """The identity-carried arrow as a morphism of canonical ordinals."""
-    pos_s = {lab: p for p, lab in enumerate(S.labels)}
-    return OrdinalMorphism(
-        T.shape(), S.shape(), tuple(pos_s[lab] for lab in T.labels)
-    )
-
-
-def relabel(T: LabeledOrdinal, rho: dict) -> LabeledOrdinal:
-    """Rename every label by rho; the canonical shape is unchanged."""
-    return LabeledOrdinal(T.n, tuple(rho[lab] for lab in T.labels), T.profile)
 
 
 @dataclass
@@ -296,7 +300,8 @@ class SymArity:
     object_count: int
     element_count: int
     classes: tuple  # tuple of tuples of (object index, label index)
-    class_of: dict  # (object index, label index) -> class index
+    offsets: np.ndarray  # object index o -> number of its element 0; element b is offsets[o] + b
+    class_of: np.ndarray  # element number -> class index
 
 
 @dataclass
@@ -342,71 +347,98 @@ def symmetrize(
         K = A.K
     if K > A.K:
         raise ValueError("cannot symmetrize beyond the stored truncation")
+    C = compile_base(A.base, A.K)
     arities = {}
     lo = 1 if A.base.constant_free else 0
     for k in range(lo, K + 1):
-        arities[k] = _symmetrize_arity(A, n, k, max_elements, shuffle_seed)
+        arities[k] = _symmetrize_arity(A, C, n, k, max_elements, shuffle_seed)
     result = SymResult(n, K, arities)
     if build_operad:
-        result.operad, result.welldef_checked = _sym_operad(A, result)
-        result.action = _sym_action(A, result)
+        result.operad, result.welldef_checked = _sym_operad(A, C, result)
+        result.action = _sym_action(result)
     return result
 
 
-def _symmetrize_arity(A, n, k, max_elements, shuffle_seed):
+def _shape_id(C: CompiledBase, k: int) -> int:
+    """The compiled id of the arity-k shape with profile 0; profile p has this id + p."""
+    return [T.size for T in C.objects].index(k)
+
+
+def _read(A: OperadTable, C: CompiledBase, ids: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A's table entries: row j of idx indexes the table of morphism ids[j].
+    The first row that reads a truncation hole raises ValueError."""
+    out = np.empty(len(ids), dtype=np.int64)
+    used, inverse = np.unique(ids, return_inverse=True)
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    for m, r in zip(used.tolist(), rows):
+        out[r] = A.mult[C.morphisms[m]][tuple(idx[r].T)]
+    if (out < 0).any():
+        j = int(np.argmax(out < 0))
+        raise ValueError(
+            f"the table of {C.morphisms[ids[j]]} has a hole at entry {tuple(idx[j].tolist())}"
+        )
+    return out
+
+
+def _units(A: OperadTable, b: np.ndarray, k: int) -> np.ndarray:
+    """Table indices (b; unit, ..., unit) with k units."""
+    return np.column_stack([b, np.full((len(b), k), A.unit_index())])
+
+
+def _runs(z: np.ndarray) -> np.ndarray:
+    """0, 1, ..., z[0] - 1, then 0, 1, ..., z[1] - 1, and so on."""
+    return np.arange(int(z.sum())) - np.repeat(np.cumsum(z) - z, z)
+
+
+def _elements(arity: SymArity) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's object and label, by element number."""
+    sizes = np.diff(arity.offsets, append=arity.element_count)
+    return np.repeat(np.arange(arity.object_count), sizes), _runs(sizes)
+
+
+def _symmetrize_arity(A, C, n, k, max_elements, shuffle_seed):
     t = _labelings(n, k)
-    shapes = [NOrdinal(n, prof, k) for prof in map(tuple, t.profiles.tolist())]
-    sizes = np.array([len(A.components.get(s, ())) for s in shapes], dtype=np.int64)
-    n_perm, n_prof = len(t.perms), len(shapes)
+    first = _shape_id(C, k)
+    n_perm, n_prof = len(t.perms), len(t.profiles)
+    sizes = np.array([len(A.components.get(C.objects[first + p], ())) for p in range(n_prof)],
+                     dtype=np.int64)
     total = n_perm * int(sizes.sum())
     if total > max_elements:
         raise BudgetExceededError(
             f"symmetrisation at arity {k} has {total} elements "
             f"(budget {max_elements})"
         )
-    # elements are numbered object by object, in the order of labeled_objects
     obj_sizes = np.tile(sizes, n_perm)
     offsets = np.cumsum(obj_sizes) - obj_sizes
 
-    # an arrow's sigma is fixed by the two profiles and the relative
-    # permutation of the labelings, so each distinct sigma is built and
-    # its transport column read once; start[key] is where the column of
-    # the sigma with that key starts in flat
-    digits = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    units = (A.unit_index(),) * k
-    start, flat = {}, np.empty(0, dtype=np.int64)
+    # the transports m_sigma(b; units) of each distinct sigma, for every b
+    # over its target, are read once, to flat[start[sigma]:]
+    start, flat = np.full(len(C.morphisms), -1), np.empty(0, dtype=np.int64)
     uf = UnionFind(total)
     for src, dst in _generator_arrows(n, k, shuffle_seed):
         (r1, p1), (r2, p2) = divmod(src, n_prof), divmod(dst, n_prof)
-        sigma_map = t.pos[r2[:, None], t.perms[r1]]
-        keys, first, inverse = np.unique(
-            ((sigma_map @ digits) * n_prof + p1) * n_prof + p2,
-            return_index=True, return_inverse=True,
-        )
-        for key, i in zip(keys.tolist(), first.tolist()):
-            if key not in start:
-                sigma = OrdinalMorphism(
-                    shapes[p1[i]], shapes[p2[i]], tuple(sigma_map[i].tolist())
-                )
-                transports = A.mult[sigma][(slice(None),) + units]
-                if (transports < 0).any():  # _entry names the first hole
-                    _entry(A, sigma, (int(np.argmax(transports < 0)),) + units)
-                start[key] = len(flat)
-                flat = np.concatenate([flat, transports])
-        at = np.fromiter(map(start.get, keys.tolist()), np.int64, len(keys))[inverse]
+        # sigma sends the position of each label in the source to its
+        # position in the target
+        sigma = C.find(first + p1, first + p2, C.code(t.pos[r2[:, None], t.perms[r1]]))
+        new = np.unique(sigma[start[sigma] < 0])
+        z = sizes[C.target[new] - first]
+        start[new] = len(flat) + np.cumsum(z) - z
+        flat = np.concatenate([flat, _read(A, C, np.repeat(new, z), _units(A, _runs(z), k))])
         # each arrow gives (src, m_sigma(b; units)) ~ (dst, b) for every
         # element b over dst
         z = sizes[p2]
-        b = np.arange(int(z.sum())) - np.repeat(np.cumsum(z) - z, z)
-        uf.union(
-            np.repeat(offsets[src], z) + flat[np.repeat(at, z) + b],
-            np.repeat(offsets[dst], z) + b,
-        )
-    obj_of = np.repeat(np.arange(n_perm * n_prof), obj_sizes)
-    members = list(zip(obj_of.tolist(), (np.arange(total) - offsets[obj_of]).tolist()))
-    classes = tuple(tuple(members[e] for e in cls) for cls in uf.classes())
-    class_of = {m: ci for ci, cls in enumerate(classes) for m in cls}
-    return SymArity(k, n_perm * n_prof, total, classes, class_of)
+        arrow = np.repeat(np.arange(len(src)), z)
+        b = _runs(z)
+        pulled = flat[start[sigma[arrow]] + b]
+        uf.union(offsets[src[arrow]] + pulled, offsets[dst[arrow]] + b)
+    classes = uf.classes()
+    class_of = np.empty(total, dtype=np.int64)
+    for ci, cls in enumerate(classes):
+        class_of[cls] = ci
+    members = list(zip(np.repeat(np.arange(n_perm * n_prof), obj_sizes).tolist(),
+                       _runs(obj_sizes).tolist()))
+    return SymArity(k, n_perm * n_prof, total,
+                    tuple(tuple(members[e] for e in cls) for cls in classes), offsets, class_of)
 
 
 def _generator_arrows(n: int, k: int, shuffle_seed):
@@ -480,6 +512,9 @@ def terminal_class_counts(
     multiplication tables are materialised; this is the route for arities
     whose full table would not fit the budget.  Cross-checked against
     symmetrize(make_ass(...)) in the tests.
+
+    >>> terminal_class_counts(1, 3), terminal_class_counts(2, 3)  # k! classes, then one
+    ({0: 1, 1: 1, 2: 2, 3: 6}, {0: 1, 1: 1, 2: 1, 3: 1})
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -498,146 +533,121 @@ def terminal_class_counts(
 # the induced symmetric operad
 
 
-def _entry(A: OperadTable, sigma, idx: tuple) -> int:
-    """The element at one table entry; a truncation hole is an error."""
-    value = int(A.mult[sigma][idx])
-    if value < 0:
-        raise ValueError(f"the table of {sigma} has a hole at entry {idx}")
-    return value
+def _zero_pull(A, C, n, k, arity) -> tuple:
+    """Each element's permutation, profile and label, and its label once
+    transported down to the all-zero profile over the same labeling."""
+    obj, lab = _elements(arity)
+    r, p = divmod(obj, n ** max(k - 1, 0))
+    pulled = lab.copy()
+    moved = np.flatnonzero(p)
+    if len(moved):
+        first = _shape_id(C, k)
+        zeta = C.find(first, first + p[moved], C.code(np.tile(np.arange(k), (len(moved), 1))))
+        pulled[moved] = _read(A, C, zeta, _units(A, lab[moved], k))
+    return r, p, lab, pulled
 
 
-def _zero_pull(A: OperadTable, T: LabeledOrdinal, label_idx: int):
-    """Transport an element down to the all-zero profile over the same labels."""
-    if T.k <= 1 or all(l == 0 for l in T.profile):
-        return T, label_idx
-    flat = LabeledOrdinal(T.n, T.labels, (0,) * (T.k - 1))
-    zeta = OrdinalMorphism(flat.shape(), T.shape(), tuple(range(T.k)))
-    return flat, _entry(A, zeta, (label_idx,) + (A.unit_index(),) * T.k)
+_COMBINATION_BLOCK = 1 << 16  # member combinations substituted at once
 
 
-def _substitute(A, result: SymResult, f: FinSetMorphism, outer, args):
-    """One multiplication instance from explicit member choices.
+def _substitute(A, C, result: SymResult, members: dict, f: FinSetMorphism, grid: np.ndarray):
+    """The class at arity k = |source| of each multiplication instance along f.
 
-    outer is (LabeledOrdinal at arity m with the all-zero profile, label
-    index), a member after _zero_pull; args[i] is the member
-    (LabeledOrdinal at arity |fiber i|, label index).  Returns the class
-    of the composite at arity k.
+    Row j of grid holds element numbers: one at arity m = |target|, moved
+    to the all-zero profile, then one at the arity of each fiber.  The
+    composite takes the arguments' labels and profiles block by block, in
+    the order of the fibers in the outer labeling, with 0 between blocks.
     """
     k, m, n = f.source, f.target, result.n
-    S, b_idx = outer
-    pos_s = {lab: p for p, lab in enumerate(S.labels)}
-
-    # label x is label rank[i] of the argument on its fiber i; the composite
-    # orders labels by the position of that fiber in S, then by the
-    # position inside the argument
-    keys = {}
-    rank = [0] * m
-    for x in range(1, k + 1):
-        i = f.map[x - 1]
-        rank[i] += 1
-        keys[x] = (pos_s[i + 1], args[i][0].position(rank[i]))
-    order = sorted(keys, key=keys.get)
-
-    # neighbours from different fibers meet at level 0; inside a fiber
-    # they meet at the argument's level between their positions
-    profile = []
-    for x, y in zip(order, order[1:]):
-        (s, px), (t, py) = keys[x], keys[y]
-        Ti = args[S.labels[s] - 1][0]
-        profile.append(min(Ti.profile[px:py]) if s == t else 0)
-    R = LabeledOrdinal(n, tuple(order), tuple(profile))
-
-    sigma = OrdinalMorphism(R.shape(), S.shape(), tuple(keys[x][0] for x in order))
-    a_indices = tuple(args[S.labels[q] - 1][1] for q in range(m))
-    value = _entry(A, sigma, (b_idx,) + a_indices)
-    _, index = _labeled_index(n, k)
-    return result.arities[k].class_of[(index[R], value)]
-
-
-@functools.lru_cache(maxsize=None)
-def _labeled_index(n: int, k: int):
-    objs = tuple(labeled_objects(n, k))
-    return objs, {T: i for i, T in enumerate(objs)}
+    fmap = np.array(f.map, dtype=np.int64)
+    z = np.bincount(fmap, minlength=m)  # the fiber sizes
+    rows = np.arange(len(grid))
+    t_m, t_k = _labelings(n, m), _labelings(n, k)
+    r_s, _, _, b = (a[grid[:, 0]] for a in members[m])
+    pos_s = t_m.pos[r_s]
+    width = z[t_m.perms[r_s]]  # the blocks, by position in the outer labeling
+    start = np.take_along_axis(np.cumsum(width, axis=1) - width, pos_s, axis=1)
+    pos = np.empty((len(grid), k), dtype=np.int64)  # each composite label's position
+    profile = np.zeros((len(grid), max(k - 1, 0)), dtype=np.int64)
+    args = np.empty((len(grid), m), dtype=np.int64)
+    for i, size in enumerate(z.tolist()):
+        r, p, args[:, i], _ = (a[grid[:, 1 + i]] for a in members[size])
+        t = _labelings(n, size)
+        # the j-th label of fiber i is label j of argument i
+        pos[:, fmap == i] = start[:, i:i + 1] + t.pos[r]
+        for q in range(size - 1):
+            profile[rows, start[:, i] + q] = t.profiles[p, q]
+    # sigma sends each composite position to the outer position of its block
+    sigma = np.empty_like(pos)
+    np.put_along_axis(sigma, pos, pos_s[:, fmap], axis=1)
+    p_k = _profile_ranks(n, profile)
+    ids = C.find(_shape_id(C, k) + p_k, _shape_id(C, m), C.code(sigma))
+    value = _read(A, C, ids, np.column_stack([b, np.take_along_axis(args, t_m.perms[r_s], 1)]))
+    composite = _perm_ranks(t_k, np.argsort(pos, axis=1)) * len(t_k.profiles) + p_k
+    target = result.arities[k]
+    return target.class_of[target.offsets[composite] + value]
 
 
-def _sym_operad(A: OperadTable, result: SymResult) -> tuple[OperadTable, int]:
+def _sym_operad(A: OperadTable, C: CompiledBase, result: SymResult) -> tuple[OperadTable, int]:
     """Assemble the symmetric operad structure on the classes.
 
-    Every entry is computed from every combination of class members.  A
-    class lists its representative first, so the first combination sets
-    the entry and every later one must land in the same class.  Returns
-    the operad and the number of combinations computed.
+    Every entry is computed from every combination of class members, in
+    blocks of _COMBINATION_BLOCK, and all of them must land in the same
+    class.  Returns the operad and the number of combinations computed.
     """
     n = result.n
     base = FinBase(constant_free=A.base.constant_free)
-    K = result.K
-    components = {}
-    members = {}
-    pulled = {}  # members[k] moved to the all-zero profile, member by member
-    for k, arity in result.arities.items():
-        components[k] = tuple(f"c{j}" for j in range(len(arity.classes)))
-        objects = _labeled_index(n, k)[0]
-        members[k] = [
-            [(objects[o_idx], lab) for o_idx, lab in cls] for cls in arity.classes
-        ]
-        pulled[k] = [[_zero_pull(A, *member) for member in cls] for cls in members[k]]
+    components = {k: tuple(f"c{j}" for j in range(len(arity.classes)))
+                  for k, arity in result.arities.items()}
+    members = {k: _zero_pull(A, C, n, k, arity) for k, arity in result.arities.items()}
     mult = {}
     checked = 0
-    for f in base_morphisms(base, K):
-        k, m = f.source, f.target
-        fib_sizes = [len([x for x in f.map if x == i]) for i in range(m)]
-        shape = (len(components[m]),) + tuple(len(components[s]) for s in fib_sizes)
-        tab = np.empty(shape, dtype=np.int32)
-        for entry in itertools.product(*(range(s) for s in shape)):
-            b_c, a_cs = entry[0], entry[1:]
-            expected = None
-            for (outer, pulled_outer), *args in itertools.product(
-                zip(members[m][b_c], pulled[m][b_c]),
-                *(members[fib_sizes[i]][c] for i, c in enumerate(a_cs)),
-            ):
-                got = _substitute(A, result, f, pulled_outer, args)
-                checked += 1
-                if expected is None:
-                    expected = tab[entry] = got
-                elif got != expected:
-                    raise WellDefinednessError(
-                        f"multiplication along {f} is not constant on "
-                        f"classes: entry {entry} with members "
-                        f"outer={outer} args={args} gave class {got}, "
-                        f"the representatives gave {expected}"
-                    )
+    for f in base_morphisms(base, result.K):
+        arities = [f.target] + [f.map.count(i) for i in range(f.target)]
+        shape = tuple(len(components[j]) for j in arities)
+        counts = [result.arities[j].element_count for j in arities]
+        tab = np.full(shape, -1, dtype=np.int32)
+        entries = tab.reshape(-1)
+        for lo in range(0, math.prod(counts), _COMBINATION_BLOCK):
+            combination = np.arange(lo, min(lo + _COMBINATION_BLOCK, math.prod(counts)))
+            # one element at the target's arity, then one at each fiber's
+            grid = np.stack(np.unravel_index(combination, counts), axis=1)
+            got = _substitute(A, C, result, members, f, grid)
+            entry = np.ravel_multi_index(
+                tuple(result.arities[j].class_of[grid[:, c]] for c, j in enumerate(arities)), shape)
+            unset = entries[entry] < 0
+            entries[entry[unset]] = got[unset]
+            bad = np.flatnonzero(entries[entry] != got)
+            if len(bad):
+                raise WellDefinednessError(
+                    f"multiplication along {f} is not constant on classes: elements "
+                    f"{grid[bad[0]].tolist()} gave class {got[bad[0]]}, others {entries[entry[bad[0]]]}")
+            checked += len(grid)
         mult[f] = tab
-    unit_arity = result.arities[1]
-    unit_class = unit_arity.class_of[(0, A.label_index(terminal_ordinal(n), A.unit))]
-    operad = OperadTable(
-        base, K, components, components[1][unit_class], mult, f"sym_{n}({A.name})"
-    )
+    unit = result.arities[1].class_of[A.unit_index()]  # arity 1 has one object
+    operad = OperadTable(base, result.K, components, components[1][unit], mult,
+                         f"sym_{n}({A.name})")
     return operad, checked
 
 
-def _sym_action(A: OperadTable, result: SymResult) -> dict:
+def _sym_action(result: SymResult) -> dict:
     """Class-level relabeling action, verified well-defined member by member."""
     action = {}
     for k, arity in result.arities.items():
         if k < 2:
             continue
-        objects, obj_index = _labeled_index(result.n, k)
+        t = _labelings(result.n, k)
+        obj, lab = _elements(arity)
+        r, p = divmod(obj, len(t.profiles))
+        _, reps = np.unique(arity.class_of, return_index=True)  # each class's least member
         table = {}
-        for rho in itertools.permutations(range(1, k + 1)):
-            renaming = {x: rho[x - 1] for x in range(1, k + 1)}
-            images = [None] * len(arity.classes)
-            for ci, members in enumerate(arity.classes):
-                for o_idx, lab in members:
-                    image = arity.class_of[
-                        (obj_index[relabel(objects[o_idx], renaming)], lab)
-                    ]
-                    if images[ci] is None:
-                        images[ci] = image
-                    elif images[ci] != image:
-                        raise WellDefinednessError(
-                            f"relabeling {rho} splits class {ci} at arity {k}"
-                        )
-            table[rho] = tuple(images)
+        for rho in t.perms:
+            moved = _perm_ranks(t, rho[t.perms])[r] * len(t.profiles) + p
+            image = arity.class_of[arity.offsets[moved] + lab]
+            key = tuple((rho + 1).tolist())
+            if (image != image[reps][arity.class_of]).any():
+                raise WellDefinednessError(f"relabeling {key} splits a class at arity {k}")
+            table[key] = tuple(image[reps].tolist())
         action[k] = table
     return action
 
@@ -681,33 +691,23 @@ def unit_insertion(A: OperadTable, result: SymResult):
     """The comparison map: an element of A(T) to its class at arity |T|.
 
     Returns a dict T -> tuple of class indices, one per label of A(T);
-    T is labeled by the identity labeling of {1..|T|}.
+    T carries the identity labeling, object number (profile rank of T).
     """
     out = {}
     for T in A.base.objects(result.K):
-        k = T.size
-        if k not in result.arities:
+        arity = result.arities.get(T.size)
+        if arity is None:
             continue
-        _, index = _labeled_index(result.n, k)
-        ident = LabeledOrdinal(result.n, tuple(range(1, k + 1)), T.profile)
-        o_idx = index[ident]
-        out[T] = tuple(
-            result.arities[k].class_of[(o_idx, lab)]
-            for lab in range(len(A.components[T]))
-        )
+        start = arity.offsets[_profile_ranks(result.n, np.array(T.profile, dtype=np.int64))]
+        out[T] = tuple(arity.class_of[start:start + len(A.components[T])].tolist())
     return out
 
 
 def _transfer(A: OperadTable, result: SymResult, B: OperadTable, g) -> tuple:
     """Compose a morphism sym(A) -> B with the unit insertion A -> des(sym A)."""
-    from .operads import _object_order
-
-    eta = unit_insertion(A, result)
     g_maps = dict(g.components)
-    comps = []
-    for T in _object_order(A.base, A.base.objects(result.K)):
-        comps.append((T, tuple(g_maps[T.size][c] for c in eta[T])))
-    return tuple(comps)
+    return tuple((T, tuple(g_maps[T.size][c] for c in classes))
+                 for T, classes in unit_insertion(A, result).items())
 
 
 def check_adjunction(

@@ -230,10 +230,10 @@ def all_arrows_classes(A, k: int):
     element index) pairs in the order of labeled_objects; each class is
     sorted and the classes are ordered by their least members.
     """
-    from higherop.symmetrize import arrow_morphism, build_classifier
+    from higherop.symmetrize import build_classifier
 
     P = build_classifier(A.base.n, k)
-    sizes = [len(A.components.get(T.shape(), ())) for T in P.objects]
+    sizes = [len(A.components.get(shape(T), ())) for T in P.objects]
     members = [(i, b) for i, size in enumerate(sizes) for b in range(size)]
     parent = {m: m for m in members}
 
@@ -255,6 +255,178 @@ def all_arrows_classes(A, k: int):
     for m in members:
         classes.setdefault(find(m), []).append(m)
     return tuple(sorted(tuple(c) for c in classes.values()))
+
+
+# ---------------------------------------------------------------------------
+# the induced symmetric operad, one labeled structure at a time
+
+
+def shape(T):
+    """The canonical ordinal under a labeled structure (labels forgotten)."""
+    from higherop.ordinals import NOrdinal
+
+    return NOrdinal(T.n, T.profile, len(T.labels))
+
+
+def arrow_morphism(T, S):
+    """The identity-carried arrow between labeled structures as a
+    morphism of canonical ordinals (ValueError when there is none)."""
+    from higherop.ordinals import OrdinalMorphism
+
+    pos_s = {lab: p for p, lab in enumerate(S.labels)}
+    return OrdinalMorphism(shape(T), shape(S), tuple(pos_s[lab] for lab in T.labels))
+
+
+def relabel(T, rho: dict):
+    """Rename every label of a labeled structure by rho."""
+    from higherop.symmetrize import LabeledOrdinal
+
+    return LabeledOrdinal(T.n, tuple(rho[lab] for lab in T.labels), T.profile)
+
+
+def labeled_structures(n: int, k: int) -> list:
+    """The labeled structures at arity k, permutation-major and
+    profile-lexicographic, built from itertools alone."""
+    from higherop.symmetrize import LabeledOrdinal
+
+    return [LabeledOrdinal(n, perm, prof)
+            for perm in itertools.permutations(range(1, k + 1))
+            for prof in itertools.product(range(n), repeat=max(k - 1, 0))]
+
+
+def _class_index(result):
+    """arity -> {(object index, label): class index}, from the classes."""
+    return {k: {m: ci for ci, cls in enumerate(ar.classes) for m in cls}
+            for k, ar in result.arities.items()}
+
+
+def _entry(A, sigma, idx):
+    value = int(A.mult[sigma][idx])
+    if value < 0:
+        raise ValueError(f"the table of {sigma} has a hole at entry {idx}")
+    return value
+
+
+def _zero_pull(A, T, label):
+    """Transport an element down to the all-zero profile over the same labels."""
+    from higherop.ordinals import OrdinalMorphism
+    from higherop.symmetrize import LabeledOrdinal
+
+    k = len(T.labels)
+    if k <= 1 or not any(T.profile):
+        return T, label
+    flat = LabeledOrdinal(T.n, T.labels, (0,) * (k - 1))
+    zeta = OrdinalMorphism(shape(flat), shape(T), tuple(range(k)))
+    return flat, _entry(A, zeta, (label,) + (A.unit_index(),) * k)
+
+
+def _substitute(A, index, objects, f, outer, args):
+    """The class of one composite along f from explicit members: outer
+    is (labeled structure with the all-zero profile, label) and args[i]
+    is (labeled structure at the arity of fiber i, label)."""
+    from higherop.ordinals import OrdinalMorphism
+    from higherop.symmetrize import LabeledOrdinal
+
+    k, m = f.source, f.target
+    S, b = outer
+    pos_s = {lab: p for p, lab in enumerate(S.labels)}
+    # label x is label rank[i] of the argument on its fiber i; the composite
+    # orders labels by the position of that fiber in S, then by the
+    # position inside the argument
+    keys, rank = {}, [0] * m
+    for x in range(1, k + 1):
+        i = f.map[x - 1]
+        rank[i] += 1
+        keys[x] = (pos_s[i + 1], args[i][0].labels.index(rank[i]))
+    order = sorted(keys, key=keys.get)
+    # neighbours from different fibers meet at level 0; inside a fiber
+    # they meet at the argument's level between their positions
+    profile = []
+    for x, y in zip(order, order[1:]):
+        (s, px), (t, py) = keys[x], keys[y]
+        profile.append(min(args[S.labels[s] - 1][0].profile[px:py]) if s == t else 0)
+    R = LabeledOrdinal(S.n, tuple(order), tuple(profile))
+    sigma = OrdinalMorphism(shape(R), shape(S), tuple(keys[x][0] for x in order))
+    value = _entry(A, sigma, (b,) + tuple(args[S.labels[q] - 1][1] for q in range(m)))
+    return index[k][(objects[k].index(R), value)]
+
+
+def sym_operad_by_objects(A, result):
+    """symmetrize's induced operad and its count of member combinations,
+    computed one combination at a time over labeled structures and
+    morphism objects.  Returns (operad, combinations); raises ValueError
+    at a hole and RuntimeError where an entry depends on the members."""
+    from higherop.operads import FinBase, OperadTable, base_morphisms
+
+    n = result.n
+    base = FinBase(constant_free=A.base.constant_free)
+    index = _class_index(result)
+    objects = {k: labeled_structures(n, k) for k in result.arities}
+    components = {k: tuple(f"c{j}" for j in range(len(ar.classes)))
+                  for k, ar in result.arities.items()}
+    members = {k: [[(objects[k][o], lab) for o, lab in cls] for cls in ar.classes]
+               for k, ar in result.arities.items()}
+    pulled = {k: [[_zero_pull(A, *mem) for mem in cls] for cls in classes]
+              for k, classes in members.items()}
+    mult, checked = {}, 0
+    for f in base_morphisms(base, result.K):
+        m = f.target
+        fib_sizes = [f.map.count(i) for i in range(m)]
+        shape = (len(components[m]),) + tuple(len(components[s]) for s in fib_sizes)
+        tab = np.empty(shape, dtype=np.int32)
+        for entry in itertools.product(*map(range, shape)):
+            got = set()
+            for outer, *args in itertools.product(
+                    pulled[m][entry[0]],
+                    *(members[fib_sizes[i]][c] for i, c in enumerate(entry[1:]))):
+                got.add(_substitute(A, index, objects, f, outer, args))
+                checked += 1
+            if len(got) != 1:
+                raise RuntimeError(f"multiplication along {f} is not constant at {entry}")
+            tab[entry] = got.pop()
+        mult[f] = tab
+    unit = index[1][(0, A.unit_index())]
+    operad = OperadTable(base, result.K, components, components[1][unit], mult,
+                         f"sym_{n}({A.name})")
+    return operad, checked
+
+
+def sym_action_by_objects(result):
+    """The relabeling action on classes, relabeling one labeled structure
+    at a time: arity -> {rho: class images}."""
+    index = _class_index(result)
+    action = {}
+    for k, ar in result.arities.items():
+        if k < 2:
+            continue
+        objects = labeled_structures(result.n, k)
+        table = {}
+        for rho in itertools.permutations(range(1, k + 1)):
+            renaming = {x: rho[x - 1] for x in range(1, k + 1)}
+            images = []
+            for cls in ar.classes:
+                image = {index[k][(objects.index(relabel(objects[o], renaming)), lab)]
+                         for o, lab in cls}
+                assert len(image) == 1, (rho, cls)
+                images.append(image.pop())
+            table[rho] = tuple(images)
+        action[k] = table
+    return action
+
+
+def unit_insertion_by_objects(A, result):
+    """T -> the classes of the elements of A(T) under the identity labeling."""
+    from higherop.symmetrize import LabeledOrdinal
+
+    index = _class_index(result)
+    out = {}
+    for T in A.base.objects(result.K):
+        if T.size not in result.arities:
+            continue
+        ident = LabeledOrdinal(result.n, tuple(range(1, T.size + 1)), T.profile)
+        o = labeled_structures(result.n, T.size).index(ident)
+        out[T] = tuple(index[T.size][(o, lab)] for lab in range(len(A.components[T])))
+    return out
 
 
 # ---------------------------------------------------------------------------

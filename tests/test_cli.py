@@ -149,6 +149,34 @@ def test_end_check_is_refused_on_its_pair_count(capsys, monkeypatch, K):
     assert len(err) == 1 and err[0].startswith("error: ") and "composable pairs" in err[0]
 
 
+def test_ass_check_is_refused_before_the_base_is_built(capsys, monkeypatch):
+    from higherop import ordinals
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a morphism or a table was built")
+
+    for name in ("base_morphisms", "compile_base", "make_ass"):
+        monkeypatch.setattr(operads, name, boom)
+    monkeypatch.setattr(operads, "enumerate_morphisms", boom)
+    monkeypatch.setattr(ordinals, "_morphisms_cached", boom)
+    assert main(["operad", "check", "--which", "ass", "--n", "2", "--K", "5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "composable pairs" in err[0]
+
+
+def test_monad_laws_defaults_are_refused_before_a_tree_is_built(capsys, monkeypatch):
+    from higherop import freeop
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(freeop, "enumerate_trees", boom)
+    monkeypatch.setattr(freeop, "TreeTerm", boom)
+    assert main(["verify", "monad-laws"]) == 2  # n=2, vmax=3, kmax=5: 135,365 trees
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "trees" in err[0]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["classifier", "--n", "2", "--k", "7"]) == 2
 

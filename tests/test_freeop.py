@@ -9,6 +9,7 @@ from higherop.freeop import (
     TreeTerm,
     check_monad_laws,
     corolla,
+    count_trees,
     enumerate_trees,
     eval_polynomial,
     free_operad,
@@ -37,7 +38,7 @@ from higherop.operads import (
     endomorphism_operad,
     enumerate_operad_morphisms,
 )
-from higherop.ordinals import OrdinalMorphism, ordinal, terminal_ordinal
+from higherop.ordinals import OrdinalMorphism, enumerate_ordinals, ordinal, terminal_ordinal
 
 from oracles import catalan
 
@@ -280,6 +281,17 @@ def test_polynomial_matches_free_operad():
 
 # ---------------------------------------------------------------------------
 # monad laws
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("regular", [True, False])
+def test_tree_counts_match_the_enumeration(n, regular):
+    base = OrdBase(n)
+    for vmax, kmax in itertools.product(range(4), range(4)):
+        for k in range(kmax + 1):
+            for T in enumerate_ordinals(n, k):
+                want = len(enumerate_trees(T, vmax, kmax, regular, base))
+                assert count_trees(T, vmax, kmax, regular, base) == want, (T, vmax, kmax)
 
 
 def test_monad_laws_pass():

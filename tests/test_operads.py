@@ -312,6 +312,11 @@ def test_composable_pairs_match_the_loop(base, K):
     rows = composable_pairs(base, K)
     assert rows.dtype == np.int64
     assert np.array_equal(rows, composable_pairs_loop(base, compile_base(base, K), K))
+    # the count that refuses them comes from hom_count, before any is built
+    assert operads._pair_count(base, K) == len(rows)
+    objs = base.objects(K)
+    assert [[base.hom_count(T, S) for S in objs] for T in objs] == [
+        [len(base.morphisms(T, S)) for S in objs] for T in objs]
 
 
 @pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)],

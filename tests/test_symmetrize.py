@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from higherop.freeop import Collection, free_operad
 from higherop.operads import (
     BudgetExceededError,
     FinBase,
@@ -17,6 +18,7 @@ from higherop.operads import (
     endomorphism_operad,
     enumerate_operad_morphisms,
     make_ass,
+    tables_equal,
 )
 from higherop.ordinals import NOrdinal, OrdinalMorphism, is_morphism, ordinal
 from higherop.symmetrize import (
@@ -25,18 +27,28 @@ from higherop.symmetrize import (
     UnionFind,
     WellDefinednessError,
     algebra_equivalence,
-    arrow_morphism,
     build_classifier,
     check_adjunction,
     classifier_dot,
     labeled_objects,
-    relabel,
     symmetrize,
     terminal_class_counts,
+    unit_insertion,
 )
-from higherop.symmetrize import _fast_singleton_classes, _labelings
+from higherop.symmetrize import _fast_singleton_classes, _labelings, _perm_ranks
 
-from oracles import all_arrows_classes, count_commutative_monoids, count_monoids
+from oracles import (
+    all_arrows_classes,
+    arrow_morphism,
+    count_commutative_monoids,
+    count_monoids,
+    labeled_structures,
+    relabel,
+    shape,
+    sym_action_by_objects,
+    sym_operad_by_objects,
+    unit_insertion_by_objects,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +83,25 @@ def test_pair_state_and_relabel():
     assert t.level[p, t.lo[r], t.hi[r]].tolist() == [1, 0, 0]
     with pytest.raises(ValueError):
         t.level[p, 0, 1] = 0  # the cached table is read-only
-    flipped = relabel(T, {1: 3, 2: 2, 3: 1})
-    assert flipped.labels == (2, 3, 1)
-    assert flipped.profile == T.profile
+    # relabeling by rho moves object r * n^(k-1) + p to permutation rho after r
+    rho = np.array([2, 1, 0])  # 1 -> 3, 2 -> 2, 3 -> 1
+    flipped = labeled_objects(2, 3)[int(_perm_ranks(t, rho[t.perms[r]])) * len(t.profiles) + p]
+    assert flipped == relabel(T, {1: 3, 2: 2, 3: 1})
+    assert flipped.labels == (2, 3, 1) and flipped.profile == T.profile
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (2, 3), (3, 4), (1, 5)])
+def test_perm_ranks_number_every_relabeling(n, k):
+    t = _labelings(n, k)
+    assert labeled_objects(n, k) == labeled_structures(n, k)
+    assert _perm_ranks(t, t.perms).tolist() == list(range(len(t.perms)))
+    objects = labeled_objects(n, k)
+    for rho in t.perms:
+        moved = _perm_ranks(t, rho[t.perms])
+        renaming = {x + 1: int(rho[x]) + 1 for x in range(k)}
+        for i, T in enumerate(objects):
+            r, p = divmod(i, len(t.profiles))
+            assert objects[moved[r] * len(t.profiles) + p] == relabel(T, renaming)
 
 
 def test_arrow_relation_matches_morphism_condition():
@@ -83,7 +111,7 @@ def test_arrow_relation_matches_morphism_condition():
         strict = set()
         for (i, T), (j, S) in itertools.product(enumerate(objs), repeat=2):
             direct = is_morphism(
-                arrow_morphism_map(T, S), T.shape(), S.shape()
+                arrow_morphism_map(T, S), shape(T), shape(S)
             )
             if direct and i != j:
                 strict.add((i, j))
@@ -561,14 +589,9 @@ def test_algebra_equivalence_empty_set_constant_free():
 
 def test_adjunction_naturality_spot_check():
     # a morphism A -> A' induces a square of transfers that must commute
-    from higherop.freeop import Collection, free_operad
-    from higherop.operads import desymmetrize, enumerate_operad_morphisms
-    from higherop.ordinals import ordinal
-    from higherop.symmetrize import _labeled_index, _transfer, unit_insertion
+    from higherop.symmetrize import _transfer
 
-    A_res = free_operad(Collection(OrdBase(1), 3, {ordinal(1, 0): ("m",)}),
-                        vmax=3, kmax=3)
-    A = A_res.operad
+    A = _free_binary()
     A2 = make_ass(OrdBase(1), 3)
     collapse = enumerate_operad_morphisms(A, A2)
     assert len(collapse) == 1
@@ -583,11 +606,12 @@ def test_adjunction_naturality_spot_check():
     sym_phi = {}
     for k, arity in sym_A.arities.items():
         images = []
+        target = sym_A2.arities[k]
         for members in arity.classes:
             targets = set()
             for o_idx, lab in members:
-                shape = _labeled_index(1, k)[0][o_idx].shape()
-                targets.add(sym_A2.arities[k].class_of[(o_idx, phi_maps[shape][lab])])
+                T = shape(labeled_objects(1, k)[o_idx])
+                targets.add(target.class_of[target.offsets[o_idx] + phi_maps[T][lab]])
             assert len(targets) == 1  # the induced map is well-defined
             images.append(targets.pop())
         sym_phi[k] = images
@@ -610,6 +634,54 @@ def test_adjunction_naturality_spot_check():
                 for lab in range(len(A.components[T]))
             )
             assert via_square == via_phi
+
+
+def _free_binary():
+    return free_operad(Collection(OrdBase(1), 3, {ordinal(1, 0): ("m",)}), vmax=3, kmax=3).operad
+
+
+_CROSS = {
+    "Ass over Ord(1), K=3": lambda: make_ass(OrdBase(1), 3),
+    "Ass over Ord(2), K=3": lambda: make_ass(OrdBase(2), 3),
+    "Ass over Ord(3), K=3": lambda: make_ass(OrdBase(3), 3),
+    "Ass over Ord_0(1), K=3": lambda: make_ass(OrdBase(1, constant_free=True), 3),
+    "des_1(End_2), K=2": lambda: _des_end2(1, 2),
+    "des_2(End_2), K=2": lambda: _des_end2(2, 2),
+    "free operad on a binary operation over Ord(1), K=3": _free_binary,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CROSS))
+def test_id_route_matches_the_object_route(name):
+    # the induced operad, the action and the unit insertion, built on
+    # element numbers, against one member combination at a time over
+    # labeled structures and morphism objects
+    A = _CROSS[name]()
+    r = symmetrize(A)
+    for k, arity in r.arities.items():
+        assert arity.classes == all_arrows_classes(A, k), k
+    operad, checked = sym_operad_by_objects(A, r)
+    assert tables_equal(r.operad, operad)
+    assert r.welldef_checked == checked
+    assert r.action == sym_action_by_objects(r)
+    assert unit_insertion(A, r) == unit_insertion_by_objects(A, r)
+
+
+def test_combination_blocks_do_not_change_the_operad(monkeypatch):
+    # blocks that split the combinations of one entry, and of one morphism
+    import higherop.symmetrize as symm
+
+    A = _des2_end2()
+    want = symmetrize(A)
+    u = A.unit_index()
+    sigma = OrdinalMorphism(ordinal(2, 0), ordinal(2), (0, 0))
+    corrupt = _with_entry(A, sigma, (u, 0), (int(A.mult[sigma][u, 0]) + 1) % 16)
+    for block in (7, 1000):
+        monkeypatch.setattr(symm, "_COMBINATION_BLOCK", block)
+        got = symmetrize(A)
+        assert tables_equal(got.operad, want.operad) and got.welldef_checked == 19994
+        with pytest.raises(WellDefinednessError):
+            symmetrize(corrupt)
 
 
 def test_sym_result_json():
