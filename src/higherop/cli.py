@@ -200,15 +200,19 @@ def cmd_suspend(args) -> Report:
 def cmd_trees(args) -> Report:
     base = operads.OrdBase(args.n)
     T = NOrdinal(args.n, _parse_profile(args.profile))
-    trees = freeop.enumerate_trees(T, args.vmax, args.kmax, args.regular, base)
+    count = freeop.count_trees(T, args.vmax, args.kmax, args.regular, base)
     data = {
         "target": list(T.profile),
         "vmax": args.vmax,
         "kmax": args.kmax,
         "regular": args.regular,
-        "count": len(trees),
+        "count": count,
     }
     if not args.count_only:
+        if count > freeop._MAX_TREES:
+            raise operads.BudgetExceededError(
+                f"{count} trees to list (budget {freeop._MAX_TREES}); use --count-only")
+        trees = freeop.enumerate_trees(T, args.vmax, args.kmax, args.regular, base)
         data["trees"] = [freeop.tree_to_json(t) for t in trees]
     return Report("trees", "ok", data, {})
 

@@ -30,8 +30,8 @@ from .operads import (
     _target_size,
     base_morphism_from_json,
     base_morphism_to_json,
-    base_morphisms,
     cardinality_morphism,
+    compile_base,
     is_surjective,
 )
 
@@ -208,17 +208,8 @@ def _enum_trees(T, budget: int, kmax: int, regular: bool, base) -> tuple:
                 for sigma in base.morphisms(T, S):
                     if regular and not is_surjective(sigma):
                         continue
-                    fibers = [base.fiber(sigma, i) for i in range(k)]
-                    child_lists = []
-                    feasible = True
-                    for F in fibers:
-                        opts = _enum_trees(F, budget - 1, kmax, regular, base)
-                        if not opts:
-                            feasible = False
-                            break
-                        child_lists.append(opts)
-                    if not feasible:
-                        continue
+                    child_lists = [_enum_trees(base.fiber(sigma, i), budget - 1, kmax, regular, base)
+                                   for i in range(k)]
                     for combo in itertools.product(*child_lists):
                         if 1 + sum(vertex_count(c) for c in combo) <= budget:
                             out.append(TreeTerm(sigma, combo))
@@ -363,22 +354,18 @@ def free_operad(
     }
     holes = 0
     mult = {}
-    for sigma in base_morphisms(base, K):
-        fibers = [base.fiber(sigma, i) for i in range(_target_size(sigma))]
-        shape = (len(components[sigma.target]),) + tuple(
-            len(components[F]) for F in fibers
-        )
-        tab = np.empty(shape, dtype=np.int32)
-        for b_i, x in enumerate(trees[sigma.target]):
-            for a_idx in itertools.product(*(range(len(trees[F])) for F in fibers)):
-                ys = [trees[F][a] for F, a in zip(fibers, a_idx)]
-                res = graft(x, sigma, ys, base)
-                lab = tree_label(res)
-                slot = index[sigma.source].get(lab)
-                if slot is None:
-                    holes += 1
-                    slot = -1
-                tab[(b_i,) + a_idx] = slot
+    C = compile_base(base, K)
+    for m, sigma in enumerate(C.morphisms):
+        outer, *inner = (trees[C.objects[o]] for o in C.axes(m))
+        slots = index[C.objects[C.source[m]]]
+        tab = np.empty((len(outer),) + tuple(map(len, inner)), dtype=np.int32)
+        for idx in np.ndindex(tab.shape):
+            ys = [ts[a] for ts, a in zip(inner, idx[1:])]
+            slot = slots.get(tree_label(graft(outer[idx[0]], sigma, ys, base)))
+            if slot is None:
+                holes += 1
+                slot = -1
+            tab[idx] = slot
         mult[sigma] = tab
     operad = OperadTable(base, K, components, "triv", mult, "Free")
     return FreeOperadResult(operad, trees, holes)
@@ -401,7 +388,10 @@ class PolynomialData:
     source: object  # callable: e -> j
 
 
-def eval_polynomial(P: PolynomialData, X: dict, i_values, max_operations: int = 100000):
+_MAX_OPERATIONS = 100_000  # operations of a polynomial over one index
+
+
+def eval_polynomial(P: PolynomialData, X: dict, i_values):
     """Sum over operations of the product of inputs: P(X)_i, tagged by b.
 
     X maps each index j to a finite list; the result maps each requested i
@@ -414,9 +404,9 @@ def eval_polynomial(P: PolynomialData, X: dict, i_values, max_operations: int = 
         count = 0
         for b in P.operations(i):
             count += 1
-            if count > max_operations:
+            if count > _MAX_OPERATIONS:
                 raise BudgetExceededError(
-                    f"more than {max_operations} operations over index {i}"
+                    f"more than {_MAX_OPERATIONS} operations over index {i}"
                 )
             pools = [X[P.source(e)] for e in P.arity(b)]
             for combo in itertools.product(*pools):
@@ -485,6 +475,54 @@ def _decoration_at(tree: TreeTerm, address):
 
 # trees that check_monad_laws enumerates at most; n=2, vmax=3, kmax=4 has 8,853
 _MAX_TREES = 10_000
+# law instances that check_monad_laws checks at most.  It checks about 5,500 a
+# second (n=2, vmax=3, kmax=4: 726,909 in 132 s), and deeper trees cost more each,
+# so this admits that input and refuses n=1, vmax=12, kmax=3 (15.7M instances).
+_MAX_LAW_INSTANCES = 1_000_000
+
+
+def _law_instances(trees_by_target: dict, vmax: int, kmax: int, regular: bool, base) -> int:
+    """The unit, associativity and commutation instances that
+    check_monad_laws visits, counted without an insertion.
+
+    Each tree x contributes one unit instance per vertex and one for the
+    corolla, and its vertices v and pairs of independent vertices (v, w)
+    contribute the inserted trees that fit the vertex bound, counted
+    from the trees per (object, vertex count).  The objects go in the
+    order of trees_by_target, and the count stops once it passes
+    _MAX_LAW_INSTANCES.
+    """
+    counts = {S: _tree_counts(S, vmax, kmax, regular, base) for S in trees_by_target}
+    upto = {S: list(itertools.accumulate(c)) for S, c in counts.items()}
+
+    def fits(S, c: int) -> int:  # the trees over S with at most c vertices
+        return upto[S][min(c, vmax)] if c >= 0 else 0
+
+    vertex_lists = {S: [vertices(t) for t in ts] for S, ts in trees_by_target.items()}
+    # nested[S][c]: the (y, w, z) of the associativity law under a vertex over S,
+    # when y may have c vertices: y over S, w a vertex of y, z over the object of w
+    nested = {S: [0] * (vmax + 1) for S in vertex_lists}
+    for S, trees in vertex_lists.items():
+        for ys in trees:
+            for c in range(len(ys), vmax + 1):
+                nested[S][c] += sum(fits(S_w, c - len(ys) + 1) for _, S_w in ys)
+
+    @functools.lru_cache(maxsize=None)
+    def pairs(S_v, S_w, c: int) -> int:  # y over S_v and z over S_w with c vertices at most
+        return sum(counts[S_v][a] * fits(S_w, c - a) for a in range(min(c, vmax) + 1))
+
+    total = 0
+    for S, trees in vertex_lists.items():
+        for xs in trees:
+            nx = len(xs)
+            total += nx + 1 + sum(nested[S_v][vmax - nx + 1] for _, S_v in xs)
+            for i, (v, S_v) in enumerate(xs):
+                # the later vertices outside v's subtree; preorder is address order
+                total += sum(pairs(S_v, S_w, vmax - nx + 2)
+                             for w, S_w in xs[i + 1:] if w[:len(v)] != v)
+            if total > _MAX_LAW_INSTANCES:
+                return total
+    return total
 
 
 def check_monad_laws(
@@ -504,7 +542,8 @@ def check_monad_laws(
     also checked to commute.  An alternative insert_impl can be passed in to
     prove the checker catches broken implementations.  The trees are
     counted first, and BudgetExceededError is raised before any is built
-    when there are more than _MAX_TREES.
+    when there are more than _MAX_TREES; the instances are counted next,
+    and refused past _MAX_LAW_INSTANCES before any insertion.
     """
     base = OrdBase(n)
     ins = insert_impl if insert_impl is not None else insert
@@ -523,6 +562,12 @@ def check_monad_laws(
     trees_by_target = {
         T: enumerate_trees(T, vmax, kmax, regular, base) for T in all_objects
     }
+    count = _law_instances(trees_by_target, vmax, kmax, regular, base)
+    if count > _MAX_LAW_INSTANCES:
+        raise BudgetExceededError(
+            f"the monad laws at n={n}, vmax={vmax}, kmax={kmax} have at least {count} "
+            f"instances (budget {_MAX_LAW_INSTANCES})"
+        )
 
     for T in all_objects:
         for x in trees_by_target[T]:

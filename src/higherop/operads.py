@@ -57,7 +57,6 @@ from .ordinals import (
     ordinal_from_json,
     ordinal_key,
     restrict_to_fiber as ord_restrict,
-    suspend_morphism,
     suspend_p,
     terminal_ordinal,
 )
@@ -306,6 +305,12 @@ class CompiledBase:
                   self.keys):
             a.flags.writeable = False
 
+    def axes(self, m: int) -> list[int]:
+        """The object ids along the axes of morphism m's tables: its target,
+        then its fibers in order."""
+        fibers = self.fibers[m]
+        return [int(self.target[m])] + fibers[fibers >= 0].tolist()
+
     def code(self, maps: np.ndarray) -> np.ndarray:
         return (maps + 1) @ self.radix ** np.arange(maps.shape[1], dtype=np.int64)
 
@@ -439,10 +444,9 @@ class OperadTable:
 
     def value(self, sigma, b_label: str, a_labels) -> str | None:
         """Label-level table lookup; None marks a truncation hole."""
-        fibers = [self.base.fiber(sigma, i) for i in range(_target_size(sigma))]
-        idx = (self.label_index(sigma.target, b_label),) + tuple(
-            self.label_index(F, a) for F, a in zip(fibers, a_labels)
-        )
+        C = compile_base(self.base, self.K)
+        axes = [C.objects[o] for o in C.axes(C.morphism_id[sigma])]
+        idx = tuple(self.label_index(T, lab) for T, lab in zip(axes, (b_label, *a_labels)))
         v = int(self.mult[sigma][idx])
         if v < 0:
             return None
@@ -468,14 +472,12 @@ def make_ass(base, K: int) -> OperadTable:
     """The terminal operad over the base: every component is one point."""
     if K < 1:
         raise ValueError("an operad table needs K >= 1, where its unit lives")
-    components = {T: ("*",) for T in base.objects(K)}
-    mult = {}
-    shared = {}  # all-zero tables shared per shape; never mutated
-    for sigma in base_morphisms(base, K):
-        shape = (1,) + (1,) * _target_size(sigma)
-        if shape not in shared:
-            shared[shape] = np.zeros(shape, dtype=np.int32)
-        mult[sigma] = shared[shape]
+    C = compile_base(base, K)
+    components = {T: ("*",) for T in C.objects}
+    # all-zero tables shared per number of fibers; never mutated
+    shared = [np.zeros((1,) * (1 + r), dtype=np.int32) for r in range(C.fibers.shape[1] + 1)]
+    fiber_counts = (C.fibers >= 0).sum(axis=1).tolist()
+    mult = {sigma: shared[r] for sigma, r in zip(C.morphisms, fiber_counts)}
     name = f"Ass[{base.kind}" + (f"({base.n})" if hasattr(base, "n") else "") + "]"
     return OperadTable(base, K, components, "*", mult, name)
 
@@ -506,13 +508,13 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
         raise ValueError("the empty set only supports the constant-free variant")
     base = FinBase(constant_free=constant_free)
     _check_end_exponent(x_size, K)
-    n_fun = [x_size ** (x_size ** k) for k in range(K + 1)]
-    grid = {f: math.prod(n_fun[base.fiber(f, i)] for i in range(f.target))
-            for f in base_morphisms(base, K)}
+    C = compile_base(base, K)
+    n_fun = [x_size ** (x_size ** k) for k in C.objects]  # an object of FinSet is its size
+    grid = [math.prod(n_fun[F] for F in C.axes(m)[1:]) for m in range(len(C.morphisms))]
     # every int32 table, plus the int64 ranks and gather of the largest step
-    need = sum(4 * n_fun[f.target] * g for f, g in grid.items()) + max(
-        8 * g * (n_fun[f.target] + x_size ** f.source) for f, g in grid.items()
-    )
+    rows = [(n_fun[t], x_size ** C.objects[s], g)
+            for t, s, g in zip(C.target.tolist(), C.source.tolist(), grid)]
+    need = sum(4 * n_b * g for n_b, _, g in rows) + max(8 * g * (n_b + n_in) for n_b, n_in, g in rows)
     if need > _MAX_DENSE_BYTES:
         raise BudgetExceededError(
             f"End tables of a {x_size}-element set at K={K} need "
@@ -535,10 +537,10 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
     input_rank = {k: {t: r for r, t in enumerate(inputs[k])} for k in range(K + 1)}
 
     mult = {}
-    for f in base_morphisms(base, K):
+    for f_id, f in enumerate(C.morphisms):
         k, m = f.source, f.target
         fib_elems = [finset_fiber_elements(f, i) for i in range(m)]
-        fib_sizes = [len(e) for e in fib_elems]
+        fib_sizes = [C.objects[F] for F in C.axes(f_id)[1:]]
         g_shape = tuple(len(components[s]) for s in fib_sizes)
         # rank of the length-m intermediate tuple, per g-grid point and input
         y_rank = np.zeros(g_shape + (n_inputs[k],), dtype=np.int64)
@@ -587,15 +589,16 @@ def desymmetrize(B: OperadTable, n: int) -> OperadTable:
     along the underlying map.  Component tuples and table arrays are
     shared, so the strict compatibility with suspension restriction is an
     equality of tables, not just an isomorphism.
+
+    >>> B = endomorphism_operad((0, 1), 2)
+    >>> des = desymmetrize(B, 2)
+    >>> all(des.mult[s] is B.mult[cardinality_morphism(s)] for s in des.mult)
+    True
     """
     if not isinstance(B.base, FinBase):
         raise ValueError("desymmetrize expects an operad over FinSet")
     base = OrdBase(n, constant_free=B.base.constant_free)
-    components = {T: B.components[T.size] for T in base.objects(B.K)}
-    mult = {}
-    for sigma in base_morphisms(base, B.K):
-        mult[sigma] = B.mult[cardinality_morphism(sigma)]
-    return OperadTable(base, B.K, components, B.unit, mult, f"des_{n}({B.name})")
+    return _pullback(B, base, lambda T: T.size, f"des_{n}({B.name})")
 
 
 def restrict_suspension(B: OperadTable, p: int) -> OperadTable:
@@ -606,11 +609,21 @@ def restrict_suspension(B: OperadTable, p: int) -> OperadTable:
     if not 0 <= p <= n:
         raise ValueError(f"suspension index {p} outside [0, {n}]")
     base = OrdBase(n, constant_free=B.base.constant_free)
-    components = {T: B.components[suspend_p(T, p)] for T in base.objects(B.K)}
-    mult = {}
-    for sigma in base_morphisms(base, B.K):
-        mult[sigma] = B.mult[suspend_morphism(sigma, p)]
-    return OperadTable(base, B.K, components, B.unit, mult, f"S_{p}^*({B.name})")
+    return _pullback(B, base, lambda T: suspend_p(T, p), f"S_{p}^*({B.name})")
+
+
+def _pullback(B: OperadTable, base, image, name: str) -> OperadTable:
+    """B pulled back along a functor from base into B's base that sends
+    each object T to image(T) and keeps every map: a morphism goes to
+    the morphism with the same map between the images of its endpoints.
+    Both truncations at K have width K, so one code finds them all."""
+    C, C_B = compile_base(base, B.K), compile_base(B.base, B.K)
+    object_id = {T: i for i, T in enumerate(C_B.objects)}
+    to = np.array([object_id[image(T)] for T in C.objects], dtype=np.int64)
+    ids = C_B.find(to[C.source], to[C.target], C_B.code(C.maps)).tolist()
+    components = {T: B.components[C_B.objects[i]] for T, i in zip(C.objects, to.tolist())}
+    mult = {sigma: B.mult[C_B.morphisms[j]] for sigma, j in zip(C.morphisms, ids)}
+    return OperadTable(base, B.K, components, B.unit, mult, name)
 
 
 # ---------------------------------------------------------------------------
@@ -641,19 +654,18 @@ class AxiomReport:
 
 
 _MAX_VIOLATIONS = 20
+_MAX_PAIR_CELLS = 1 << 28  # (a, c) cells of one composable pair
 _SLAB_CELLS = 1 << 20  # instances compared at once by the associativity kernel
 
 
-def check_operad_axioms(
-    A: OperadTable, max_pair_cells: int = 1 << 28, units_only: bool = False
-) -> AxiomReport:
+def check_operad_axioms(A: OperadTable, units_only: bool = False) -> AxiomReport:
     """Verify totality, the two unit diagrams and all associativity squares.
 
     Associativity is checked pointwise for every composable pair inside
     the truncation.  Entries marked as truncation holes are skipped and
     counted; empty table domains (an empty component in a fiber) are
     flagged but impose no constraint.  Raises BudgetExceededError if one
-    pair would need more than max_pair_cells table cells at once.
+    pair would need more than _MAX_PAIR_CELLS table cells at once.
     """
     rep = AxiomReport(ok=True, violations=[])
     base, K = A.base, A.K
@@ -686,44 +698,32 @@ def check_operad_axioms(
         rep.ok = False
         return rep
 
-    # unit diagrams
-    for T in C.objects:
+    # unit diagrams: m_id(a; units) = a, and m_!(unit; a) = a along the map
+    # ! to the terminal object, compared a whole column at a time
+    sizes = np.array([base.size(T) for T in C.objects], dtype=np.int64)
+    points = np.arange(C.maps.shape[1])
+    inside = points < sizes[:, None]
+    objects = np.arange(len(C.objects))
+    ident = C.find(objects, objects, C.code(np.where(inside, points, -1)))
+    bang = C.find(objects, C.objects.index(terminal), C.code(np.where(inside, 0, -1)))
+    for T, i, b in zip(C.objects, ident.tolist(), bang.tolist()):
         labs = A.components[T]
-        ident = base.identity(T)
-        tab = A.mult[ident]
-        for a in range(len(labs)):
-            idx = (a,) + (unit_idx,) * base.size(T)
-            got = int(tab[idx])
-            rep.unit_instances += 1
-            if got == -1:
-                rep.skipped_holes += 1
-            elif got != a:
+        column = A.mult[C.morphisms[i]][(slice(None),) + (unit_idx,) * base.size(T)]
+        for got, where in ((column, f"id_{T}: m(a; units)"),
+                           (A.mult[C.morphisms[b]][unit_idx], f"{T} -> terminal: m(unit; a)")):
+            rep.unit_instances += len(labs)
+            rep.skipped_holes += int((got == -1).sum())
+            for a in np.flatnonzero((got != -1) & (got != np.arange(len(labs)))).tolist():
                 rep.violations.append(
-                    f"unit diagram fails at id_{T}: m(a; units) = "
-                    f"{labs[got]} for a = {labs[a]}"
-                )
-        for bang in base.morphisms(T, terminal):  # the one morphism T -> terminal
-            tab = A.mult[bang]
-            for a in range(len(labs)):
-                got = int(tab[(unit_idx, a)])
-                rep.unit_instances += 1
-                if got == -1:
-                    rep.skipped_holes += 1
-                elif got != a:
-                    rep.violations.append(
-                        f"unit diagram fails at {T} -> terminal: m(unit; a) = "
-                        f"{labs[got]} for a = {labs[a]}"
-                    )
+                    f"unit diagram fails at {where} = {labs[got[a]]} for a = {labs[a]}")
 
     if not units_only:
-        _check_associativity(A, C, composable_pairs(base, K), rep, max_pair_cells)
+        _check_associativity(A, C, composable_pairs(base, K), rep)
     rep.ok = not rep.violations
     return rep
 
 
-def associativity_violations(
-    A: OperadTable, sigma, omega, max_pair_cells: int = 1 << 28
-) -> list:
+def associativity_violations(A: OperadTable, sigma, omega) -> list:
     """Pointwise associativity check of one composable pair; returns violations."""
     C = compile_base(A.base, A.K)
     s, w = C.morphism_id[sigma], C.morphism_id[omega]
@@ -731,7 +731,7 @@ def associativity_violations(
         raise ValueError("sigma and omega are not composable")
     row = _pair_rows(C, A.K, np.array([s]), np.array([w]))
     rep = AxiomReport(ok=True, violations=[])
-    _check_associativity(A, C, row, rep, max_pair_cells)
+    _check_associativity(A, C, row, rep)
     return rep.violations
 
 
@@ -747,7 +747,7 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
+def _check_associativity(A, C: CompiledBase, rows, rep) -> None:
     """Check the pairs in `rows` (see composable_pairs) group by group.
 
     Pairs whose sigma, omega and composite tables have the same shapes
@@ -804,7 +804,7 @@ def _check_associativity(A, C: CompiledBase, rows, rep, max_pair_cells) -> None:
             return None
         own = scratch.setdefault(threading.get_ident(), {})
         try:
-            return _check_group(C, flat, off, holes, shapes, groups[g], max_pair_cells, slab, own)
+            return _check_group(C, flat, off, holes, shapes, groups[g], slab, own)
         except BaseException:
             last = g  # every group dequeued from now on comes after g
             raise
@@ -840,7 +840,7 @@ def _buffer(scratch: dict, name: str, shape, dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _check_group(C, flat, off, holes, shapes, rows, max_pair_cells, slab, scratch) -> AxiomReport:
+def _check_group(C, flat, off, holes, shapes, rows, slab, scratch) -> AxiomReport:
     """The associativity kernel: m_sigma(m_omega(b; a); c) against
     m_(omega sigma)(b; m_(block_i)(a_i; c|block_i)) over every (b, a, c)
     of every pair in the group.
@@ -866,10 +866,10 @@ def _check_group(C, flat, off, holes, shapes, rows, max_pair_cells, slab, scratc
     if nb * n_a * n_c == 0:
         rep.empty_domains += P
         return rep
-    if n_a * n_c > max_pair_cells:
+    if n_a * n_c > _MAX_PAIR_CELLS:
         raise BudgetExceededError(
             f"associativity pair for {C.morphisms[s0]} ; {C.morphisms[w0]} needs "
-            f"{n_a * n_c} cells (budget {max_pair_cells})"
+            f"{n_a * n_c} cells (budget {_MAX_PAIR_CELLS})"
         )
     rep.assoc_instances += P * nb * n_a * n_c
     masked = bool(holes[rows[:, :3 + r]].any())
@@ -987,38 +987,27 @@ class OperadMorphism:
     target_name: str
     components: tuple  # tuple of (object, tuple of target-label indices)
 
-    def mapping(self, T) -> tuple[int, ...]:
-        for obj, m in self.components:
-            if obj == T:
-                return m
-        raise KeyError(T)
-
 
 def is_operad_morphism(A: OperadTable, B: OperadTable, phi: OperadMorphism) -> bool:
-    """Validate that phi commutes with units and all defined table entries."""
+    """Validate that phi commutes with units and all defined table entries.
+
+    Each of B's tables is read at once at the images of A's target and
+    fiber labels, and compared with A's values mapped by the source
+    component's map wherever neither side is a hole.
+    """
     if A.base != B.base or A.K != B.K:
         return False
     maps = dict(phi.components)
-    terminal = A.base.terminal()
-    if maps[terminal][A.unit_index()] != B.unit_index():
+    if maps[A.base.terminal()][A.unit_index()] != B.unit_index():
         return False
-    for sigma in base_morphisms(A.base, A.K):
-        fibers = [A.base.fiber(sigma, i) for i in range(_target_size(sigma))]
-        tab_a, tab_b = A.mult[sigma], B.mult[sigma]
-        phi_t, phi_s = maps[sigma.target], maps[sigma.source]
-        phi_f = [maps[F] for F in fibers]
-        for b_i in range(tab_a.shape[0]):
-            for a_idx in itertools.product(*map(range, tab_a.shape[1:])):
-                va = int(tab_a[(b_i,) + a_idx])
-                if va == -1:
-                    continue
-                vb = int(tab_b[(phi_t[b_i],) + tuple(
-                    phi_f[i][a_idx[i]] for i in range(len(a_idx))
-                )])
-                if vb == -1:
-                    continue
-                if phi_s[va] != vb:
-                    return False
+    C = compile_base(A.base, A.K)
+    images = [np.array(maps[T], dtype=np.int64) for T in C.objects]
+    for m, sigma in enumerate(C.morphisms):
+        va = A.mult[sigma]
+        vb = B.mult[sigma][np.ix_(*(images[o] for o in C.axes(m)))]
+        defined = (va >= 0) & (vb >= 0)
+        if not np.array_equal(images[C.source[m]][va[defined]], vb[defined]):
+            return False
     return True
 
 
@@ -1032,115 +1021,102 @@ def compose_operad_morphisms(g: OperadMorphism, f: OperadMorphism) -> OperadMorp
     )
 
 
-def enumerate_operad_morphisms(
-    A: OperadTable, B: OperadTable, max_nodes: int = 2_000_000
-) -> list[OperadMorphism]:
+_MAX_SEARCH_NODES = 2_000_000  # label images the morphism search may try
+_CHOICE_BLOCK = 1 << 16  # (image, constraint) pairs the search checks at once
+
+
+def enumerate_operad_morphisms(A: OperadTable, B: OperadTable) -> list[OperadMorphism]:
     """All operad morphisms A -> B by pruned exhaustive search.
 
-    The search assigns one image per (object, label of A) variable, in a
-    fixed order, and checks every table entry as soon as the labels it
-    mentions are all assigned, so forcing entries prune immediately.
-    Deterministic output order.  Raises BudgetExceededError with a
-    diagnostic when the search exceeds max_nodes assignments.
+    A's labels are numbered object by object in compile_base order, so
+    variable first[o] + a is label a over object o, and the search
+    assigns their images in that order.  Each defined entry of A's
+    tables is a constraint on the variables of its indices and of its
+    value; it is checked as soon as the largest of them is assigned, so
+    forcing entries prune immediately.  All images of a variable are
+    checked at once against its constraints.  Deterministic output order.
+    Raises BudgetExceededError with a diagnostic when the search tries
+    more than _MAX_SEARCH_NODES images.
     """
     if A.base != B.base or A.K != B.K:
         raise ValueError("operads live over different bases or truncations")
-    base, K = A.base, A.K
-    objs = base.objects(K)  # by size, then profile
-    terminal = base.terminal()
-
     if A.unit is None:
         return []
-
-    variables = [(T, a) for T in objs for a in range(len(A.components[T]))]
-    var_pos = {v: i for i, v in enumerate(variables)}
-    b_sizes = {T: len(B.components[T]) for T in objs}
-    unit_var = (terminal, A.unit_index())
+    C = compile_base(A.base, A.K)
+    n_a = np.array([len(A.components[T]) for T in C.objects], dtype=np.int64)
+    n_b = [len(B.components[T]) for T in C.objects]
+    first = np.cumsum(n_a) - n_a
+    owner = np.repeat(np.arange(len(C.objects)), n_a).tolist()  # each variable's object
+    unit_var = int(first[C.objects.index(A.base.terminal())]) + A.unit_index()
     unit_b = B.unit_index()
 
-    # one constraint per defined table entry, fired at its last variable
-    fired: dict[int, list] = {}
-    for sigma in base_morphisms(base, K):
-        fibers = tuple(base.fiber(sigma, i) for i in range(_target_size(sigma)))
-        tab_a = A.mult[sigma]
-        tab_b = B.mult[sigma]
-        strides = []
-        acc = 1
-        for s in reversed(tab_b.shape):
-            strides.append(acc)
-            acc *= s
-        strides.reverse()
-        flat_b = tab_b.ravel()
-        for b_i in range(tab_a.shape[0]):
-            for a_idx in itertools.product(*map(range, tab_a.shape[1:])):
-                va = int(tab_a[(b_i,) + a_idx])
-                if va == -1:
-                    continue
-                refs = [(sigma.target, b_i)]
-                refs.extend((fibers[i], a_idx[i]) for i in range(len(a_idx)))
-                out_ref = (sigma.source, va)
-                last = max(
-                    max(var_pos[r] for r in refs), var_pos[out_ref]
-                )
-                fired.setdefault(last, []).append(
-                    (tuple(var_pos[r] for r in refs), strides, flat_b, var_pos[out_ref])
-                )
-        del flat_b
+    # fired[pos]: the constraints whose largest variable is pos, one group per table:
+    # B's table read at sum(phi[refs] * strides) must equal phi[out] unless it is a hole
+    fired = [[] for _ in owner]
+    for m, sigma in enumerate(C.morphisms):
+        tab_a, tab_b = A.mult[sigma], B.mult[sigma]
+        values = tab_a.ravel()
+        defined = np.flatnonzero(values >= 0)
+        refs = first[C.axes(m)] + np.stack(np.unravel_index(defined, tab_a.shape), axis=1)
+        out = first[C.source[m]] + values[defined]
+        last = np.maximum(refs.max(axis=1), out)
+        strides = np.cumprod((tab_b.shape + (1,))[:0:-1])[::-1]
+        coef = (strides * (refs == last[:, None])).sum(axis=1)  # the stride of the last variable
+        for pos in np.unique(last).tolist():
+            at = last == pos
+            fired[pos].append((tab_b.ravel(), refs[at], strides, out[at], coef[at]))
 
-    phi = [0] * len(variables)
+    phi = np.zeros(len(owner), dtype=np.int64)
     results: list[OperadMorphism] = []
     nodes = 0
 
-    def entry_ok(entry) -> bool:
-        ref_pos, strides, flat_b, out_pos = entry
-        flat = 0
-        for r, s in zip(ref_pos, strides):
-            flat += phi[r] * s
-        vb = int(flat_b[flat])
-        if vb == -1:
-            return True
-        return phi[out_pos] == vb
+    def allowed(pos: int, images: np.ndarray) -> np.ndarray:
+        """The images of variable pos that meet every constraint fired there,
+        checked at once in blocks of _CHOICE_BLOCK (image, constraint) pairs."""
+        phi[pos] = 0  # the images enter through coef and own
+        for flat_b, refs, strides, out, coef in fired[pos]:
+            if not len(images):
+                break
+            at, want, own = (phi[refs] * strides).sum(axis=1), phi[out], out == pos
+            step = max(1, _CHOICE_BLOCK // len(at))
+            ok = []
+            for lo in range(0, len(images), step):
+                img = images[lo:lo + step, None]
+                vb = flat_b[at + img * coef]
+                ok.append(((vb < 0) | (vb == np.where(own, img, want))).all(axis=1))
+            images = images[np.concatenate(ok)]
+        return images
 
     def walk(pos: int):
         nonlocal nodes
-        if pos == len(variables):
-            comps = []
-            i = 0
-            for T in objs:
-                n_a = len(A.components[T])
-                comps.append((T, tuple(phi[i : i + n_a])))
-                i += n_a
-            results.append(OperadMorphism(A.name, B.name, tuple(comps)))
+        if pos == len(owner):
+            images = phi.tolist()
+            results.append(OperadMorphism(A.name, B.name, tuple(
+                (T, tuple(images[i:i + k])) for T, i, k in zip(C.objects, first.tolist(),
+                                                                 n_a.tolist()))))
             return
-        T, a = variables[pos]
-        if b_sizes[T] == 0:
-            return  # a nonempty component must land somewhere
-        if (T, a) == unit_var:
-            choices = (unit_b,)
-        else:
-            choices = range(b_sizes[T])
-        for img in choices:
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(
-                    f"morphism search exceeded {max_nodes} nodes at {T} "
-                    f"({A.name} -> {B.name})"
-                )
+        # a nonempty component must land somewhere, and the unit on the unit
+        images = np.array([unit_b]) if pos == unit_var else np.arange(n_b[owner[pos]])
+        nodes += len(images)
+        if nodes > _MAX_SEARCH_NODES:
+            raise BudgetExceededError(
+                f"morphism search exceeded {_MAX_SEARCH_NODES} nodes at "
+                f"{C.objects[owner[pos]]} ({A.name} -> {B.name})"
+            )
+        for img in allowed(pos, images).tolist():
             phi[pos] = img
-            if all(entry_ok(e) for e in fired.get(pos, ())):
-                walk(pos + 1)
+            walk(pos + 1)
 
     walk(0)
     return results
 
 
-def enumerate_algebras(A: OperadTable, X, max_nodes: int = 2_000_000):
+def enumerate_algebras(A: OperadTable, X):
     """Algebra structures on X: morphisms A -> des_n(End_X) within truncation."""
     if not isinstance(A.base, OrdBase):
         raise ValueError("enumerate_algebras expects an operad over Ord(n)")
     end = endomorphism_operad(tuple(X), A.K, constant_free=A.base.constant_free)
-    target = desymmetrize(end, A.base.n)
-    return enumerate_operad_morphisms(A, target, max_nodes=max_nodes)
+    return enumerate_operad_morphisms(A, desymmetrize(end, A.base.n))
 
 
 # ---------------------------------------------------------------------------
@@ -1184,24 +1160,27 @@ def _object_from_key(key: str, base):
     return int(data)
 
 
-def operad_to_json(A: OperadTable, max_entries: int = 1 << 20) -> dict:
+_MAX_EXPORT_ENTRIES = 1 << 20  # table entries that operad_to_json writes out
+
+
+def operad_to_json(A: OperadTable) -> dict:
     """Label-level JSON form of the operad (refuses unreasonably large tables)."""
     total = sum(t.size for t in A.mult.values())
-    if total > max_entries:
+    if total > _MAX_EXPORT_ENTRIES:
         raise BudgetExceededError(
-            f"operad has {total} table entries (export budget {max_entries})"
+            f"operad has {total} table entries (export budget {_MAX_EXPORT_ENTRIES})"
         )
+    C = compile_base(A.base, A.K)
     comps = {A.base.key(T): list(labs) for T, labs in A.components.items()}
     mult = []
     for sigma in sorted(A.mult, key=lambda s: (_target_size(s), str(s))):
+        m = C.morphism_id[sigma]
+        b_labs, *a_labs = (A.components[C.objects[o]] for o in C.axes(m))
+        values = A.components[C.objects[C.source[m]]]
         tab = A.mult[sigma]
-        fibers = [A.base.fiber(sigma, i) for i in range(_target_size(sigma))]
-        entries = []
-        for idx in np.ndindex(tab.shape):
-            v = int(tab[idx])
-            b_lab = A.components[sigma.target][idx[0]]
-            a_labs = [A.components[F][i] for F, i in zip(fibers, idx[1:])]
-            entries.append([[b_lab, a_labs], None if v < 0 else A.components[sigma.source][v]])
+        entries = [[[b_labs[idx[0]], [labs[i] for labs, i in zip(a_labs, idx[1:])]],
+                    None if v < 0 else values[v]]
+                   for idx, v in zip(np.ndindex(tab.shape), tab.ravel().tolist())]
         mult.append({"sigma": base_morphism_to_json(sigma), "table": entries})
     return {
         "base": base_to_json(A.base),
@@ -1220,17 +1199,16 @@ def operad_from_json(data: dict) -> OperadTable:
         _object_from_key(key, base): tuple(labs)
         for key, labs in data["components"].items()
     }
-    index = {T: {lab: i for i, lab in enumerate(labs)} for T, labs in components.items()}
-    mult = {}
+    A = OperadTable(base, K, components, data["unit"], {}, data.get("name", ""))
+    C = compile_base(base, K)
     for item in data["mult"]:
         sigma = base_morphism_from_json(item["sigma"], base)
-        fibers = [base.fiber(sigma, i) for i in range(_target_size(sigma))]
-        shape = (len(components[sigma.target]),) + tuple(len(components[F]) for F in fibers)
-        tab = np.full(shape, -1, dtype=np.int32)
+        m = C.morphism_id[sigma]
+        axes = [A._index[C.objects[o]] for o in C.axes(m)]
+        values = A._index[C.objects[C.source[m]]]
+        tab = np.full(tuple(map(len, axes)), -1, dtype=np.int32)
         for (b_lab, a_labs), val in item["table"]:
-            idx = (index[sigma.target][b_lab],) + tuple(
-                index[F][a] for F, a in zip(fibers, a_labs)
-            )
-            tab[idx] = -1 if val is None else index[sigma.source][val]
-        mult[sigma] = tab
-    return OperadTable(base, K, components, data["unit"], mult, data.get("name", ""))
+            idx = tuple(ix[lab] for ix, lab in zip(axes, (b_lab, *a_labs)))
+            tab[idx] = -1 if val is None else values[val]
+        A.mult[sigma] = tab
+    return A

@@ -48,7 +48,6 @@ from .operads import (
     FinSetMorphism,
     OperadTable,
     OrdBase,
-    base_morphisms,
     compile_base,
     desymmetrize,
     endomorphism_operad,
@@ -321,7 +320,6 @@ def symmetrize(
     A: OperadTable,
     K: int | None = None,
     build_operad: bool = True,
-    max_elements: int = 200000,
     shuffle_seed: int | None = None,
 ) -> SymResult:
     """Quotient A's components by the labeled-ordinal arrow relations.
@@ -351,7 +349,7 @@ def symmetrize(
     arities = {}
     lo = 1 if A.base.constant_free else 0
     for k in range(lo, K + 1):
-        arities[k] = _symmetrize_arity(A, C, n, k, max_elements, shuffle_seed)
+        arities[k] = _symmetrize_arity(A, C, n, k, shuffle_seed)
     result = SymResult(n, K, arities)
     if build_operad:
         result.operad, result.welldef_checked = _sym_operad(A, C, result)
@@ -396,17 +394,20 @@ def _elements(arity: SymArity) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(arity.object_count), sizes), _runs(sizes)
 
 
-def _symmetrize_arity(A, C, n, k, max_elements, shuffle_seed):
+_MAX_ELEMENTS = 200_000  # elements, over every labeling, of one arity
+
+
+def _symmetrize_arity(A, C, n, k, shuffle_seed):
     t = _labelings(n, k)
     first = _shape_id(C, k)
     n_perm, n_prof = len(t.perms), len(t.profiles)
     sizes = np.array([len(A.components.get(C.objects[first + p], ())) for p in range(n_prof)],
                      dtype=np.int64)
     total = n_perm * int(sizes.sum())
-    if total > max_elements:
+    if total > _MAX_ELEMENTS:
         raise BudgetExceededError(
             f"symmetrisation at arity {k} has {total} elements "
-            f"(budget {max_elements})"
+            f"(budget {_MAX_ELEMENTS})"
         )
     obj_sizes = np.tile(sizes, n_perm)
     offsets = np.cumsum(obj_sizes) - obj_sizes
@@ -503,9 +504,7 @@ def _fast_singleton_classes(n, k, shuffle_seed):
     return uf.classes()
 
 
-def terminal_class_counts(
-    n: int, kmax: int, max_elements: int = 200000, shuffle_seed: int | None = None
-) -> dict:
+def terminal_class_counts(n: int, kmax: int, shuffle_seed: int | None = None) -> dict:
     """Class counts of the symmetrised one-point operad, arity by arity.
 
     Works directly on labelings (one element per labeling), so no
@@ -521,9 +520,9 @@ def terminal_class_counts(
     counts = {}
     for k in range(kmax + 1):
         total = math.factorial(k) * n ** max(k - 1, 0)
-        if total > max_elements:
+        if total > _MAX_ELEMENTS:
             raise BudgetExceededError(
-                f"arity {k} has {total} labelings (budget {max_elements})"
+                f"arity {k} has {total} labelings (budget {_MAX_ELEMENTS})"
             )
         counts[k] = len(_fast_singleton_classes(n, k, shuffle_seed))
     return counts
@@ -600,10 +599,11 @@ def _sym_operad(A: OperadTable, C: CompiledBase, result: SymResult) -> tuple[Ope
     components = {k: tuple(f"c{j}" for j in range(len(arity.classes)))
                   for k, arity in result.arities.items()}
     members = {k: _zero_pull(A, C, n, k, arity) for k, arity in result.arities.items()}
+    C_F = compile_base(base, result.K)
     mult = {}
     checked = 0
-    for f in base_morphisms(base, result.K):
-        arities = [f.target] + [f.map.count(i) for i in range(f.target)]
+    for m, f in enumerate(C_F.morphisms):
+        arities = [C_F.objects[o] for o in C_F.axes(m)]  # an object of FinSet is its size
         shape = tuple(len(components[j]) for j in arities)
         counts = [result.arities[j].element_count for j in arities]
         tab = np.full(shape, -1, dtype=np.int32)
@@ -710,9 +710,7 @@ def _transfer(A: OperadTable, result: SymResult, B: OperadTable, g) -> tuple:
                  for T, classes in unit_insertion(A, result).items())
 
 
-def check_adjunction(
-    A: OperadTable, B: OperadTable, max_nodes: int = 2_000_000
-) -> AdjunctionReport:
+def check_adjunction(A: OperadTable, B: OperadTable) -> AdjunctionReport:
     """Count morphisms on both sides of sym -| des and verify the bijection.
 
     Every morphism sym(A) -> B transfers along the unit insertion to a
@@ -723,8 +721,8 @@ def check_adjunction(
         raise ValueError("expected A over Ord(n) and B over FinSet")
     n = A.base.n
     result = symmetrize(A, A.K)
-    sym_homs = enumerate_operad_morphisms(result.operad, B, max_nodes=max_nodes)
-    des_homs = enumerate_operad_morphisms(A, desymmetrize(B, n), max_nodes=max_nodes)
+    sym_homs = enumerate_operad_morphisms(result.operad, B)
+    des_homs = enumerate_operad_morphisms(A, desymmetrize(B, n))
     transferred = [_transfer(A, result, B, g) for g in sym_homs]
     des_set = {phi.components for phi in des_homs}
     bijection = (
@@ -734,9 +732,7 @@ def check_adjunction(
     return AdjunctionReport(len(sym_homs), len(des_homs), bijection)
 
 
-def algebra_equivalence(
-    A: OperadTable, X, max_nodes: int = 2_000_000
-) -> AdjunctionReport:
+def algebra_equivalence(A: OperadTable, X) -> AdjunctionReport:
     """Compare algebra structures on X before and after symmetrisation.
 
     An algebra on X is a morphism into the endomorphism operad of X, so
@@ -744,4 +740,4 @@ def algebra_equivalence(
     counts the algebras of A, sym_hom_count those of sym(A).
     """
     end = endomorphism_operad(tuple(X), A.K, constant_free=A.base.constant_free)
-    return check_adjunction(A, end, max_nodes=max_nodes)
+    return check_adjunction(A, end)

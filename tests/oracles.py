@@ -221,6 +221,81 @@ def pointwise_associativity(A):
     return failing, skipped, instances
 
 
+def is_operad_morphism_by_entries(A, B, phi) -> bool:
+    """operads.is_operad_morphism, one table entry at a time.
+
+    The fibers of each morphism come from the base itself, and each
+    defined entry of A is compared with B's entry at the images of its
+    labels unless B's is a hole.
+    """
+    if A.base != B.base or A.K != B.K:
+        return False
+    maps = dict(phi.components)
+    terminal = A.base.terminal()
+    if maps[terminal][A.unit_index()] != B.unit_index():
+        return False
+    for sigma in A.mult:
+        fibers = [A.base.fiber(sigma, i) for i in range(A.base.size(sigma.target))]
+        tab_a, tab_b = A.mult[sigma], B.mult[sigma]
+        phi_t, phi_s = maps[sigma.target], maps[sigma.source]
+        phi_f = [maps[F] for F in fibers]
+        for b in range(tab_a.shape[0]):
+            for a in itertools.product(*map(range, tab_a.shape[1:])):
+                va = int(tab_a[(b,) + a])
+                if va == -1:
+                    continue
+                vb = int(tab_b[(phi_t[b],) + tuple(phi_f[i][a[i]] for i in range(len(a)))])
+                if vb != -1 and phi_s[va] != vb:
+                    return False
+    return True
+
+
+def unit_diagrams_by_entries(A):
+    """The violations, instances and skipped holes of the two unit
+    diagrams, one entry at a time: m_id(a; units) = a over each object T,
+    then m(unit; a) = a along each morphism T -> terminal."""
+    base, u = A.base, A.unit_index()
+    terminal = base.terminal()
+    violations, instances, holes = [], 0, 0
+    for T in base.objects(A.K):
+        labs = A.components[T]
+        checks = [(base.identity(T), f"id_{T}: m(a; units)", lambda a: (a,) + (u,) * base.size(T))]
+        checks += [(bang, f"{T} -> terminal: m(unit; a)", lambda a: (u, a))
+                   for bang in base.morphisms(T, terminal)]
+        for sigma, where, entry in checks:
+            for a in range(len(labs)):
+                got = int(A.mult[sigma][entry(a)])
+                instances += 1
+                if got == -1:
+                    holes += 1
+                elif got != a:
+                    violations.append(f"unit diagram fails at {where} = {labs[got]} for a = {labs[a]}")
+    return violations, instances, holes
+
+
+def operad_morphisms_by_brute_force(A, B) -> list:
+    """Every label map A -> B that sends the unit to the unit, in
+    lexicographic order of the images (objects in the base's order, then
+    labels), kept when is_operad_morphism_by_entries accepts it."""
+    from higherop.operads import OperadMorphism
+
+    if A.unit is None:
+        return []
+    objs = A.base.objects(A.K)
+    unit = (A.base.terminal(), A.unit_index())
+    slots = [(T, a) for T in objs for a in range(len(A.components[T]))]
+    choices = [(B.unit_index(),) if slot == unit else range(len(B.components[slot[0]]))
+               for slot in slots]
+    out = []
+    for images in itertools.product(*choices):
+        it = iter(images)
+        phi = OperadMorphism(A.name, B.name, tuple(
+            (T, tuple(next(it) for _ in A.components[T])) for T in objs))
+        if is_operad_morphism_by_entries(A, B, phi):
+            out.append(phi)
+    return out
+
+
 def all_arrows_classes(A, k: int):
     """Symmetrisation classes of A at arity k, merged along every arrow.
 

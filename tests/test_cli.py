@@ -177,6 +177,35 @@ def test_monad_laws_defaults_are_refused_before_a_tree_is_built(capsys, monkeypa
     assert len(err) == 1 and err[0].startswith("error: ") and "trees" in err[0]
 
 
+def test_deep_monad_laws_are_refused_before_an_insertion(capsys, monkeypatch):
+    from higherop import freeop
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a tree was inserted")
+
+    monkeypatch.setattr(freeop, "insert", boom)
+    # 7,749 trees pass the tree budget; their 15.7M law instances do not
+    assert main(["verify", "monad-laws", "--n", "1", "--vmax", "12", "--kmax", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "instances" in err[0]
+
+
+def test_tree_count_builds_no_tree(capsys, monkeypatch):
+    from higherop import freeop
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(freeop, "enumerate_trees", boom)
+    monkeypatch.setattr(freeop, "TreeTerm", boom)
+    argv = ["trees", "--n", "2", "--profile", "0,0,0,0", "--vmax", "4", "--kmax", "5"]
+    code, rep = run_json(capsys, argv + ["--count-only"])
+    assert code == 0 and rep["data"]["count"] == 182_691 and "trees" not in rep["data"]
+    assert main(argv) == 2  # listing them is refused past the tree budget
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "182691 trees" in err[0]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["classifier", "--n", "2", "--k", "7"]) == 2
 

@@ -72,10 +72,13 @@ def test_eval_polynomial_empty_and_nullary():
     assert eval_polynomial(P2, {}, ["i"]) == {"i": [("b", ())]}
 
 
-def test_eval_polynomial_budget():
+def test_eval_polynomial_budget(monkeypatch):
+    from higherop import freeop
+
+    monkeypatch.setattr(freeop, "_MAX_OPERATIONS", 10)
     P = PolynomialData(lambda i: itertools.count(), lambda b: [], lambda e: None)
     with pytest.raises(BudgetExceededError):
-        eval_polynomial(P, {}, ["i"], max_operations=10)
+        eval_polynomial(P, {}, ["i"])
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,30 @@ def test_tree_counts_match_the_enumeration(n, regular):
             for T in enumerate_ordinals(n, k):
                 want = len(enumerate_trees(T, vmax, kmax, regular, base))
                 assert count_trees(T, vmax, kmax, regular, base) == want, (T, vmax, kmax)
+
+
+def _law_instance_count(n, vmax, kmax, regular):
+    from higherop import freeop
+
+    base = OrdBase(n)
+    trees = {T: enumerate_trees(T, vmax, kmax, regular, base)
+             for k in range(kmax + 1) for T in enumerate_ordinals(n, k)}
+    return freeop._law_instances(trees, vmax, kmax, regular, base)
+
+
+@pytest.mark.parametrize("regular", [True, False])
+@pytest.mark.parametrize("n, vmax, kmax", [(1, 3, 3), (2, 2, 2), (1, 2, 2)])
+def test_law_instance_count_matches_the_checker(n, vmax, kmax, regular):
+    rep = check_monad_laws(n, vmax, kmax, regular)
+    assert _law_instance_count(n, vmax, kmax, regular) == rep.unit_instances + rep.assoc_instances
+
+
+def test_law_instance_count_matches_recorded_checker_counts():
+    # unit + associativity and commutation instances that check_monad_laws
+    # reported at these bounds, where it takes 4 s, 14 s and 132 s
+    assert _law_instance_count(2, 3, 3, True) == 2_244 + 25_519
+    assert _law_instance_count(2, 3, 3, False) == 6_177 + 63_948
+    assert _law_instance_count(2, 3, 4, True) == 33_674 + 693_235
 
 
 def test_monad_laws_pass():

@@ -43,7 +43,19 @@ from higherop.operads import (
 )
 from higherop.ordinals import ordinal, terminal_ordinal
 
-from oracles import composable_pairs_loop, count_monoids, pointwise_associativity
+from hypothesis import given, settings, strategies as st
+
+from higherop.symmetrize import symmetrize
+
+from oracles import (
+    all_arrows_classes,
+    composable_pairs_loop,
+    count_monoids,
+    is_operad_morphism_by_entries,
+    operad_morphisms_by_brute_force,
+    pointwise_associativity,
+    unit_diagrams_by_entries,
+)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +223,27 @@ def _corrupted(A, sigma, flat, new_value):
     tab.flat[flat] = new_value
     mult[sigma] = tab
     return OperadTable(A.base, A.K, A.components, A.unit, mult, A.name + "+corrupt")
+
+
+def test_unit_diagrams_match_the_entry_loop():
+    # several wrong values and holes per column, on the identities and the
+    # maps to the terminal object, against the loop over single entries
+    rng = random.Random(7)
+    for A in (desymmetrize(endomorphism_operad((0, 1), 2), 2), make_ass(FinBase(), 3)):
+        u = A.unit_index()
+        for _ in range(20):
+            mult = dict(A.mult)
+            for _ in range(4):
+                T = rng.choice(list(A.components))
+                labs = len(A.components[T])
+                sigma, entry = rng.choice(
+                    [(A.base.identity(T), lambda a: (a,) + (u,) * A.base.size(T))]
+                    + [(bang, lambda a: (u, a)) for bang in A.base.morphisms(T, A.base.terminal())])
+                tab = mult[sigma] = mult[sigma].copy()
+                tab[entry(rng.randrange(labs))] = rng.randrange(-1, labs)
+            B = OperadTable(A.base, A.K, A.components, A.unit, mult, A.name)
+            rep = check_operad_axioms(B, units_only=True)
+            assert (rep.violations, rep.unit_instances, rep.skipped_holes) == unit_diagrams_by_entries(B)
 
 
 def test_corrupted_unit_entry_is_reported():
@@ -581,13 +614,14 @@ def test_budget_error_skips_the_queued_groups(monkeypatch):
         return check_group(*args)
 
     monkeypatch.setattr(operads, "_check_group", counting)
+    monkeypatch.setattr(operads, "_MAX_PAIR_CELLS", 0)
     messages = set()
     for workers in (1, 2, 3):
         monkeypatch.setattr(operads, "_worker_count", lambda: workers)
         calls.clear()
         # every group needs at least one cell, so every group raises
         with pytest.raises(BudgetExceededError) as err:
-            check_operad_axioms(A, max_pair_cells=0)
+            check_operad_axioms(A)
         messages.add(str(err.value))
         assert 1 <= len(calls) <= workers
     assert len(messages) == 1
@@ -633,8 +667,8 @@ def test_algebra_with_missing_unit_has_no_morphisms(des1_end):
     assert enumerate_operad_morphisms(broken, des1_end) == []
 
 
-def test_empty_source_component_imposes_nothing(des1_end):
-    # a collection-like operad with an empty binary component still maps in
+def _empty_binary_component():
+    """Ass over Ord(1) at K=2 with its binary component emptied, and des_1(End_2)."""
     base = OrdBase(1)
     A = make_ass(base, 2)
     comps = dict(A.components)
@@ -647,18 +681,22 @@ def test_empty_source_component_imposes_nothing(des1_end):
             + [base.fiber(sigma, i) for i in range(sigma.target.size)]
         )
         mult[sigma] = np.zeros(shape, dtype=np.int32)
-    A2 = OperadTable(base, 2, comps, "*", mult)
-    end = endomorphism_operad((0, 1), 2)
-    B = desymmetrize(end, 1)
+    return OperadTable(base, 2, comps, "*", mult), desymmetrize(endomorphism_operad((0, 1), 2), 1)
+
+
+def test_empty_source_component_imposes_nothing(des1_end):
+    # a collection-like operad with an empty binary component still maps in
+    A2, B = _empty_binary_component()
     homs = enumerate_operad_morphisms(A2, B)
     # unit forced, nullary free: |End(0)| = 2 choices and no other constraint
     assert len(homs) == 2
 
 
-def test_morphism_search_budget(des1_end):
+def test_morphism_search_budget(des1_end, monkeypatch):
+    monkeypatch.setattr(operads, "_MAX_SEARCH_NODES", 3)
     A = make_ass(OrdBase(1), 3)
     with pytest.raises(BudgetExceededError):
-        enumerate_operad_morphisms(A, des1_end, max_nodes=3)
+        enumerate_operad_morphisms(A, des1_end)
 
 
 def test_enumeration_is_deterministic(des1_end):
@@ -698,6 +736,119 @@ def test_algebra_morphism_composition(des1_end):
         assert is_operad_morphism(A, des1_end, compose_operad_morphisms(tau, phi))
 
 
+_SEARCH_CASES = {
+    "Ass over Ord(1) -> des_1(End_2), K=2": lambda: (
+        make_ass(OrdBase(1), 2), desymmetrize(endomorphism_operad((0, 1), 2), 1)),
+    "Ass over Ord(1) -> des_1(End_2), K=3": lambda: (  # 8,192 unit-respecting label maps
+        make_ass(OrdBase(1), 3), desymmetrize(endomorphism_operad((0, 1), 3), 1)),
+    "sym(Ass over Ord(2)) -> End_2, K=3": lambda: (
+        symmetrize(make_ass(OrdBase(2), 3)).operad, endomorphism_operad((0, 1), 3)),
+    "an empty binary component -> des_1(End_2), K=2": _empty_binary_component,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
+def test_morphism_search_matches_brute_force(name):
+    A, B = _SEARCH_CASES[name]()
+    homs = enumerate_operad_morphisms(A, B)
+    assert homs == operad_morphisms_by_brute_force(A, B)
+    assert all(is_operad_morphism(A, B, phi) for phi in homs)
+
+
+def _relabeled(A, rng):
+    """A copy of A with each component's labels permuted, its tables
+    conjugated to match, and the permutations (old index -> new index)."""
+    base = A.base
+    perm = {T: np.array(rng.sample(range(len(labs)), len(labs)), dtype=np.int64)
+            for T, labs in A.components.items()}
+    components = {}
+    for T, labs in A.components.items():
+        new = [None] * len(labs)
+        for old, p in enumerate(perm[T].tolist()):
+            new[p] = labs[old]
+        components[T] = tuple(new)
+    mult = {}
+    for sigma, tab in A.mult.items():
+        axes = [sigma.target] + [base.fiber(sigma, i) for i in range(base.size(sigma.target))]
+        values = np.full(tab.shape, -1, dtype=tab.dtype)
+        defined = tab >= 0
+        values[defined] = perm[sigma.source][tab[defined]]
+        out = np.full(tab.shape, -1, dtype=tab.dtype)
+        out[np.ix_(*(perm[T] for T in axes))] = values
+        mult[sigma] = out
+    return OperadTable(base, A.K, components, A.unit, mult, A.name), perm
+
+
+def _conjugate(phi, perm_a, perm_b):
+    """The components of phi read through relabeled source and target."""
+    out = []
+    for T, images in phi.components:
+        new = [None] * len(images)
+        for a, img in enumerate(images):
+            new[int(perm_a[T][a])] = int(perm_b[T][img])
+        out.append((T, tuple(new)))
+    return tuple(out)
+
+
+_RELABEL_CASES = {
+    "sym(Ass over Ord(1)) -> End_2, K=3": lambda: (
+        symmetrize(make_ass(OrdBase(1), 3)).operad, endomorphism_operad((0, 1), 3)),
+    "Ass over Ord(2) -> des_2(End_2), K=3": lambda: (
+        make_ass(OrdBase(2), 3), desymmetrize(endomorphism_operad((0, 1), 3), 2)),
+    "an empty binary component -> des_1(End_2), K=2": _empty_binary_component,
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(sorted(_RELABEL_CASES)), n=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_relabeled_operads(name, n, seed):
+    # the morphisms of relabeled operads, the morphism check and the
+    # symmetrisation, each on tables whose labels no longer follow a pattern
+    rng = random.Random(seed)
+    A, B = _RELABEL_CASES[name]()
+    A2, perm_a = _relabeled(A, rng)
+    B2, perm_b = _relabeled(B, rng)
+    homs = enumerate_operad_morphisms(A2, B2)
+    assert {phi.components for phi in homs} == {
+        _conjugate(phi, perm_a, perm_b) for phi in enumerate_operad_morphisms(A, B)}
+    # the check against the entry-by-entry oracle: every morphism, each with
+    # one label moved, and label maps drawn at random (unit kept)
+    unit = (A2.base.terminal(), A2.unit_index())
+    maps = []
+    for phi in homs:
+        comps = [list(images) for _, images in phi.components]
+        slots = [(i, a) for i, (T, images) in enumerate(phi.components)
+                 for a in range(len(images)) if (T, a) != unit and len(B2.components[T]) > 1]
+        if slots:
+            i, a = rng.choice(slots)
+            T = phi.components[i][0]
+            comps[i][a] = rng.choice([v for v in range(len(B2.components[T])) if v != comps[i][a]])
+        maps.append(comps)
+    for _ in range(10):
+        maps.append([[B2.unit_index() if (T, a) == unit else rng.randrange(len(B2.components[T]))
+                      for a in range(len(labs))] for T, labs in A2.components.items()])
+    # and again with holes punched into both operads' tables
+    holed = []
+    for X in (A2, B2):
+        mult = {sigma: tab.copy() for sigma, tab in X.mult.items()}
+        for tab in mult.values():
+            if tab.size:
+                tab.flat[rng.randrange(tab.size)] = -1
+        holed.append(OperadTable(X.base, X.K, X.components, X.unit, mult, X.name))
+    for comps in maps:
+        phi = OperadMorphism(A2.name, B2.name, tuple(
+            (T, tuple(images)) for T, images in zip(A2.components, comps)))
+        for X, Y in ((A2, B2), (A2, holed[1]), tuple(holed)):
+            assert is_operad_morphism(X, Y, phi) == is_operad_morphism_by_entries(X, Y, phi)
+    # the quotient over generating arrows against the one over every arrow,
+    # on End_2 pulled back to Ord(n) with each object's labels permuted apart
+    D, _ = _relabeled(desymmetrize(endomorphism_operad((0, 1), 3), n), rng)
+    assert check_operad_axioms(D, units_only=True).ok  # the full check of des_2 takes minutes
+    for k, arity in symmetrize(D, build_operad=False).arities.items():
+        assert arity.classes == all_arrows_classes(D, k), k
+
+
 # ---------------------------------------------------------------------------
 # constant-free bases
 
@@ -733,9 +884,10 @@ def test_operad_json_round_trip():
     assert tables_equal(end, back)
 
 
-def test_operad_json_budget(des1_end):
+def test_operad_json_budget(des1_end, monkeypatch):
+    monkeypatch.setattr(operads, "_MAX_EXPORT_ENTRIES", 10)
     with pytest.raises(BudgetExceededError):
-        operad_to_json(des1_end, max_entries=10)
+        operad_to_json(des1_end)
 
 
 def test_value_lookup(des1_end):

@@ -392,9 +392,12 @@ def test_single_labeling_at_arity_one():
     assert len(r.arities[1].classes) == len(A.components[NOrdinal(2, (), 1)])
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    import higherop.symmetrize as symm
+
+    monkeypatch.setattr(symm, "_MAX_ELEMENTS", 5)
     with pytest.raises(BudgetExceededError):
-        symmetrize(make_ass(OrdBase(2), 3), 3, build_operad=False, max_elements=5)
+        symmetrize(make_ass(OrdBase(2), 3), 3, build_operad=False)
 
 
 # ---------------------------------------------------------------------------
