@@ -302,6 +302,8 @@ def verify_monad_laws(n: int, vmax: int, kmax: int) -> Report:
             "kmax": kmax,
             "summary": rep.summary(),
             "violations": rep.violations[:10],
+            "distinct_insertions": rep.distinct_insertions,
+            "interned_trees": rep.interned_trees,
         },
         {},
     )

@@ -194,14 +194,16 @@ def enumerate_trees(
         base = OrdBase(T.n)
     if vmax < 0 or kmax < 0:
         raise ValueError("bounds must be nonnegative")
-    return list(_enum_trees(T, vmax, kmax, regular, base))
+    return list(_enum_trees(T, vmax, kmax, regular, base)[0])
 
 
 @functools.lru_cache(maxsize=None)
 def _enum_trees(T, budget: int, kmax: int, regular: bool, base) -> tuple:
-    out = []
+    """The terms over T in enumerate_trees's order, and their vertex counts."""
+    trees, sizes = [], []
     if T == base.terminal():
-        out.append(trivial(base))
+        trees.append(trivial(base))
+        sizes.append(0)
     if budget >= 1:
         for k in range(kmax + 1):
             for S in _objects_of_size(base, k):
@@ -210,10 +212,13 @@ def _enum_trees(T, budget: int, kmax: int, regular: bool, base) -> tuple:
                         continue
                     child_lists = [_enum_trees(base.fiber(sigma, i), budget - 1, kmax, regular, base)
                                    for i in range(k)]
-                    for combo in itertools.product(*child_lists):
-                        if 1 + sum(vertex_count(c) for c in combo) <= budget:
-                            out.append(TreeTerm(sigma, combo))
-    return tuple(out)
+                    for combo, counts in zip(itertools.product(*(ts for ts, _ in child_lists)),
+                                             itertools.product(*(cs for _, cs in child_lists))):
+                        v = 1 + sum(counts)
+                        if v <= budget:
+                            trees.append(TreeTerm(sigma, combo))
+                            sizes.append(v)
+    return tuple(trees), tuple(sizes)
 
 
 def count_trees(T, vmax: int, kmax: int, regular: bool = True, base=None) -> int:
@@ -445,6 +450,8 @@ class LawReport:
     violations: list
     unit_instances: int = 0
     assoc_instances: int = 0
+    distinct_insertions: int = 0  # insertions computed, one per (x, address, y)
+    interned_trees: int = 0  # distinct undecorated terms seen, inputs and results
 
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.violations)} violations)"
@@ -454,34 +461,110 @@ class LawReport:
         )
 
 
-def _tag_vertices(tree: TreeTerm, prefix: str, counter) -> TreeTerm:
+def _redecorate(tree: TreeTerm, decorations) -> TreeTerm:
+    """tree with its vertices decorated from the iterator, in preorder."""
     if tree.is_trivial:
         return tree
-    tag = f"{prefix}{next(counter)}"
-    return TreeTerm(
-        tree.sigma,
-        tuple(_tag_vertices(c, prefix, counter) for c in tree.children),
-        tag,
-    )
+    dec = next(decorations)
+    return TreeTerm(tree.sigma, tuple(_redecorate(c, decorations) for c in tree.children), dec)
 
 
-def _decoration_at(tree: TreeTerm, address):
-    """The decoration of the vertex at address, or None if there is none."""
-    try:
-        return subtree_at(tree, address).decoration
-    except ValueError:
-        return None
+def _tags(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+class _TreeStore:
+    """Interned undecorated terms and memoised insertion, for one law check.
+
+    A term's id is keyed by its node morphism and its children's ids, so two
+    terms are equal exactly when their ids are.  Per id the store keeps the
+    term, its vertex count and its preorder vertex list (address, object).
+    """
+
+    def __init__(self, base, insert_impl):
+        self.base = base
+        self.insert_impl = insert_impl
+        self.ids: dict = {}
+        self.terms: list[TreeTerm] = []
+        self.sizes: list[int] = []
+        self.vertices: list[tuple] = []
+        self.memo: dict = {}
+        self._tagged: dict = {}
+        self._landings: dict = {}  # one copy of each landing tuple; there are few
+
+    def intern(self, tree: TreeTerm) -> int:
+        return self._intern(tree, [])
+
+    def _intern(self, tree: TreeTerm, decorations: list) -> int:
+        """The id of tree without its decorations, which are appended in preorder."""
+        if tree.is_trivial:
+            key = (tree.trivial_target,)
+        else:
+            decorations.append(tree.decoration)
+            key = (tree.sigma, tuple(self._intern(c, decorations) for c in tree.children))
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.terms)
+            if tree.is_trivial:
+                self.terms.append(tree)
+                self.sizes.append(0)
+                self.vertices.append(())
+            else:
+                kids = key[1]
+                self.terms.append(TreeTerm(tree.sigma, tuple(self.terms[c] for c in kids)))
+                self.sizes.append(1 + sum(self.sizes[c] for c in kids))
+                self.vertices.append((((), tree.sigma.target),) + tuple(
+                    ((j,) + a, obj) for j, c in enumerate(kids) for a, obj in self.vertices[c]
+                ))
+        return i
+
+    def tagged(self, i: int, prefix: str) -> TreeTerm:
+        """Term i with its vertices decorated prefix0, prefix1, ... in preorder."""
+        key = (i, prefix)
+        tree = self._tagged.get(key)
+        if tree is None:
+            tree = self._tagged[key] = _redecorate(self.terms[i], iter(_tags(prefix, self.sizes[i])))
+        return tree
+
+    def insert(self, x: int, address: tuple, y: int) -> tuple:
+        """(result id, x's landings, y's landings) of inserting y at x's vertex
+        at address.
+
+        The insertion runs once per key, on copies of x and y tagged by
+        preorder index.  A landing is the preorder position in the result
+        that carries the vertex's tag, or None: the replaced vertex of x,
+        or a vertex that the insertion lost.
+        """
+        key = (x, address, y)
+        hit = self.memo.get(key)
+        if hit is None:
+            result = self.insert_impl(self.tagged(x, "x"), address, self.tagged(y, "y"), self.base)
+            decorations = []
+            r = self._intern(result, decorations)
+            position = {dec: p for p, dec in enumerate(decorations)}
+            hit = self.memo[key] = (r, self._lands(position, "x", x), self._lands(position, "y", y))
+        return hit
+
+    def _lands(self, position: dict, prefix: str, i: int) -> tuple:
+        lands = tuple(position.get(tag) for tag in _tags(prefix, self.sizes[i]))
+        return self._landings.setdefault(lands, lands)
+
+
+def _through(landing: tuple, positions: tuple) -> tuple:
+    """Where the vertices at these positions land, None staying None."""
+    return tuple(None if p is None else landing[p] for p in positions)
 
 
 # trees that check_monad_laws enumerates at most; n=2, vmax=3, kmax=4 has 8,853
 _MAX_TREES = 10_000
-# law instances that check_monad_laws checks at most.  It checks about 5,500 a
-# second (n=2, vmax=3, kmax=4: 726,909 in 132 s), and deeper trees cost more each,
+# law instances that check_monad_laws checks at most.  It checks about 50,000 a
+# second (n=2, vmax=3, kmax=4: 726,909 in 13-14 s), and deeper trees cost more each,
 # so this admits that input and refuses n=1, vmax=12, kmax=3 (15.7M instances).
 _MAX_LAW_INSTANCES = 1_000_000
 
 
-def _law_instances(trees_by_target: dict, vmax: int, kmax: int, regular: bool, base) -> int:
+def _law_instances(store: _TreeStore, ids_by_target: dict, vmax: int, kmax: int,
+                   regular: bool, base) -> int:
     """The unit, associativity and commutation instances that
     check_monad_laws visits, counted without an insertion.
 
@@ -489,16 +572,16 @@ def _law_instances(trees_by_target: dict, vmax: int, kmax: int, regular: bool, b
     corolla, and its vertices v and pairs of independent vertices (v, w)
     contribute the inserted trees that fit the vertex bound, counted
     from the trees per (object, vertex count).  The objects go in the
-    order of trees_by_target, and the count stops once it passes
+    order of ids_by_target, and the count stops once it passes
     _MAX_LAW_INSTANCES.
     """
-    counts = {S: _tree_counts(S, vmax, kmax, regular, base) for S in trees_by_target}
+    counts = {S: _tree_counts(S, vmax, kmax, regular, base) for S in ids_by_target}
     upto = {S: list(itertools.accumulate(c)) for S, c in counts.items()}
 
     def fits(S, c: int) -> int:  # the trees over S with at most c vertices
         return upto[S][min(c, vmax)] if c >= 0 else 0
 
-    vertex_lists = {S: [vertices(t) for t in ts] for S, ts in trees_by_target.items()}
+    vertex_lists = {S: [store.vertices[i] for i in ids] for S, ids in ids_by_target.items()}
     # nested[S][c]: the (y, w, z) of the associativity law under a vertex over S,
     # when y may have c vertices: y over S, w a vertex of y, z over the object of w
     nested = {S: [0] * (vmax + 1) for S in vertex_lists}
@@ -537,18 +620,18 @@ def check_monad_laws(
     vertex bound (so all instances that land in the enumerated world):
     inserting y at v and then z at a vertex w coming from y agrees with
     inserting insert(y, w, z) at v directly.  Insertion keeps the
-    inserted tree's shape, so y's vertex w must be found, by its unique
-    decoration, at address v + w of the result.  Independent vertices are
-    also checked to commute.  An alternative insert_impl can be passed in to
-    prove the checker catches broken implementations.  The trees are
-    counted first, and BudgetExceededError is raised before any is built
-    when there are more than _MAX_TREES; the instances are counted next,
-    and refused past _MAX_LAW_INSTANCES before any insertion.
+    inserted tree's shape, so y's vertex w must land at address v + w of
+    the result.  Independent vertices are also checked to commute.  Two
+    sides agree when they are the same tree and every vertex of x, y and z
+    lands at the same position on both.  The trees are interned, and each
+    distinct insertion runs once, through insert_impl (by default this
+    module's insert), which can be swapped to prove the checker catches
+    broken implementations.  The trees are counted first, and
+    BudgetExceededError is raised before any is built when there are more
+    than _MAX_TREES; the instances are counted next, and refused past
+    _MAX_LAW_INSTANCES before any insertion.
     """
     base = OrdBase(n)
-    ins = insert_impl if insert_impl is not None else insert
-    rep = LawReport(ok=True, violations=[])
-
     all_objects, count = [], 0
     for k in range(kmax + 1):  # smallest first, so the largest are not counted past the budget
         for T in _objects_of_size(base, k):
@@ -559,95 +642,106 @@ def check_monad_laws(
                     f"{count} trees (budget {_MAX_TREES})"
                 )
             all_objects.append(T)
-    trees_by_target = {
-        T: enumerate_trees(T, vmax, kmax, regular, base) for T in all_objects
+    store = _TreeStore(base, insert_impl if insert_impl is not None else insert)
+    ids_by_target = {
+        T: [store.intern(t) for t in enumerate_trees(T, vmax, kmax, regular, base)]
+        for T in all_objects
     }
-    count = _law_instances(trees_by_target, vmax, kmax, regular, base)
+    count = _law_instances(store, ids_by_target, vmax, kmax, regular, base)
     if count > _MAX_LAW_INSTANCES:
         raise BudgetExceededError(
             f"the monad laws at n={n}, vmax={vmax}, kmax={kmax} have at least {count} "
             f"instances (budget {_MAX_LAW_INSTANCES})"
         )
+    rep = LawReport(ok=True, violations=[])
+    _check_laws(rep, store, ids_by_target, vmax)
+    rep.ok = not rep.violations
+    rep.distinct_insertions = len(store.memo)
+    rep.interned_trees = len(store.terms)
+    return rep
 
-    for T in all_objects:
-        for x in trees_by_target[T]:
-            for addr, S_v in vertices(x):
+
+def _check_laws(rep: LawReport, store: _TreeStore, ids_by_target: dict, vmax: int) -> None:
+    """The instances of check_monad_laws, in order; stops after the unit laws
+    if one fails, and once ten violations are recorded."""
+    sizes, verts, ins = store.sizes, store.vertices, store.insert
+
+    def label(i: int, prefix: str | None = None) -> str:
+        return tree_label(store.terms[i] if prefix is None else store.tagged(i, prefix))
+
+    corollas = {S: store.intern(corolla(store.base, S)) for S in ids_by_target}
+    # per id interned so far, its vertices with the ids of the trees over their objects
+    slots = [tuple((v, ids_by_target.get(S, ())) for v, S in vs) for vs in verts]
+    for T, ids in ids_by_target.items():
+        for x in ids:
+            for v, S_v in verts[x]:
                 rep.unit_instances += 1
-                if ins(x, addr, corolla(base, S_v), base) != x:
+                if ins(x, v, corollas[S_v])[0] != x:
                     rep.violations.append(
-                        f"unit fails: replacing vertex {addr} of {tree_label(x)} "
+                        f"unit fails: replacing vertex {v} of {label(x)} "
                         "by its corolla changed the tree"
                     )
-        for t in trees_by_target[T]:
+        for t in ids:
             rep.unit_instances += 1
-            if ins(corolla(base, T), (), t, base) != t:
-                rep.violations.append(
-                    f"unit fails: inserting {tree_label(t)} into the corolla over {T}"
-                )
+            if ins(corollas[T], (), t)[0] != t:
+                rep.violations.append(f"unit fails: inserting {label(t)} into the corolla over {T}")
     if rep.violations:
-        rep.ok = False
-        return rep
+        return
 
-    for T in all_objects:
-        for x_raw in trees_by_target[T]:
-            nx = vertex_count(x_raw)
-            x = _tag_vertices(x_raw, "x", itertools.count())
-            for v_addr, S_v in vertices(x):
-                for y_raw in trees_by_target.get(S_v, ()):
-                    ny = vertex_count(y_raw)
+    for ids in ids_by_target.values():
+        for x in ids:
+            nx, xs = sizes[x], slots[x]
+            for v, ys in xs:
+                for y in ys:
+                    ny = sizes[y]
                     if nx + ny - 1 > vmax:
                         continue
-                    y = _tag_vertices(y_raw, "y", itertools.count())
-                    xy = ins(x, v_addr, y, base)
-                    for w_addr, S_w in vertices(y):
-                        w_tag = subtree_at(y, w_addr).decoration
-                        w_in_xy = v_addr + w_addr
-                        if _decoration_at(xy, w_in_xy) != w_tag:
-                            rep.violations.append(
-                                f"vertex {w_tag} vanished when inserting at {v_addr}"
-                            )
+                    xy, xl, yl = ins(x, v, y)
+                    for j, (w, zs) in enumerate(slots[y]):
+                        vw = v + w
+                        if yl[j] is None or verts[xy][yl[j]][0] != vw:
+                            rep.violations.append(f"vertex y{j} vanished when inserting at {v}")
                             continue
-                        for z_raw in trees_by_target.get(S_w, ()):
-                            if nx + ny + vertex_count(z_raw) - 2 > vmax:
+                        for z in zs:
+                            if nx + ny + sizes[z] - 2 > vmax:
                                 continue
-                            z = _tag_vertices(z_raw, "z", itertools.count())
                             rep.assoc_instances += 1
-                            lhs = ins(x, v_addr, ins(y, w_addr, z, base), base)
-                            rhs = ins(xy, w_in_xy, z, base)
-                            if lhs != rhs:
+                            yz, yl1, zl1 = ins(y, w, z)
+                            lhs, xl2, yzl2 = ins(x, v, yz)
+                            rhs, xyl3, zl3 = ins(xy, vw, z)
+                            if (lhs != rhs or xl2 != _through(xyl3, xl)
+                                    or _through(yzl2, yl1) != _through(xyl3, yl)
+                                    or _through(yzl2, zl1) != zl3):
                                 rep.violations.append(
                                     "associativity fails: "
-                                    f"x={tree_label(x)} v={v_addr} "
-                                    f"y={tree_label(y)} w={w_addr} z={tree_label(z)}"
+                                    f"x={label(x, 'x')} v={v} "
+                                    f"y={label(y, 'y')} w={w} z={label(z, 'z')}"
                                 )
                             if len(rep.violations) >= 10:
-                                rep.ok = False
-                                return rep
+                                return
                 # independent vertices commute
-                for w_addr, S_w in vertices(x):
-                    if w_addr[: len(v_addr)] == v_addr or v_addr[: len(w_addr)] == w_addr:
+                for w, zs in xs:
+                    if w[: len(v)] == v or v[: len(w)] == w:
                         continue
-                    if w_addr < v_addr:
+                    if w < v:
                         continue  # each unordered pair once
-                    for y_raw in trees_by_target.get(S_v, ()):
-                        for z_raw in trees_by_target.get(S_w, ()):
-                            if nx + vertex_count(y_raw) + vertex_count(z_raw) - 2 > vmax:
+                    for y in ys:
+                        for z in zs:
+                            if nx + sizes[y] + sizes[z] - 2 > vmax:
                                 continue
-                            y = _tag_vertices(y_raw, "y", itertools.count())
-                            z = _tag_vertices(z_raw, "z", itertools.count())
                             rep.assoc_instances += 1
-                            one = ins(ins(x, v_addr, y, base), w_addr, z, base)
-                            other = ins(ins(x, w_addr, z, base), v_addr, y, base)
-                            if one != other:
+                            xy, xl, yl = ins(x, v, y)
+                            one, xyl, zl = ins(xy, w, z)
+                            xz, xl2, zl2 = ins(x, w, z)
+                            other, xzl, yl2 = ins(xz, v, y)
+                            if (one != other or _through(xyl, xl) != _through(xzl, xl2)
+                                    or _through(xyl, yl) != yl2 or zl != _through(xzl, zl2)):
                                 rep.violations.append(
                                     "independent insertions do not commute: "
-                                    f"x={tree_label(x)} v={v_addr} w={w_addr}"
+                                    f"x={label(x, 'x')} v={v} w={w}"
                                 )
                             if len(rep.violations) >= 10:
-                                rep.ok = False
-                                return rep
-    rep.ok = not rep.violations
-    return rep
+                                return
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,10 @@ def test_verify_monad_laws(capsys):
     code, rep = run_json(capsys, ["verify", "monad-laws", "--n", "1", "--vmax", "2",
                                   "--kmax", "2"])
     assert code == 0 and rep["status"] == "pass"
+    data = rep["data"]
+    assert data["summary"] == "pass: 19 unit instances, 34 associativity instances"
+    # 8 undecorated terms: the inputs and the results of the 21 insertions
+    assert (data["distinct_insertions"], data["interned_trees"]) == (21, 8)
 
 
 def test_verify_stable_range_small(tmp_path, capsys):

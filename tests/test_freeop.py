@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -301,9 +302,10 @@ def _law_instance_count(n, vmax, kmax, regular):
     from higherop import freeop
 
     base = OrdBase(n)
-    trees = {T: enumerate_trees(T, vmax, kmax, regular, base)
-             for k in range(kmax + 1) for T in enumerate_ordinals(n, k)}
-    return freeop._law_instances(trees, vmax, kmax, regular, base)
+    store = freeop._TreeStore(base, insert)
+    ids = {T: [store.intern(t) for t in enumerate_trees(T, vmax, kmax, regular, base)]
+           for k in range(kmax + 1) for T in enumerate_ordinals(n, k)}
+    return freeop._law_instances(store, ids, vmax, kmax, regular, base)
 
 
 @pytest.mark.parametrize("regular", [True, False])
@@ -314,10 +316,13 @@ def test_law_instance_count_matches_the_checker(n, vmax, kmax, regular):
 
 
 def test_law_instance_count_matches_recorded_checker_counts():
-    # unit + associativity and commutation instances that check_monad_laws
-    # reported at these bounds, where it takes 4 s, 14 s and 132 s
-    assert _law_instance_count(2, 3, 3, True) == 2_244 + 25_519
-    assert _law_instance_count(2, 3, 3, False) == 6_177 + 63_948
+    # unit and associativity-and-commutation instances of check_monad_laws at
+    # (2,3,3), both ways, and at (2,3,4) (33,674 and 693,235), which is only
+    # counted here: its check takes about 13 s, against 0.6 s and 1.8 s
+    for regular, units, assocs in [(True, 2_244, 25_519), (False, 6_177, 63_948)]:
+        rep = check_monad_laws(2, 3, 3, regular)
+        assert rep.ok and (rep.unit_instances, rep.assoc_instances) == (units, assocs)
+        assert _law_instance_count(2, 3, 3, regular) == units + assocs
     assert _law_instance_count(2, 3, 4, True) == 33_674 + 693_235
 
 
@@ -362,6 +367,78 @@ def test_mutated_graft_is_caught():
     assert not rep.ok
     rep = check_monad_laws(2, 2, 2, insert_impl=_broken_insert)
     assert not rep.ok
+
+
+def _decorations(tree):
+    """The decorations of tree's vertices, in preorder."""
+    if tree.is_trivial:
+        return []
+    return [tree.decoration] + [d for c in tree.children for d in _decorations(c)]
+
+
+def _decorated(tree, decorations):
+    """tree with its vertices decorated from the iterator, in preorder."""
+    if tree.is_trivial:
+        return tree
+    dec = next(decorations)
+    return TreeTerm(tree.sigma, tuple(_decorated(c, decorations) for c in tree.children), dec)
+
+
+def _tagged(tree, prefix):
+    return _decorated(tree, (f"{prefix}{i}" for i in itertools.count()))
+
+
+def _swapping_insert(outer, address, inner, base, swapped="inner"):
+    """insert, but the first two vertices that come from the inner (or the
+    outer) tree trade decorations."""
+    result = insert(outer, address, inner, base)
+    tags = set(_decorations(inner if swapped == "inner" else outer)) - {None}
+    decs = _decorations(result)
+    at = [p for p, dec in enumerate(decs) if dec in tags][:2]
+    if len(at) == 2:
+        decs[at[0]], decs[at[1]] = decs[at[1]], decs[at[0]]
+    return _decorated(result, iter(decs))
+
+
+def test_mutated_decorations_are_caught():
+    # the shapes are right, so only where the vertices land tells
+    for n in (1, 2):
+        rep = check_monad_laws(n, 2, 2, insert_impl=_swapping_insert)
+        assert not rep.ok
+    # two vertices of x move, which only the comparison of the two sides sees
+    swap_outer = functools.partial(_swapping_insert, swapped="outer")
+    rep = check_monad_laws(1, 3, 3, insert_impl=swap_outer)
+    assert not rep.ok and not any("vanished" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("n, vmax, kmax", [(1, 3, 3), (2, 2, 2)])
+def test_memoised_insertions_match_the_tagged_insertion(n, vmax, kmax, monkeypatch):
+    from higherop import freeop
+
+    stores = []
+
+    class Recorded(freeop._TreeStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(freeop, "_TreeStore", Recorded)
+    assert check_monad_laws(n, vmax, kmax).ok
+    (store,) = stores
+    base = OrdBase(n)
+    assert len(set(store.terms)) == len(store.terms)
+    for i, t in enumerate(store.terms):
+        assert store.intern(t) == i
+        assert (store.sizes[i], list(store.vertices[i])) == (vertex_count(t), vertices(t))
+    assert len(store.memo) > 0
+    for (x, address, y), (r, x_lands, y_lands) in store.memo.items():
+        decs = [None] * store.sizes[r]
+        for prefix, lands in (("x", x_lands), ("y", y_lands)):
+            for i, p in enumerate(lands):
+                if p is not None:
+                    decs[p] = f"{prefix}{i}"
+        want = insert(_tagged(store.terms[x], "x"), address, _tagged(store.terms[y], "y"), base)
+        assert _decorated(store.terms[r], iter(decs)) == want
 
 
 # ---------------------------------------------------------------------------
