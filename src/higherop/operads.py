@@ -71,6 +71,18 @@ class BudgetExceededError(RuntimeError):
 _MAX_DENSE_BYTES = 256 << 20
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending.
+
+    Sorted and diffed by hand: a plain np.unique imports numpy.ma on its
+    first call, which costs more than most of the arrays deduplicated here.
+    """
+    out = np.sort(values)
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 # ---------------------------------------------------------------------------
 # finite sets as an operadic base
 
@@ -511,7 +523,7 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
     C = compile_base(base, K)
     n_fun = [x_size ** (x_size ** k) for k in C.objects]  # an object of FinSet is its size
     grid = [math.prod(n_fun[F] for F in C.axes(m)[1:]) for m in range(len(C.morphisms))]
-    # every int32 table, plus the int64 ranks and gather of the largest step
+    # every int32 table, plus 8 bytes a cell for the ranks and gathers of the largest step
     rows = [(n_fun[t], x_size ** C.objects[s], g)
             for t, s, g in zip(C.target.tolist(), C.source.tolist(), grid)]
     need = sum(4 * n_b * g for n_b, _, g in rows) + max(8 * g * (n_b + n_in) for n_b, n_in, g in rows)
@@ -533,6 +545,7 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
             table[:, pos] = codes % x_size
             codes //= x_size
         outs[k] = table
+    outs32 = {k: table.astype(np.int32) for k, table in outs.items()}
     inputs = {k: list(itertools.product(range(x_size), repeat=k)) for k in range(K + 1)}
     input_rank = {k: {t: r for r, t in enumerate(inputs[k])} for k in range(K + 1)}
 
@@ -554,10 +567,11 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
             bshape = [1] * m + [n_inputs[k]]
             bshape[i] = g_shape[i]
             y_rank = y_rank * 1 + gi.reshape(bshape) * (x_size ** (m - 1 - i))
-        # labels by place value, one input at a time: no (N_m,) + g_shape + (x**k,) array
+        # labels by place value, one input at a time: no (N_m,) + g_shape + (x**k,) array;
+        # every code is below x^(x^K), which _check_end_exponent keeps inside int32
         code = np.zeros((len(components[m]),) + g_shape, dtype=np.int32)
         for pos in range(n_inputs[k]):
-            code += outs[m][:, y_rank[..., pos]] * x_size ** (n_inputs[k] - 1 - pos)
+            code += np.take(outs32[m], y_rank[..., pos], axis=1) * np.int32(x_size ** (n_inputs[k] - 1 - pos))
         mult[f] = code
     unit = components[1][_identity_code(x_size)]
     return OperadTable(base, K, components, unit, mult, f"End[{x_size}]")
@@ -1062,7 +1076,7 @@ def enumerate_operad_morphisms(A: OperadTable, B: OperadTable) -> list[OperadMor
         last = np.maximum(refs.max(axis=1), out)
         strides = np.cumprod((tab_b.shape + (1,))[:0:-1])[::-1]
         coef = (strides * (refs == last[:, None])).sum(axis=1)  # the stride of the last variable
-        for pos in np.unique(last).tolist():
+        for pos in sorted_distinct(last).tolist():
             at = last == pos
             fired[pos].append((tab_b.ravel(), refs[at], strides, out[at], coef[at]))
 

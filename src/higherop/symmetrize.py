@@ -14,12 +14,15 @@ the unit and associativity axioms, transport along a composite arrow is
 the composite of the transports, m_{tau sigma}(b; units) =
 m_sigma(m_tau(b; units); units), so a generating family of arrows gives
 the same quotient as all of them.  The generators are the profile
-increments inside one labeling, plus, for each source and each other
-target labeling, the arrow to the componentwise-least structure above
-it; every arrow factors as one such minimal arrow followed by
-increments.  The quotient is a union-find over the generators, one
-family at a time, with the transported elements read from the operad's
-tables.  The tests compare it with the quotient over all arrows.
+increments inside one labeling, plus the moves: from each structure to
+the componentwise-least structure above it with each other labeling.
+Every arrow factors as one move followed by increments.  Relabeling
+both ends of an arrow by a permutation of the labels gives an arrow, so
+the moves are one family, those out of the identity labeling, relabeled
+by each element of S_k.  The quotient is a union-find over the
+generators, one family at a time, with the transported elements read
+from the operad's tables.  The tests compare it with the quotient over
+all arrows.
 
 The labeled objects at each arity are numbered once, by _labelings:
 permutation-major, profile-lexicographic.  The arrow relation, its
@@ -36,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ from .operads import (
     desymmetrize,
     endomorphism_operad,
     enumerate_operad_morphisms,
+    sorted_distinct,
 )
 
 
@@ -260,10 +263,7 @@ class UnionFind:
             # a child named by several pairs keeps one parent; the pairs
             # it lost are merged on the next pass
             parent[child] = np.where(flip, rx, ry)
-            # deduplicated by hand: np.unique would import numpy.ma on its
-            # first call, which costs more than most unions
-            hooked = np.sort(child)
-            hooked = hooked[np.diff(hooked, prepend=-1) != 0]
+            hooked = sorted_distinct(child)
             # a hooked root points at a root or at another hooked root, so
             # jumping pointers over the hooked roots alone brings each to
             # its new root; a tree grows by one level only where its class
@@ -421,7 +421,7 @@ def _symmetrize_arity(A, C, n, k, shuffle_seed):
         # sigma sends the position of each label in the source to its
         # position in the target
         sigma = C.find(first + p1, first + p2, C.code(t.pos[r2[:, None], t.perms[r1]]))
-        new = np.unique(sigma[start[sigma] < 0])
+        new = sorted_distinct(sigma[start[sigma] < 0])
         z = sizes[C.target[new] - first]
         start[new] = len(flat) + np.cumsum(z) - z
         flat = np.concatenate([flat, _read(A, C, np.repeat(new, z), _units(A, _runs(z), k))])
@@ -447,11 +447,25 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
 
     Yields (source, target) arrays of object indices, in the order of
     labeled_objects.  A family is either the +1 steps on one profile
-    entry, for every labeling, or the arrows from every structure with
-    labeling x to the least structure above it with each other labeling.
-    Composites of these reach every arrow, and no family has more arrows
-    than there are objects.  shuffle_seed shuffles the order of the
-    families and of the arrows inside each.
+    entry, for every labeling, or the moves: the arrows from every
+    structure with labeling x to the least structure above it with each
+    other labeling.  Composites of these reach every arrow, and no family
+    has more arrows than there are objects.  shuffle_seed shuffles the
+    order of the families and of the arrows inside each.
+
+    Relabeling both ends by rho keeps every pair's level and whether it
+    changes orientation, so the arrows commute with S_k: the moves are
+    computed once, out of the identity labeling, and relabeled by each x.
+    When the identity has no move, as at n = 1, no labeling has one.
+
+    >>> objects = labeled_objects(2, 3)
+    >>> def name(i):  # labels|profile
+    ...     return "".join(map(str, objects[i].labels + ("|",) + objects[i].profile))
+    >>> moves = list(_generator_arrows(2, 3, None))[2:]  # after the two step families
+    >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[0])][:4]  # out of labeling 123
+    ['123|00->132|01', '123|10->132|11', '123|00->213|10', '123|01->213|11']
+    >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[3])][:4]  # 231: rename 1->2, 2->3, 3->1
+    ['231|00->213|01', '231|10->213|11', '231|00->321|10', '231|01->321|11']
     """
     if k < 2:
         return
@@ -462,31 +476,34 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
     spanning = [
         np.flatnonzero((t.lo <= m) & (m < t.hi)).reshape(n_perm, -1) for m in range(k - 1)
     ]
-
     strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
+    # the moves out of the identity labeling 0, to labeling g, from profile p
+    # to profile q: digit m of q is the largest bound among the pairs
+    # spanning position m
+    bounds = t.level[:, t.lo[0], t.hi[0]].T[None] + (t.orient[0] != t.orient)[:, :, None]
+    bounds = bounds.reshape(n_perm * n_pairs, n_prof)
+    digits = np.stack([bounds[rows].max(axis=1) for rows in spanning], axis=2)
+    valid = (digits <= n - 1).all(axis=2)
+    valid[0] = False
+    g, p = np.nonzero(valid)
+    q = digits[valid] @ strides
 
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    keys = [("step", m) for m in range(k - 1)] + [("move", x) for x in range(n_perm)]
+    keys = [("step", m) for m in range(k - 1)]
+    if len(g):
+        keys += [("move", x) for x in range(n_perm)]
+    rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
     if rng is not None:
-        rng.shuffle(keys)
+        keys = [keys[i] for i in rng.permutation(len(keys))]
     for kind, x in keys:
         if kind == "step":  # +1 on profile entry x, for every labeling
             below = np.flatnonzero(t.profiles[:, x] < n - 1)
             src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
             dst = src + strides[x]
-        else:
-            # labeling x to the least structure above it, for every labeling:
-            # digit m is the largest bound among the pairs spanning position m
-            bounds = t.level[:, t.lo[x], t.hi[x]].T[None] + (t.orient[x] != t.orient)[:, :, None]
-            bounds = bounds.reshape(n_perm * n_pairs, n_prof)
-            digits = np.stack([bounds[rows].max(axis=1) for rows in spanning], axis=2)
-            valid = (digits <= n - 1).all(axis=2)
-            valid[x] = False
-            r2, prof = np.nonzero(valid)
-            src, dst = x * n_prof + prof, r2 * n_prof + digits[valid] @ strides
+        else:  # the identity's moves relabeled by x: labeling g goes to x after g
+            src = x * n_prof + p
+            dst = _perm_ranks(t, t.perms[x][t.perms])[g] * n_prof + q
         if rng is not None:
-            order = list(range(len(src)))
-            rng.shuffle(order)
+            order = rng.permutation(len(src))
             src, dst = src[order], dst[order]
         yield src, dst
 

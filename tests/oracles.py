@@ -296,6 +296,84 @@ def operad_morphisms_by_brute_force(A, B) -> list:
     return out
 
 
+def end_tables_by_int64_gather(X, K: int, constant_free: bool = False) -> dict:
+    """The multiplication tables of End_X, built with int64 gathers.
+
+    Each table is summed place value by place value from the outputs of
+    the substituted functions, gathered as int64 arrays; the library
+    builds the same tables with int32 gathers.
+    """
+    from higherop.operads import FinBase, compile_base, finset_fiber_elements
+
+    x_size = len(tuple(X))
+    C = compile_base(FinBase(constant_free=constant_free), K)
+    n_inputs = {k: x_size ** k for k in range(K + 1)}
+    # outs[k][i] = output vector of the i-th arity-k function over ranked inputs
+    outs = {}
+    for k in range(K + 1):
+        codes = np.arange(x_size ** n_inputs[k], dtype=np.int64)
+        table = np.empty((len(codes), n_inputs[k]), dtype=np.int64)
+        for pos in range(n_inputs[k] - 1, -1, -1):
+            table[:, pos] = codes % x_size
+            codes //= x_size
+        outs[k] = table
+    inputs = {k: list(itertools.product(range(x_size), repeat=k)) for k in range(K + 1)}
+    input_rank = {k: {t: r for r, t in enumerate(inputs[k])} for k in range(K + 1)}
+    mult = {}
+    for f_id, f in enumerate(C.morphisms):
+        k, m = f.source, f.target
+        fib_sizes = [C.objects[F] for F in C.axes(f_id)[1:]]
+        g_shape = tuple(len(outs[s]) for s in fib_sizes)
+        y_rank = np.zeros(g_shape + (n_inputs[k],), dtype=np.int64)
+        for i in range(m):
+            fib = finset_fiber_elements(f, i)
+            sub = np.array([input_rank[fib_sizes[i]][tuple(x[e] for e in fib)] for x in inputs[k]],
+                           dtype=np.int64)
+            bshape = [1] * m + [n_inputs[k]]
+            bshape[i] = g_shape[i]
+            y_rank = y_rank + outs[fib_sizes[i]][:, sub].reshape(bshape) * x_size ** (m - 1 - i)
+        code = np.zeros((len(outs[m]),) + g_shape, dtype=np.int32)
+        for pos in range(n_inputs[k]):
+            code += outs[m][:, y_rank[..., pos]] * x_size ** (n_inputs[k] - 1 - pos)
+        mult[f] = code
+    return mult
+
+
+def generator_arrows_by_labeling(n: int, k: int):
+    """The generating arrow families at arity k, each move family computed
+    from its own source labeling.
+
+    Yields the families of symmetrize._generator_arrows in their unshuffled
+    order: the +1 steps on each profile entry, then, for each labeling x,
+    the arrows from every structure with labeling x to the least structure
+    above it with each other labeling, read from x's own pair levels and
+    orientations rather than relabeled from the identity's.
+    """
+    from higherop.symmetrize import _labelings
+
+    if k < 2:
+        return
+    t = _labelings(n, k)
+    n_perm, n_prof, n_pairs = len(t.perms), len(t.profiles), t.orient.shape[1]
+    spanning = [
+        np.flatnonzero((t.lo <= m) & (m < t.hi)).reshape(n_perm, -1) for m in range(k - 1)
+    ]
+    strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
+    for m in range(k - 1):
+        below = np.flatnonzero(t.profiles[:, m] < n - 1)
+        src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
+        yield src, src + strides[m]
+    for x in range(n_perm):
+        # digit m is the largest bound among the pairs spanning position m
+        bounds = t.level[:, t.lo[x], t.hi[x]].T[None] + (t.orient[x] != t.orient)[:, :, None]
+        bounds = bounds.reshape(n_perm * n_pairs, n_prof)
+        digits = np.stack([bounds[rows].max(axis=1) for rows in spanning], axis=2)
+        valid = (digits <= n - 1).all(axis=2)
+        valid[x] = False
+        r2, prof = np.nonzero(valid)
+        yield x * n_prof + prof, r2 * n_prof + digits[valid] @ strides
+
+
 def all_arrows_classes(A, k: int):
     """Symmetrisation classes of A at arity k, merged along every arrow.
 

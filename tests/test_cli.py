@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,30 @@ def test_verify_eckmann_hilton(capsys):
     assert code == 0
     assert rep["status"] == "pass"
     assert rep["data"]["class_counts"]["4"] == 24
+
+
+def test_verify_eckmann_hilton_n1_k8_allocates_no_square_of_the_labelings(capsys):
+    tracemalloc.start()
+    try:
+        code, rep = run_json(capsys, ["verify", "eckmann-hilton", "--n", "1", "--kmax", "8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["data"]["class_counts"]["8"] == 40320
+    assert peak < 40320 ** 2 // 16  # a k! x k! table of bools would take 1.6 GB
+
+
+def test_verify_all_does_not_import_numpy_ma(tmp_path):
+    code = ("import sys\n"
+            "from higherop import cli\n"
+            "assert cli.run(['--json', 'verify', 'all'])[0] == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env[cli.CACHE_ENV] = str(tmp_path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_verify_monad_laws(capsys):

@@ -51,6 +51,7 @@ from oracles import (
     all_arrows_classes,
     composable_pairs_loop,
     count_monoids,
+    end_tables_by_int64_gather,
     is_operad_morphism_by_entries,
     operad_morphisms_by_brute_force,
     pointwise_associativity,
@@ -151,6 +152,21 @@ def test_end_budget():
     for K in (3, 2):
         with pytest.raises(BudgetExceededError):
             endomorphism_operad((0, 1, 2), K)
+
+
+# the two- and three-point sets at the largest K their tables admit; the
+# one-point set's tables at K = 6, and the constant-free three-point set's
+# at K = 2, take seconds to build
+@pytest.mark.parametrize("X, K, constant_free", [
+    ((0,), 5, False), ((0, 1), 3, False), ((0, 1, 2), 1, False),
+    ((), 3, True), ((0, 1), 3, True), ((0, 1, 2), 1, True),
+])
+def test_end_tables_match_the_int64_build(X, K, constant_free):
+    end = endomorphism_operad(X, K, constant_free=constant_free)
+    want = end_tables_by_int64_gather(X, K, constant_free)
+    assert set(end.mult) == set(want)
+    for f, table in want.items():
+        assert end.mult[f].dtype == np.int32 and np.array_equal(end.mult[f], table), f
 
 
 def test_end_substitution_semantics(end2_k3):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import re
 
@@ -35,13 +36,20 @@ from higherop.symmetrize import (
     terminal_class_counts,
     unit_insertion,
 )
-from higherop.symmetrize import _fast_singleton_classes, _labelings, _perm_ranks
+from higherop.symmetrize import (
+    _fast_singleton_classes,
+    _generator_arrows,
+    _labelings,
+    _perm_ranks,
+    _strict_arrows,
+)
 
 from oracles import (
     all_arrows_classes,
     arrow_morphism,
     count_commutative_monoids,
     count_monoids,
+    generator_arrows_by_labeling,
     labeled_structures,
     relabel,
     shape,
@@ -128,6 +136,20 @@ def test_arrow_blocks_do_not_change_the_relation(monkeypatch):
         monkeypatch.setattr(symm, "_ARROW_BLOCK", block)
         for nk, arrows in want.items():
             assert np.array_equal(build_classifier(*nk).arrows, arrows), (nk, block)
+
+
+@pytest.mark.parametrize("n, k", [(1, 4), (2, 4), (3, 3)])
+def test_relabeling_maps_the_arrows_onto_themselves(n, k):
+    # the generating moves out of each labeling are the identity's,
+    # relabeled, because this holds for every rho
+    t = _labelings(n, k)
+    arrows = _strict_arrows(n, k).astype(np.int64)
+    n_obj = len(t.perms) * len(t.profiles)
+    assert (len(arrows) > 0) == (n > 1)  # at n = 1 the poset is discrete
+    r, p = np.divmod(arrows, len(t.profiles))
+    for rho in t.perms:
+        moved = _perm_ranks(t, rho[t.perms])[r] * len(t.profiles) + p
+        assert np.array_equal(np.sort(moved @ [n_obj, 1]), np.sort(arrows @ [n_obj, 1]))
 
 
 def arrow_morphism_map(T, S):
@@ -273,6 +295,23 @@ def test_fast_and_general_paths_agree():
         A = make()
         for k, arity in symmetrize(A, build_operad=False).arities.items():
             assert arity.classes == all_arrows_classes(A, k), (name, k)
+
+
+def _families(arrows, n_obj):
+    """The non-empty families, each as its sorted arrow codes, in sorted order."""
+    return sorted(np.sort(src * n_obj + dst).tobytes() for src, dst in arrows if len(src))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3, 4) for k in range(6)] + [(2, 6)])
+def test_relabeled_moves_are_the_per_labeling_moves(n, k):
+    n_obj = math.factorial(k) * n ** max(k - 1, 0)
+    want = _families(generator_arrows_by_labeling(n, k), n_obj)
+    for seed in (None, 3, 11):
+        assert _families(_generator_arrows(n, k, seed), n_obj) == want, seed
+
+
+def test_terminal_counts_n3_k6():
+    assert terminal_class_counts(3, 6) == {k: 1 for k in range(7)}
 
 
 def test_fast_route_merge_order_does_not_change_classes():
