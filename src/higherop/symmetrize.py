@@ -19,10 +19,12 @@ the componentwise-least structure above it with each other labeling.
 Every arrow factors as one move followed by increments.  Relabeling
 both ends of an arrow by a permutation of the labels gives an arrow, so
 the moves are one family, those out of the identity labeling, relabeled
-by each element of S_k.  The quotient is a union-find over the
-generators, one family at a time, with the transported elements read
-from the operad's tables.  The tests compare it with the quotient over
-all arrows.
+by each element of S_k.  The quotient is one union-find over the
+generators, one family at a time, that numbers and counts the classes
+and stops once an arity is one class.  It reads the transported
+elements from the operad's tables; the one-point operad needs none,
+and its classes are the components of the classifier poset.  The tests
+compare it with the quotient over all arrows.
 
 The labeled objects at each arity are numbered once, by _labelings:
 permutation-major, profile-lexicographic.  The arrow relation, its
@@ -229,12 +231,19 @@ class UnionFind:
 
     Union by size: a root is hooked only under a root of a class at least
     as large, so every tree has depth at most log2(size) and a root is
-    found in that many gathers.
+    found in that many gathers.  count is the number of classes: each
+    root hooked under another is one class fewer.
+
+    >>> uf = UnionFind(5)
+    >>> uf.union([3, 1, 1], [0, 3, 1])  # the pair (1, 1) merges nothing
+    >>> uf.labels().tolist(), uf.count  # classes numbered by least member
+    ([0, 0, 1, 0, 2], 3)
     """
 
     def __init__(self, size: int):
         self.parent = np.arange(size, dtype=np.int64)
         self.size = np.ones(size, dtype=np.int64)
+        self.count = size
 
     def _roots(self, xs: np.ndarray) -> np.ndarray:
         parent = self.parent
@@ -275,18 +284,13 @@ class UnionFind:
                     break
                 parent[hooked] = top
             np.add.at(size, parent[hooked], size[hooked])
+            self.count -= len(hooked)
 
-    def classes(self) -> list[list[int]]:
-        """The classes, each sorted, in the order of their least members."""
-        n = len(self.parent)
-        roots = self._roots(np.arange(n))
-        least = np.empty(n, dtype=np.int64)
-        uniq, first = np.unique(roots, return_index=True)
-        least[uniq] = first
-        key = least[roots]
-        order = np.argsort(key, kind="stable")
-        cuts = np.flatnonzero(np.diff(key[order])) + 1
-        return [c.tolist() for c in np.split(order, cuts)] if n else []
+    def labels(self) -> np.ndarray:
+        """Each element's class number, classes in the order of their least members."""
+        roots = self._roots(np.arange(len(self.parent)))
+        _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+        return np.argsort(np.argsort(first))[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +302,17 @@ class SymArity:
     k: int
     object_count: int
     element_count: int
-    classes: tuple  # tuple of tuples of (object index, label index)
+    class_count: int
     offsets: np.ndarray  # object index o -> number of its element 0; element b is offsets[o] + b
-    class_of: np.ndarray  # element number -> class index
+    class_of: np.ndarray  # element number -> class index; classes go by least member
+
+    @functools.cached_property
+    def classes(self) -> tuple:
+        """Each class's members (object index, label index), in order."""
+        members = [[] for _ in range(self.class_count)]
+        for c, o, b in zip(self.class_of.tolist(), *(a.tolist() for a in _elements(self))):
+            members[c].append((o, b))
+        return tuple(map(tuple, members))
 
 
 @dataclass
@@ -313,7 +325,7 @@ class SymResult:
     welldef_checked: int = 0
 
     def class_counts(self) -> dict:
-        return {k: len(ar.classes) for k, ar in sorted(self.arities.items())}
+        return {k: ar.class_count for k, ar in sorted(self.arities.items())}
 
 
 def symmetrize(
@@ -328,8 +340,8 @@ def symmetrize(
     under (T, m_sigma(b; units)) ~ (S, b) for arrows sigma: T -> S, with
     lexicographically least representatives.  The relations are applied
     along the generating arrows only; A must pass check_operad_axioms,
-    which makes that the quotient over every arrow.  A truncation hole
-    on a generator's transport entry raises ValueError.  When
+    which makes that the quotient over every arrow.  A hole on a
+    transport the quotient reads raises ValueError.  When
     build_operad is set the induced symmetric operad (components per
     arity, relabeling action, substitution multiplication) is
     constructed, and every multiplication entry is computed from every
@@ -349,7 +361,7 @@ def symmetrize(
     arities = {}
     lo = 1 if A.base.constant_free else 0
     for k in range(lo, K + 1):
-        arities[k] = _symmetrize_arity(A, C, n, k, shuffle_seed)
+        arities[k] = _symmetrize_arity(n, k, *_table_transport(A, C, k), shuffle_seed)
     result = SymResult(n, K, arities)
     if build_operad:
         result.operad, result.welldef_checked = _sym_operad(A, C, result)
@@ -397,12 +409,15 @@ def _elements(arity: SymArity) -> tuple[np.ndarray, np.ndarray]:
 _MAX_ELEMENTS = 200_000  # elements, over every labeling, of one arity
 
 
-def _symmetrize_arity(A, C, n, k, shuffle_seed):
+def _symmetrize_arity(n: int, k: int, sizes: np.ndarray, pull, shuffle_seed) -> SymArity:
+    """The quotient at arity k over the generating arrows, family by family.
+
+    sizes[p] counts the elements over profile p, under every labeling, and
+    pull(src, dst, b) is m_sigma(b; units) over src for arrows sigma: src -> dst
+    and elements b over dst.  Once the arity is one class, no transport is read.
+    """
     t = _labelings(n, k)
-    first = _shape_id(C, k)
     n_perm, n_prof = len(t.perms), len(t.profiles)
-    sizes = np.array([len(A.components.get(C.objects[first + p], ())) for p in range(n_prof)],
-                     dtype=np.int64)
     total = n_perm * int(sizes.sum())
     if total > _MAX_ELEMENTS:
         raise BudgetExceededError(
@@ -411,12 +426,30 @@ def _symmetrize_arity(A, C, n, k, shuffle_seed):
         )
     obj_sizes = np.tile(sizes, n_perm)
     offsets = np.cumsum(obj_sizes) - obj_sizes
-
-    # the transports m_sigma(b; units) of each distinct sigma, for every b
-    # over its target, are read once, to flat[start[sigma]:]
-    start, flat = np.full(len(C.morphisms), -1), np.empty(0, dtype=np.int64)
     uf = UnionFind(total)
     for src, dst in _generator_arrows(n, k, shuffle_seed):
+        if uf.count < 2:
+            break
+        # each arrow gives (src, m_sigma(b; units)) ~ (dst, b) for every
+        # element b over dst
+        z = sizes[dst % n_prof]
+        arrow = np.repeat(np.arange(len(src)), z)
+        src, dst, b = src[arrow], dst[arrow], _runs(z)
+        uf.union(offsets[src] + pull(src, dst, b), offsets[dst] + b)
+    return SymArity(k, n_perm * n_prof, total, uf.count, offsets, uf.labels())
+
+
+def _table_transport(A: OperadTable, C: CompiledBase, k: int):
+    """The sizes and pull of _symmetrize_arity from A's tables: the transports
+    of each distinct sigma, for every b over its target, go once to flat[start[sigma]:]."""
+    t = _labelings(A.base.n, k)
+    first, n_prof = _shape_id(C, k), len(t.profiles)
+    sizes = np.array([len(A.components.get(C.objects[first + p], ())) for p in range(n_prof)],
+                     dtype=np.int64)
+    start, flat = np.full(len(C.morphisms), -1), np.empty(0, dtype=np.int64)
+
+    def pull(src, dst, b):
+        nonlocal flat
         (r1, p1), (r2, p2) = divmod(src, n_prof), divmod(dst, n_prof)
         # sigma sends the position of each label in the source to its
         # position in the target
@@ -425,21 +458,9 @@ def _symmetrize_arity(A, C, n, k, shuffle_seed):
         z = sizes[C.target[new] - first]
         start[new] = len(flat) + np.cumsum(z) - z
         flat = np.concatenate([flat, _read(A, C, np.repeat(new, z), _units(A, _runs(z), k))])
-        # each arrow gives (src, m_sigma(b; units)) ~ (dst, b) for every
-        # element b over dst
-        z = sizes[p2]
-        arrow = np.repeat(np.arange(len(src)), z)
-        b = _runs(z)
-        pulled = flat[start[sigma[arrow]] + b]
-        uf.union(offsets[src[arrow]] + pulled, offsets[dst[arrow]] + b)
-    classes = uf.classes()
-    class_of = np.empty(total, dtype=np.int64)
-    for ci, cls in enumerate(classes):
-        class_of[cls] = ci
-    members = list(zip(np.repeat(np.arange(n_perm * n_prof), obj_sizes).tolist(),
-                       _runs(obj_sizes).tolist()))
-    return SymArity(k, n_perm * n_prof, total,
-                    tuple(tuple(members[e] for e in cls) for cls in classes), offsets, class_of)
+        return flat[start[sigma] + b]
+
+    return sizes, pull
 
 
 def _generator_arrows(n: int, k: int, shuffle_seed):
@@ -508,41 +529,26 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
         yield src, dst
 
 
-def _fast_singleton_classes(n, k, shuffle_seed):
-    """Classes of labelings under the generating arrows, without tables.
-
-    This is the quotient of a one-point operad, whose transports carry
-    no data; each family is unioned as it comes, so the
-    k!(k!-1)n^(k-1) arrows are never held at once.
-    """
-    uf = UnionFind(math.factorial(k) * n ** max(k - 1, 0))
-    for src, dst in _generator_arrows(n, k, shuffle_seed):
-        uf.union(src, dst)
-    return uf.classes()
-
-
 def terminal_class_counts(n: int, kmax: int, shuffle_seed: int | None = None) -> dict:
     """Class counts of the symmetrised one-point operad, arity by arity.
 
-    Works directly on labelings (one element per labeling), so no
-    multiplication tables are materialised; this is the route for arities
-    whose full table would not fit the budget.  Cross-checked against
-    symmetrize(make_ass(...)) in the tests.
+    The quotient with one element per labeling, whose transports carry
+    no data, so no table is built; this is the route for arities whose
+    full table would not fit the budget.  Cross-checked against
+    symmetrize(make_ass(...)) and the all-arrows quotient in the tests.
 
     >>> terminal_class_counts(1, 3), terminal_class_counts(2, 3)  # k! classes, then one
     ({0: 1, 1: 1, 2: 2, 3: 6}, {0: 1, 1: 1, 2: 1, 3: 1})
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    counts = {}
-    for k in range(kmax + 1):
-        total = math.factorial(k) * n ** max(k - 1, 0)
-        if total > _MAX_ELEMENTS:
-            raise BudgetExceededError(
-                f"arity {k} has {total} labelings (budget {_MAX_ELEMENTS})"
-            )
-        counts[k] = len(_fast_singleton_classes(n, k, shuffle_seed))
-    return counts
+    return {k: _terminal_arity(n, k, shuffle_seed).class_count for k in range(kmax + 1)}
+
+
+def _terminal_arity(n: int, k: int, shuffle_seed: int | None = None) -> SymArity:
+    """The one-point operad's quotient at arity k: the classifier's components."""
+    sizes = np.ones(n ** max(k - 1, 0), dtype=np.int64)
+    return _symmetrize_arity(n, k, sizes, lambda src, dst, b: b, shuffle_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +619,7 @@ def _sym_operad(A: OperadTable, C: CompiledBase, result: SymResult) -> tuple[Ope
     """
     n = result.n
     base = FinBase(constant_free=A.base.constant_free)
-    components = {k: tuple(f"c{j}" for j in range(len(arity.classes)))
+    components = {k: tuple(f"c{j}" for j in range(arity.class_count))
                   for k, arity in result.arities.items()}
     members = {k: _zero_pull(A, C, n, k, arity) for k, arity in result.arities.items()}
     C_F = compile_base(base, result.K)

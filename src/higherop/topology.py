@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operads import _MAX_DENSE_BYTES, BudgetExceededError
-from .symmetrize import ClassifierPoset, UnionFind
+from .symmetrize import ClassifierPoset, _terminal_arity, build_classifier
 
 _OVERFLOW_GUARD = 1 << 31
 
@@ -299,11 +299,10 @@ def homology(C: ChainComplex) -> HomologyResult:
     return HomologyResult(tuple(betti), tuple(torsions), reliable)
 
 
-def components(P: ClassifierPoset) -> int:
-    """Connected components of the underlying undirected arrow graph."""
-    uf = UnionFind(len(P.objects))
-    uf.union(*P.arrows.T)
-    return len(uf.classes())
+def components(n: int, k: int) -> int:
+    """Connected components of the arity-k classifier poset: the classes of the
+    one-point operad's quotient, whose generating arrows connect what all arrows do."""
+    return _terminal_arity(n, k).class_count
 
 
 def euler_characteristic(C: ChainComplex) -> int:
@@ -318,8 +317,6 @@ def classifier_homology(n: int, k: int, dmax: int | None = None,
     the nerve's f-vector, Betti numbers (null above the reliable range),
     torsion lists and the component count.
     """
-    from .symmetrize import build_classifier
-
     P = build_classifier(n, k, max_objects=max_objects)
     CC = cellular_complex(P, dmax)
     H = homology(CC)
@@ -329,7 +326,7 @@ def classifier_homology(n: int, k: int, dmax: int | None = None,
         "fvector": list(CC.chains),
         "betti": [b for b in H.betti],
         "torsion": [list(t) for t in H.torsion],
-        "components": components(P),
+        "components": components(n, k),
         "complete": CC.complete,
         "computed_through": H.computed_through,
     }

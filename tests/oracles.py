@@ -646,7 +646,7 @@ def nerve_homology(n: int, k: int, dmax: int | None = None) -> dict:
     """The classifier payload computed from the nerve: chains, their
     alternating boundaries, Smith reduction and the arrow components."""
     from higherop.symmetrize import build_classifier
-    from higherop.topology import components, homology
+    from higherop.topology import homology
 
     P = build_classifier(n, k)
     CC = nerve_boundaries(nerve(P, dmax))
@@ -657,7 +657,26 @@ def nerve_homology(n: int, k: int, dmax: int | None = None) -> dict:
         "fvector": list(CC.f_vector),
         "betti": list(H.betti),
         "torsion": [list(t) for t in H.torsion],
-        "components": components(P),
+        "components": components_by_arrows(P),
         "complete": CC.complete,
         "computed_through": H.computed_through,
     }
+
+
+def components_by_arrows(P) -> int:
+    """Connected components of the undirected graph of every arrow of P.
+
+    Each object takes the least label over itself and its neighbours, and
+    then its label's label, until nothing changes; a label never exceeds
+    its object, so each component ends on its least object.
+    """
+    label = np.arange(len(P.objects))
+    src, dst = np.asarray(P.arrows, dtype=np.int64).reshape(-1, 2).T
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        np.minimum.at(new, dst, label[src])
+        new = new[new]
+        if np.array_equal(new, label):
+            return len(np.unique(label))
+        label = new

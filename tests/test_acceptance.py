@@ -41,7 +41,6 @@ from higherop.operads import compile_base, composable_pairs
 from higherop.ordinals import enumerate_ordinals, ordinal, relations
 from higherop.symmetrize import (
     algebra_equivalence,
-    build_classifier,
     check_adjunction,
     symmetrize,
     terminal_class_counts,
@@ -138,9 +137,7 @@ def test_criterion_05_stable_range_vanishing():
 
 
 def test_criterion_06_discrete_components():
-    ok = all(
-        components(build_classifier(1, k)) == math.factorial(k) for k in range(6)
-    )
+    ok = all(components(1, k) == math.factorial(k) for k in range(6))
     _line(6, "level-one classifiers are discrete", ok)
 
 

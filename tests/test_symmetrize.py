@@ -37,11 +37,11 @@ from higherop.symmetrize import (
     unit_insertion,
 )
 from higherop.symmetrize import (
-    _fast_singleton_classes,
     _generator_arrows,
     _labelings,
     _perm_ranks,
     _strict_arrows,
+    _terminal_arity,
 )
 
 from oracles import (
@@ -284,12 +284,12 @@ _NON_SINGLETON = {
 def test_fast_and_general_paths_agree():
     # the generating arrows against every arrow: table-free and through
     # the tables on one-point operads, and through the tables on operads
-    # whose transports carry data
+    # whose transports carry data; the classes come from the class numbers
     for n, k in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (1, 4)]:
         A = make_ass(OrdBase(n), k)
         want = all_arrows_classes(A, k)
-        fast = _fast_singleton_classes(n, k, None)
-        assert tuple(tuple((obj, 0) for obj in cls) for cls in fast) == want
+        fast = _terminal_arity(n, k)
+        assert fast.classes == want and fast.class_count == len(want)
         assert symmetrize(A, build_operad=False).arities[k].classes == want
     for name, make in _NON_SINGLETON.items():
         A = make()
@@ -316,9 +316,11 @@ def test_terminal_counts_n3_k6():
 
 def test_fast_route_merge_order_does_not_change_classes():
     for n, k in [(1, 4), (2, 4), (3, 4)]:
-        plain = _fast_singleton_classes(n, k, None)
+        plain = _terminal_arity(n, k)
         for seed in (3, 11):
-            assert _fast_singleton_classes(n, k, seed) == plain
+            again = _terminal_arity(n, k, seed)
+            assert np.array_equal(again.class_of, plain.class_of)
+            assert again.class_count == plain.class_count
 
 
 def _tree_depth(uf: UnionFind) -> int:
@@ -336,9 +338,14 @@ def test_union_find_batches_match_graph_components():
     rng = random.Random(8)
     N = 1000
     star = [(i, N - 1) for i in range(N - 1)]
+    no_ops = [(0, 0), (1, 2), (2, 1), (1, 2), (3, 3), (4, 5), (5, 4), (4, 4)]
     cases = [
         (size, [(rng.randrange(size), rng.randrange(size)) for _ in range(edges)], 17)
-        for size, edges in [(1, 0), (40, 25), (200, 150), (200, 400)]
+        for size, edges in [(0, 0), (1, 0), (40, 25), (200, 150), (200, 400)]
+    ] + [
+        # self-pairs and repeated pairs, then a batch that merges nothing:
+        # count must not drop for them
+        (6, no_ops + [(2, 1), (5, 5), (4, 5)], len(no_ops)),
     ] + [
         (N, star, N),  # every pair shares its y root, in one batch
         (N, [(y, x) for x, y in star], N),  # ... or its x root
@@ -383,7 +390,10 @@ def test_union_find_batches_match_graph_components():
                     seen.add(w)
                     stack.append(w)
             want.append(sorted(comp))
-        assert uf.classes() == sorted(want)
+        # want is in the order of least members, the order of the class numbers
+        labels = uf.labels()
+        assert uf.count == len(want) and len(labels) == size
+        assert [np.flatnonzero(labels == j).tolist() for j in range(len(want))] == want
 
 
 _SHUFFLED = {
@@ -437,6 +447,10 @@ def test_budget_exceeded(monkeypatch):
     monkeypatch.setattr(symm, "_MAX_ELEMENTS", 5)
     with pytest.raises(BudgetExceededError):
         symmetrize(make_ass(OrdBase(2), 3), 3, build_operad=False)
+    # the table-free route goes through the same check
+    assert terminal_class_counts(2, 2) == {0: 1, 1: 1, 2: 1}
+    with pytest.raises(BudgetExceededError):
+        terminal_class_counts(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +721,13 @@ def test_id_route_matches_the_object_route(name):
     assert r.welldef_checked == checked
     assert r.action == sym_action_by_objects(r)
     assert unit_insertion(A, r) == unit_insertion_by_objects(A, r)
+
+
+def test_an_arity_without_elements_has_no_classes():
+    # the free operad on one binary operation has no constants
+    arity = symmetrize(_free_binary(), build_operad=False).arities[0]
+    assert arity.element_count == 0
+    assert arity.class_count == 0 and arity.classes == ()
 
 
 def test_combination_blocks_do_not_change_the_operad(monkeypatch):

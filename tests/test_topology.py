@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import nerve, nerve_boundaries, nerve_homology
+from oracles import components_by_arrows, nerve, nerve_boundaries, nerve_homology
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -493,7 +493,26 @@ def test_lower_intervals_are_spheres(n, k):
 
 def test_components_examples():
     for k in (1, 2, 3, 4):
-        assert components(build_classifier(1, k)) == math.factorial(k)
-    assert components(build_classifier(2, 3)) == 1
-    assert components(build_classifier(2, 0)) == 1
-    assert components(ClassifierPoset(2, 0, (), ())) == 0
+        assert components(1, k) == math.factorial(k)
+    assert components(2, 3) == components(2, 0) == 1
+    # the arrow-union oracle on hand-built posets: no object, and
+    # {0, 1, 2}, {3, 4}, {5} from two arrows into one object and a pair
+    assert components_by_arrows(ClassifierPoset(2, 0, (), ())) == 0
+    assert components_by_arrows(ClassifierPoset(2, 0, tuple(range(6)),
+                                                ((2, 0), (1, 0), (4, 3)))) == 3
+
+
+# the classifier-sweep benchmark inputs, with dmax
+_SWEEP = [(2, 3, None), (5, 2, None), (1, 5, None), (2, 5, 0), (2, 4, 1), (3, 3, 2), (4, 3, None)]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3, 4) for k in range(6)
+                                  if math.factorial(k) * n ** max(k - 1, 0) <= 20000])
+def test_components_match_the_arrow_union(n, k):
+    assert components(n, k) == components_by_arrows(build_classifier(n, k))
+
+
+@pytest.mark.parametrize("n, k, dmax", _SWEEP)
+def test_classifier_components_match_the_arrow_union(n, k, dmax):
+    rep = classifier_homology(n, k, dmax)
+    assert rep["components"] == components_by_arrows(build_classifier(n, k))
