@@ -429,6 +429,9 @@ def cmd_export(args) -> Report:
             raise ValueError(f"unsupported format {args.format!r} for ordinals")
     elif args.kind == "classifier":
         P = symm.build_classifier(args.n, args.k)
+        if len(P.arrows) > operads._MAX_EXPORT_ENTRIES:
+            raise operads.BudgetExceededError(f"classifier has {len(P.arrows)} arrows "
+                                              f"(export budget {operads._MAX_EXPORT_ENTRIES})")
         if args.format == "dot":
             text = symm.classifier_dot(P)
         elif args.format == "json":

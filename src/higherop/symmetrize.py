@@ -332,7 +332,6 @@ def symmetrize(
     A: OperadTable,
     K: int | None = None,
     build_operad: bool = True,
-    shuffle_seed: int | None = None,
 ) -> SymResult:
     """Quotient A's components by the labeled-ordinal arrow relations.
 
@@ -348,7 +347,6 @@ def symmetrize(
     combination of class members within the truncation;
     WellDefinednessError is raised when two combinations land in
     different classes.
-    shuffle_seed permutes the merge order (the result must not change).
     """
     if not isinstance(A.base, OrdBase):
         raise ValueError("symmetrize expects an operad over Ord(n)")
@@ -361,7 +359,7 @@ def symmetrize(
     arities = {}
     lo = 1 if A.base.constant_free else 0
     for k in range(lo, K + 1):
-        arities[k] = _symmetrize_arity(n, k, *_table_transport(A, C, k), shuffle_seed)
+        arities[k] = _symmetrize_arity(n, k, *_table_transport(A, C, k))
     result = SymResult(n, K, arities)
     if build_operad:
         result.operad, result.welldef_checked = _sym_operad(A, C, result)
@@ -409,7 +407,7 @@ def _elements(arity: SymArity) -> tuple[np.ndarray, np.ndarray]:
 _MAX_ELEMENTS = 200_000  # elements, over every labeling, of one arity
 
 
-def _symmetrize_arity(n: int, k: int, sizes: np.ndarray, pull, shuffle_seed) -> SymArity:
+def _symmetrize_arity(n: int, k: int, sizes: np.ndarray, pull) -> SymArity:
     """The quotient at arity k over the generating arrows, family by family.
 
     sizes[p] counts the elements over profile p, under every labeling, and
@@ -427,7 +425,7 @@ def _symmetrize_arity(n: int, k: int, sizes: np.ndarray, pull, shuffle_seed) -> 
     obj_sizes = np.tile(sizes, n_perm)
     offsets = np.cumsum(obj_sizes) - obj_sizes
     uf = UnionFind(total)
-    for src, dst in _generator_arrows(n, k, shuffle_seed):
+    for src, dst in _generator_arrows(n, k):
         if uf.count < 2:
             break
         # each arrow gives (src, m_sigma(b; units)) ~ (dst, b) for every
@@ -463,7 +461,7 @@ def _table_transport(A: OperadTable, C: CompiledBase, k: int):
     return sizes, pull
 
 
-def _generator_arrows(n: int, k: int, shuffle_seed):
+def _generator_arrows(n: int, k: int):
     """The generating arrows at arity k, one family at a time.
 
     Yields (source, target) arrays of object indices, in the order of
@@ -471,8 +469,7 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
     entry, for every labeling, or the moves: the arrows from every
     structure with labeling x to the least structure above it with each
     other labeling.  Composites of these reach every arrow, and no family
-    has more arrows than there are objects.  shuffle_seed shuffles the
-    order of the families and of the arrows inside each.
+    has more arrows than there are objects.
 
     Relabeling both ends by rho keeps every pair's level and whether it
     changes orientation, so the arrows commute with S_k: the moves are
@@ -482,7 +479,7 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
     >>> objects = labeled_objects(2, 3)
     >>> def name(i):  # labels|profile
     ...     return "".join(map(str, objects[i].labels + ("|",) + objects[i].profile))
-    >>> moves = list(_generator_arrows(2, 3, None))[2:]  # after the two step families
+    >>> moves = list(_generator_arrows(2, 3))[2:]  # after the two step families
     >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[0])][:4]  # out of labeling 123
     ['123|00->132|01', '123|10->132|11', '123|00->213|10', '123|01->213|11']
     >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[3])][:4]  # 231: rename 1->2, 2->3, 3->1
@@ -509,27 +506,16 @@ def _generator_arrows(n: int, k: int, shuffle_seed):
     g, p = np.nonzero(valid)
     q = digits[valid] @ strides
 
-    keys = [("step", m) for m in range(k - 1)]
-    if len(g):
-        keys += [("move", x) for x in range(n_perm)]
-    rng = np.random.default_rng(shuffle_seed) if shuffle_seed is not None else None
-    if rng is not None:
-        keys = [keys[i] for i in rng.permutation(len(keys))]
-    for kind, x in keys:
-        if kind == "step":  # +1 on profile entry x, for every labeling
-            below = np.flatnonzero(t.profiles[:, x] < n - 1)
-            src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
-            dst = src + strides[x]
-        else:  # the identity's moves relabeled by x: labeling g goes to x after g
-            src = x * n_prof + p
-            dst = _perm_ranks(t, t.perms[x][t.perms])[g] * n_prof + q
-        if rng is not None:
-            order = rng.permutation(len(src))
-            src, dst = src[order], dst[order]
-        yield src, dst
+    for m in range(k - 1):  # +1 on profile entry m, for every labeling
+        below = np.flatnonzero(t.profiles[:, m] < n - 1)
+        src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
+        yield src, src + strides[m]
+    if len(g):  # the identity's moves relabeled by x: labeling g goes to x after g
+        for x in range(n_perm):
+            yield x * n_prof + p, _perm_ranks(t, t.perms[x][t.perms])[g] * n_prof + q
 
 
-def terminal_class_counts(n: int, kmax: int, shuffle_seed: int | None = None) -> dict:
+def terminal_class_counts(n: int, kmax: int) -> dict:
     """Class counts of the symmetrised one-point operad, arity by arity.
 
     The quotient with one element per labeling, whose transports carry
@@ -542,13 +528,13 @@ def terminal_class_counts(n: int, kmax: int, shuffle_seed: int | None = None) ->
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return {k: _terminal_arity(n, k, shuffle_seed).class_count for k in range(kmax + 1)}
+    return {k: _terminal_arity(n, k).class_count for k in range(kmax + 1)}
 
 
-def _terminal_arity(n: int, k: int, shuffle_seed: int | None = None) -> SymArity:
+def _terminal_arity(n: int, k: int) -> SymArity:
     """The one-point operad's quotient at arity k: the classifier's components."""
     sizes = np.ones(n ** max(k - 1, 0), dtype=np.int64)
-    return _symmetrize_arity(n, k, sizes, lambda src, dst, b: b, shuffle_seed)
+    return _symmetrize_arity(n, k, sizes, lambda src, dst, b: b)
 
 
 # ---------------------------------------------------------------------------

@@ -126,79 +126,44 @@ def cellular_complex(P: ClassifierPoset, dmax: int | None = None) -> ChainComple
 # Smith normal form
 
 
-@dataclass
-class SmithNormalForm:
-    factors: tuple  # nonzero invariant factors, each dividing the next
-    U: np.ndarray | None
-    V: np.ndarray | None
+def smith_normal_form(M) -> tuple:
+    """The invariant factors d_1 | d_2 | ... of an integer matrix, zeros dropped.
 
-    def rank(self) -> int:
-        return len(self.factors)
-
-
-def smith_normal_form(M, want_certificate: bool = True) -> SmithNormalForm:
-    """Diagonalise an integer matrix as U @ M @ V with unimodular U, V.
-
-    Returns the invariant factors d_1 | d_2 | ... (zeros dropped).  One
-    elimination loop takes as pivot the smallest nonzero |entry| of the
+    One elimination loop takes as pivot the smallest nonzero |entry| of the
     first nonzero column of the trailing block and clears its column and
-    row, touching only rows and columns with a nonzero multiplier.  Every
-    row operation acts on A and U, every column operation on A and V, so
-    U and V are products of elementary operations and unimodular by
-    construction; when requested, U @ M @ V == diag is re-verified.  The
-    divisibility chain then comes from the diagonal alone: each pair
-    d_i, d_j with d_i not dividing d_j becomes gcd, lcm through one 2x2
-    unimodular operation on each side.  The input is checked once, then
-    the overflow guard checks every entry an operation wrote, in A, U
-    and V alike, and moves all three to Python integers together.
+    row, touching only rows and columns with a nonzero multiplier.  The
+    input is checked once, then the overflow guard checks every block an
+    elimination wrote and moves the matrix to Python integers once an
+    entry reaches it.  The divisibility chain then comes from the diagonal
+    alone: each pair d_i, d_j with d_i not dividing d_j becomes gcd, lcm,
+    which is the Smith form of diag(d_i, d_j).
 
-    >>> smith_normal_form([[2, 0], [0, 3]]).factors
+    >>> smith_normal_form([[2, 0], [0, 3]])
     (1, 6)
-    >>> smith_normal_form([[1, 0], [0, 1]]).factors
+    >>> smith_normal_form([[1, 0], [0, 1]])
     (1, 1)
-    >>> smith_normal_form([[0]]).factors
+    >>> smith_normal_form([[0]])
     ()
     """
     A = np.array(M, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    original = A.copy()
     m, n = A.shape
-    mats = [A, np.eye(m, dtype=np.int64), np.eye(n, dtype=np.int64)] if want_certificate else [A]
-    exact = False
 
-    def check(blocks):
+    def check(block):
         # every entry below the guard before an operation keeps its results below 2**63
-        nonlocal A, exact
-        if not exact and any(b.size and np.abs(b).max() >= _OVERFLOW_GUARD for b in blocks):
-            mats[:] = [X.astype(object) for X in mats]
-            A, exact = mats[0], True
+        nonlocal A
+        if A.dtype != object and block.size and np.abs(block).max() >= _OVERFLOW_GUARD:
+            A = A.astype(object)
 
-    def side(axis):
-        # row operations (axis 0) act on A and U; column operations on A and V, as rows of X.T
-        return mats[:2] if axis == 0 else [X.T for X in mats[::2]]
+    def eliminate(X, dst, src, q):
+        """Subtract q[i] times line src from line dst[i]: rows of A, or of A.T for columns."""
+        support = np.flatnonzero(X[src])
+        cells = np.ix_(dst, support)
+        X[cells] = block = X[cells] - np.multiply.outer(q, X[src, support])
+        check(block)
 
-    def mix(axis, idx, W):
-        """Replace lines idx by W @ lines idx, for a unimodular W of order <= 2."""
-        check([np.array(W, dtype=object)])
-        blocks = []
-        for X in side(axis):
-            X[idx] = b = np.array(W, dtype=X.dtype) @ X[idx]
-            blocks.append(b)
-        check(blocks)
-
-    def eliminate(axis, dst, src, q):
-        """Subtract q[i] times line src from line dst[i]."""
-        blocks = []
-        for X in side(axis):
-            support = np.flatnonzero(X[src])
-            cells = np.ix_(dst, support)
-            X[cells] = b = X[cells] - np.multiply.outer(q, X[src, support])
-            blocks.append(b)
-        check(blocks)
-
-    swap = [[0, 1], [1, 0]]
-    check([A])
+    check(A)
     t = c = 0
     while t < min(m, n):
         # columns t..c-1 are zero in rows >= t: skipped, or a zero column swapped out
@@ -206,52 +171,37 @@ def smith_normal_form(M, want_certificate: bool = True) -> SmithNormalForm:
             c += 1
         if c == n:
             break
-        if c != t:
-            mix(1, [t, c], swap)
+        A[:, [t, c]] = A[:, [c, t]]
         while True:
             rows = t + np.flatnonzero(A[t:, t])
             p = int(rows[np.argmin(np.abs(A[rows, t]))])
-            if p != t:
-                mix(0, [t, p], swap)
+            A[[t, p]] = A[[p, t]]
             if A[t, t] < 0:
-                mix(0, [t], [[-1]])
+                A[t] = -A[t]
             below = t + 1 + np.flatnonzero(A[t + 1 :, t])
             if len(below):
-                eliminate(0, below, t, A[below, t] // A[t, t])
+                eliminate(A, below, t, A[below, t] // A[t, t])
                 if A[below, t].any():
                     continue  # a remainder is the new, smaller pivot
             right = t + 1 + np.flatnonzero(A[t, t + 1 :])
             if len(right):
-                eliminate(1, right, t, A[t, right] // A[t, t])
+                eliminate(A.T, right, t, A[t, right] // A[t, t])
                 rest = right[A[t, right] != 0]
                 if len(rest):
-                    mix(1, [t, int(rest[np.argmin(np.abs(A[t, rest]))])], swap)
+                    s = int(rest[np.argmin(np.abs(A[t, rest]))])
+                    A[:, [t, s]] = A[:, [s, t]]
                     continue
             break
         t += 1
         c += 1
 
-    # d_1 | d_2 | ...: gcd and lcm replace each pair that breaks the chain
+    d = [int(A[i, i]) for i in range(t)]
     for i in range(t):
         for j in range(i + 1, t):
-            di, dj = int(A[i, i]), int(A[j, j])
-            if dj % di:
-                g = math.gcd(di, dj)
-                s = pow(di // g, -1, dj // g)  # s*di + r*dj == g
-                r = (g - s * di) // dj
-                mix(0, [i, j], [[s, r], [-dj // g, di // g]])
-                mix(1, [i, j], [[1, 1], [-r * dj // g, s * di // g]])
-    factors = tuple(int(A[i, i]) for i in range(t))
-    if not want_certificate:
-        return SmithNormalForm(factors, None, None)
-    U, V = mats[1:]
-    D = (U.astype(object) @ original.astype(object)) @ V.astype(object)
-    expect = np.zeros_like(D)
-    for i, d in enumerate(factors):
-        expect[i, i] = d
-    if not np.array_equal(D, expect):
-        raise AssertionError("smith reduction certificate failed")
-    return SmithNormalForm(factors, U, V)
+            if d[j] % d[i]:
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +235,9 @@ def homology(C: ChainComplex) -> HomologyResult:
     ranks = [0] * (dims + 1)
     torsions = [()] * dims
     for d, M in enumerate(C.boundaries):
-        snf = smith_normal_form(M, want_certificate=False)
-        ranks[d + 1] = snf.rank()
-        torsions[d] = tuple(f for f in snf.factors if f > 1)
+        factors = smith_normal_form(M)
+        ranks[d + 1] = len(factors)
+        torsions[d] = tuple(f for f in factors if f > 1)
     top = dims - 1
     reliable = top if C.complete else top - 1
     betti = []

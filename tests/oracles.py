@@ -343,9 +343,9 @@ def generator_arrows_by_labeling(n: int, k: int):
     """The generating arrow families at arity k, each move family computed
     from its own source labeling.
 
-    Yields the families of symmetrize._generator_arrows in their unshuffled
-    order: the +1 steps on each profile entry, then, for each labeling x,
-    the arrows from every structure with labeling x to the least structure
+    Yields the families of symmetrize._generator_arrows in their order:
+    the +1 steps on each profile entry, then, for each labeling x, the
+    arrows from every structure with labeling x to the least structure
     above it with each other labeling, read from x's own pair levels and
     orientations rather than relabeled from the identity's.
     """

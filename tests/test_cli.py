@@ -443,6 +443,17 @@ def test_export_classifier_dot(capsys):
     assert out.count("->") == 4
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_classifier_refuses_past_the_export_budget(capsys, monkeypatch, fmt):
+    # (2, 2) has four arrows; the refusal comes before any line is written
+    monkeypatch.setattr(operads, "_MAX_EXPORT_ENTRIES", 3)
+    assert main(["export", "classifier", "--n", "2", "--k", "2", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0] == "error: classifier has 4 arrows (export budget 3)"
+
+
 def test_export_tree_roundtrip(tmp_path, capsys):
     from higherop.freeop import corolla, graft, tree_to_json, trivial
     from higherop.operads import OrdBase
