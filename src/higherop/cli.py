@@ -305,7 +305,7 @@ def verify_monad_laws(n: int, vmax: int, kmax: int) -> Report:
             "distinct_insertions": rep.distinct_insertions,
             "interned_trees": rep.interned_trees,
         },
-        {},
+        dict(rep.timing),
     )
 
 
@@ -428,10 +428,7 @@ def cmd_export(args) -> Report:
         else:
             raise ValueError(f"unsupported format {args.format!r} for ordinals")
     elif args.kind == "classifier":
-        P = symm.build_classifier(args.n, args.k)
-        if len(P.arrows) > operads._MAX_EXPORT_ENTRIES:
-            raise operads.BudgetExceededError(f"classifier has {len(P.arrows)} arrows "
-                                              f"(export budget {operads._MAX_EXPORT_ENTRIES})")
+        P = symm.build_classifier(args.n, args.k, max_arrows=operads._MAX_EXPORT_ENTRIES)
         if args.format == "dot":
             text = symm.classifier_dot(P)
         elif args.format == "json":

@@ -11,13 +11,19 @@ Grafting (the free-operad multiplication) and vertex insertion (the
 monad multiplication) are defined structurally, so the unit laws hold
 on the nose and associativity is the content of check_monad_laws.
 A vertex address is the root path of child indices.
+
+check_monad_laws runs on integer ids: _TreeStore keys a term by its
+node morphism's number and its children's ids, and its graft and insert
+on ids also say where every vertex lands.  graft and insert on terms
+stay the API, and the reference the tests hold the ids against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .operads import (
     cardinality_morphism,
     compile_base,
     is_surjective,
+    sorted_distinct,
 )
 
 
@@ -450,8 +457,10 @@ class LawReport:
     violations: list
     unit_instances: int = 0
     assoc_instances: int = 0
-    distinct_insertions: int = 0  # insertions computed, one per (x, address, y)
+    distinct_insertions: int = 0  # insertions computed, one per (x, vertex, y)
     interned_trees: int = 0  # distinct undecorated terms seen, inputs and results
+    # wall-clock seconds in distinct insertions and in instance checks, outside comparisons
+    timing: dict = field(default_factory=dict, compare=False, repr=False)
 
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.violations)} violations)"
@@ -461,118 +470,323 @@ class LawReport:
         )
 
 
-def _redecorate(tree: TreeTerm, decorations) -> TreeTerm:
-    """tree with its vertices decorated from the iterator, in preorder."""
-    if tree.is_trivial:
-        return tree
-    dec = next(decorations)
-    return TreeTerm(tree.sigma, tuple(_redecorate(c, decorations) for c in tree.children), dec)
-
-
-def _tags(prefix: str, count: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(count)]
-
-
 class _TreeStore:
-    """Interned undecorated terms and memoised insertion, for one law check.
+    """Undecorated terms as integer ids, and memoised insertion between them.
 
-    A term's id is keyed by its node morphism and its children's ids, so two
-    terms are equal exactly when their ids are.  Per id the store keeps the
-    term, its vertex count and its preorder vertex list (address, object).
+    Node morphisms are numbered as they are met, and a term is keyed by its
+    node morphism's number and its children's ids (the trivial tree by
+    None), so two terms are equal exactly when their ids are.  Per id the
+    store keeps the node, the vertex count, the preorder vertex list
+    (address, object) and per vertex its node morphism's number and its
+    subtree's vertex count.
+
+    Insertions are numbered entries.  Entry e inserts y at the vertex of x
+    at preorder position p (inputs[e] = (x, p, y)); result[e] is the id of
+    the result, and x_lands[e] and y_lands[e] hold where x's and y's
+    vertices land, as preorder positions in the result (-1 for x's replaced
+    vertex).  The landing rows are padded with -1 to width, one more than
+    the largest vertex count, so a gather at position -1 reads -1.
     """
 
-    def __init__(self, base, insert_impl):
+    def __init__(self, base):
         self.base = base
-        self.insert_impl = insert_impl
         self.ids: dict = {}
-        self.terms: list[TreeTerm] = []
+        self.nodes: list = []  # (morphism number, child ids), or None for the trivial tree
         self.sizes: list[int] = []
         self.vertices: list[tuple] = []
-        self.memo: dict = {}
-        self._tagged: dict = {}
-        self._landings: dict = {}  # one copy of each landing tuple; there are few
+        self.shapes: list[tuple] = []  # per vertex, its morphism number and subtree size
+        self.morphisms: list = []
+        self._mids: dict = {}
+        self._targets: list[int] = []  # per morphism, the number of its target object
+        self.objects: list = []
+        self._oids: dict = {}
+        self.addresses: list[tuple] = []
+        self._aids: dict = {}
+        self._blocks: dict = {}
+        self._grafts: dict = {}
+        self._tuples: dict = {}  # one copy of each landing tuple; there are few
+        self.width = 1
+        # the entry arrays and the table are views of the first rows of these, which
+        # grow by doubling
+        self._room = {"inputs": np.zeros((0, 3), dtype=np.int64),
+                      "result": np.zeros(0, dtype=np.int64),
+                      "x_lands": np.full((0, 1), -1, dtype=np.int32),
+                      "y_lands": np.full((0, 1), -1, dtype=np.int32),
+                      "table": np.full((0, 1, 3), -1, dtype=np.int64)}
+        self.inputs, self.result, self.x_lands, self.y_lands, self._table = self._room.values()
+        self._keys = np.zeros(0, dtype=np.int64)  # packed inputs, sorted
+        self._entries = np.zeros(0, dtype=np.int64)  # the entry of each sorted key
+        self.insert_s = 0.0
 
-    def intern(self, tree: TreeTerm) -> int:
-        return self._intern(tree, [])
-
-    def _intern(self, tree: TreeTerm, decorations: list) -> int:
-        """The id of tree without its decorations, which are appended in preorder."""
-        if tree.is_trivial:
-            key = (tree.trivial_target,)
-        else:
-            decorations.append(tree.decoration)
-            key = (tree.sigma, tuple(self._intern(c, decorations) for c in tree.children))
-        i = self.ids.get(key)
+    @staticmethod
+    def _number(value, numbers: dict, values: list) -> int:
+        i = numbers.get(value)
         if i is None:
-            i = self.ids[key] = len(self.terms)
-            if tree.is_trivial:
-                self.terms.append(tree)
-                self.sizes.append(0)
-                self.vertices.append(())
-            else:
-                kids = key[1]
-                self.terms.append(TreeTerm(tree.sigma, tuple(self.terms[c] for c in kids)))
-                self.sizes.append(1 + sum(self.sizes[c] for c in kids))
-                self.vertices.append((((), tree.sigma.target),) + tuple(
-                    ((j,) + a, obj) for j, c in enumerate(kids) for a, obj in self.vertices[c]
-                ))
+            i = numbers[value] = len(values)
+            values.append(value)
         return i
 
-    def tagged(self, i: int, prefix: str) -> TreeTerm:
-        """Term i with its vertices decorated prefix0, prefix1, ... in preorder."""
-        key = (i, prefix)
-        tree = self._tagged.get(key)
-        if tree is None:
-            tree = self._tagged[key] = _redecorate(self.terms[i], iter(_tags(prefix, self.sizes[i])))
-        return tree
+    def _mid(self, sigma) -> int:
+        m = self._mids.get(sigma)
+        if m is None:
+            m = self._number(sigma, self._mids, self.morphisms)
+            self._targets.append(self._number(sigma.target, self._oids, self.objects))
+        return m
 
-    def insert(self, x: int, address: tuple, y: int) -> tuple:
-        """(result id, x's landings, y's landings) of inserting y at x's vertex
-        at address.
+    def _node(self, m, kids: tuple) -> int:
+        """The id of the term with node morphism number m over the kids (the
+        trivial tree when m is None)."""
+        key = None if m is None else (m, kids)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            if m is None:
+                self.sizes.append(0)
+                self.vertices.append(())
+                self.shapes.append(())
+                return i
+            size = 1 + sum(self.sizes[c] for c in kids)
+            self.sizes.append(size)
+            self.width = max(self.width, size + 1)
+            self.vertices.append((((), self.morphisms[m].target),) + tuple(
+                ((j,) + a, obj) for j, c in enumerate(kids) for a, obj in self.vertices[c]))
+            self.shapes.append(((m, size),) + tuple(
+                itertools.chain.from_iterable(self.shapes[c] for c in kids)))
+        return i
 
-        The insertion runs once per key, on copies of x and y tagged by
-        preorder index.  A landing is the preorder position in the result
-        that carries the vertex's tag, or None: the replaced vertex of x,
-        or a vertex that the insertion lost.
-        """
-        key = (x, address, y)
-        hit = self.memo.get(key)
+    def intern(self, tree: TreeTerm) -> int:
+        if tree.is_trivial:
+            return self._node(None, ())
+        return self._node(self._mid(tree.sigma), tuple(self.intern(c) for c in tree.children))
+
+    def label(self, i: int, prefix: str | None = None) -> str:
+        """tree_label of term i, its vertices decorated prefix0, prefix1, ...
+        in preorder when a prefix is given."""
+        tags = itertools.count()
+
+        def walk(t: int) -> str:
+            if self.nodes[t] is None:
+                return "triv"
+            m, kids = self.nodes[t]
+            dec = "" if prefix is None else f"{prefix}{next(tags)}"
+            return f"({_sigma_label(self.morphisms[m])}|{dec}|{','.join(map(walk, kids))})"
+
+        return walk(i)
+
+    def _block(self, a: int, s: int) -> tuple:
+        """For node morphism a: S -> S'' grafted along s: T -> S, the number
+        of a after s, the numbers of s restricted over each element j of S'',
+        and the elements of S over each j."""
+        inner, sigma = self.morphisms[a], self.morphisms[s]
+        fibers = tuple(tuple(e for e, v in enumerate(inner.map) if v == j)
+                       for j in range(_target_size(inner)))
+        return (self._mid(self.base.compose(inner, sigma)),
+                tuple(self._mid(self.base.restrict(sigma, inner, j)) for j in range(len(fibers))),
+                fibers)
+
+    def graft(self, y: int, s: int, leaves: tuple) -> tuple:
+        """graft(y, sigma, leaves) on ids, sigma numbered s: (result, y's
+        landings, offsets).  Each leaf lands whole, its vertices from
+        offsets[e] on."""
+        key = (y, s, leaves)
+        hit = self._grafts.get(key)
         if hit is None:
-            result = self.insert_impl(self.tagged(x, "x"), address, self.tagged(y, "y"), self.base)
-            decorations = []
-            r = self._intern(result, decorations)
-            position = {dec: p for p, dec in enumerate(decorations)}
-            hit = self.memo[key] = (r, self._lands(position, "x", x), self._lands(position, "y", y))
+            if self.nodes[y] is None:  # s: T -> terminal has a single fiber
+                hit = (leaves[0], (), (0,))
+            else:
+                a, kids = self.nodes[y]
+                block = self._blocks.get((a, s))
+                if block is None:
+                    block = self._blocks[a, s] = self._block(a, s)
+                c, rhos, fibers = block
+                nodes, sizes = self.nodes, self.sizes
+                new, lands, offsets, at = [], [0], [0] * len(leaves), 1
+                for kid, rho, fiber in zip(kids, rhos, fibers):
+                    if nodes[kid] is None:  # a leaf of y over one element, whose tree lands whole
+                        g = leaves[fiber[0]]
+                        offsets[fiber[0]] = at
+                    else:
+                        g, kid_lands, kid_offsets = self.graft(kid, rho, tuple([leaves[e] for e in fiber]))
+                        lands += [at + q for q in kid_lands]
+                        for e, o in zip(fiber, kid_offsets):
+                            offsets[e] = at + o
+                    new.append(g)
+                    at += sizes[g]
+                lands, offsets = tuple(lands), tuple(offsets)
+                hit = (self._node(c, tuple(new)), self._tuples.setdefault(lands, lands),
+                       self._tuples.setdefault(offsets, offsets))
+            self._grafts[key] = hit
         return hit
 
-    def _lands(self, position: dict, prefix: str, i: int) -> tuple:
-        lands = tuple(position.get(tag) for tag in _tags(prefix, self.sizes[i]))
-        return self._landings.setdefault(lands, lands)
+    def insert(self, x: int, p: int, y: int) -> tuple:
+        """insert(x, address, y) on ids, for the vertex of x at preorder
+        position p: (result, the vertex's children, the offsets from p at
+        which their trees land, and those at which y's vertices land)."""
+        nodes, sizes = self.nodes, self.sizes
+        path, t, q = [], x, p
+        while q:
+            m, kids = nodes[t]
+            q -= 1
+            for slot, t in enumerate(kids):
+                if q < sizes[t]:
+                    break
+                q -= sizes[t]
+            path.append((m, kids, slot))
+        m, below = nodes[t]
+        r, y_lands, offsets = self.graft(y, m, below)
+        for m, kids, slot in reversed(path):
+            r = self._node(m, kids[:slot] + (r,) + kids[slot + 1:])
+        return r, below, offsets, y_lands
+
+    def lookup(self, x, p, y) -> np.ndarray:
+        """The entries inserting y[i] at position p[i] of x[i]; the insertions
+        not seen yet run once each.  Inputs pack into one int64 key, ids
+        below 2^24 and positions below 2^15: the tree and instance budgets
+        keep them far below."""
+        keys = (np.asarray(x, np.int64) << 39) | (np.asarray(y, np.int64) << 15) | p
+        at = np.searchsorted(self._keys, keys)
+        seen = at < len(self._keys)
+        seen[seen] = self._keys[at[seen]] == keys[seen]
+        if not seen.all():
+            self._run(sorted_distinct(keys[~seen]))
+            at = np.searchsorted(self._keys, keys)
+        return self._entries[at]
+
+    def _run(self, keys: np.ndarray) -> None:
+        start = time.perf_counter()
+        x, p, y = keys >> 39, keys & 0x7FFF, (keys >> 15) & 0xFFFFFF
+        rows = [self.insert(*key) for key in zip(x.tolist(), p.tolist(), y.tolist())]
+        first = len(self.inputs)
+        results, below, offsets, y_offsets = zip(*rows)
+        x_lands, y_lands = self._landings(x, p, y, below, offsets, y_offsets)
+        for name, new in (("inputs", np.stack([x, p, y], axis=1)), ("result", results),
+                          ("x_lands", x_lands), ("y_lands", y_lands)):
+            room = self._room[name] = _appended(self._room[name], first, np.asarray(new))
+            setattr(self, name, room[:first + len(keys)])
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._entries = np.insert(self._entries, at, np.arange(first, len(self.inputs)))
+        self.insert_s += time.perf_counter() - start
+
+    def _landings(self, x, p, y, below, offsets, y_offsets) -> tuple:
+        """The landing rows of x's and y's vertices, from what insert returns.
+
+        x's vertices before position p stay, the one at p is replaced, the
+        trees of its children (the blocks after it, in order) move whole to
+        their offsets, and the vertices after its subtree shift by y's
+        vertex count less one.
+        """
+        sizes = np.array(self.sizes, dtype=np.int64)
+        child = _padded(below, 1)
+        L = np.where(child >= 0, sizes[child], 0)
+        ends = np.cumsum(L, axis=1)  # of each child's block, counted from p + 1
+        q = np.arange(self.width)
+        P = p[:, None]
+        rel = q - P - 1
+        e = np.minimum((ends[:, None, :] <= rel[:, :, None]).sum(axis=2), ends.shape[1] - 1)
+        moved = P + np.take_along_axis(_padded(offsets, 1) - ends + L, e, axis=1) + rel
+        x_lands = np.where(q < P, q, np.where(rel < 0, -1, np.where(
+            rel < ends[:, -1:], moved, q + (sizes[y] - 1)[:, None])))
+        x_lands[q >= sizes[x][:, None]] = -1
+        y_lands = _padded(y_offsets, self.width)
+        y_lands = np.where(y_lands >= 0, y_lands + P, -1)
+        return x_lands.astype(np.int32), y_lands.astype(np.int32)
+
+    def table(self) -> np.ndarray:
+        """[id, preorder position] -> (address id, object number, subtree
+        size) of the vertex, -1 past the last vertex."""
+        have = len(self._table)
+        if have < len(self.nodes):
+            number = self._number
+            codes = [(number(a, self._aids, self.addresses), self._targets[m], size)
+                     for verts, shape in zip(self.vertices[have:], self.shapes[have:])
+                     for (a, _), (m, size) in zip(verts, shape)]
+            block = np.full((len(self.nodes) - have, self.width, 3), -1, dtype=np.int64)
+            block[_ragged(np.zeros(len(block), np.int64), np.array(self.sizes[have:]))] = (
+                np.array(codes, dtype=np.int64).reshape(-1, 3))
+            self._room["table"] = _appended(self._room["table"], have, block)
+            self._table = self._room["table"][:len(self.nodes)]
+        return self._table
+
+    def joined(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The ids of the addresses a[i] + b[i] (-1: no term has one)."""
+        n = len(self.addresses)
+        keys = a * n + b
+        pairs = sorted_distinct(keys)
+        ids = [self._aids.get(self.addresses[k // n] + self.addresses[k % n], -1)
+               for k in pairs.tolist()]
+        return np.array(ids, dtype=np.int64).reshape(-1)[np.searchsorted(pairs, keys)]
 
 
-def _through(landing: tuple, positions: tuple) -> tuple:
-    """Where the vertices at these positions land, None staying None."""
-    return tuple(None if p is None else landing[p] for p in positions)
+def _padded(rows, width: int) -> np.ndarray:
+    """Rows of ints as an int64 array of at least width columns, padded with -1."""
+    lens = np.fromiter(map(len, rows), np.int64, len(rows))
+    out = np.full((len(rows), max(width, int(lens.max(initial=0)))), -1, dtype=np.int64)
+    out[_ragged(np.zeros(len(rows), np.int64), lens)] = np.fromiter(
+        itertools.chain.from_iterable(rows), np.int64, int(lens.sum()))
+    return out
+
+
+def _appended(room: np.ndarray, used: int, rows: np.ndarray) -> np.ndarray:
+    """room with rows written after its first used rows; when they do not
+    fit, or are wider, a copy twice as long (padded with -1) takes them."""
+    need = used + len(rows)
+    if need > len(room) or rows.shape[1:] > room.shape[1:]:
+        grown = np.full((max(need, 2 * len(room)),) + rows.shape[1:], -1, room.dtype)
+        grown[(slice(used),) + tuple(map(slice, room.shape[1:]))] = room[:used]
+        room = grown
+    room[used:need] = rows
+    return room
+
+
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> tuple:
+    """(i, position) for each i and each position starts[i], ...,
+    starts[i] + lens[i] - 1, in that order."""
+    rows = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return rows, np.arange(total) - np.repeat(ends - lens - starts, lens)
+
+
+def _through(landing: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Row by row, where the vertices at these positions land, -1 staying -1."""
+    return np.take_along_axis(landing, positions, axis=1)
+
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a != b).any(axis=1)
+
+
+def _find(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The column where each row holds want[i]."""
+    hit = rows == want[:, None]
+    if not hit.any(axis=1).all():
+        raise ValueError("an insertion lost a vertex address")
+    return hit.argmax(axis=1)
 
 
 # trees that check_monad_laws enumerates at most; n=2, vmax=3, kmax=4 has 8,853
 _MAX_TREES = 10_000
-# law instances that check_monad_laws checks at most.  It checks about 50,000 a
-# second (n=2, vmax=3, kmax=4: 726,909 in 13-14 s), and deeper trees cost more each,
-# so this admits that input and refuses n=1, vmax=12, kmax=3 (15.7M instances).
-_MAX_LAW_INSTANCES = 1_000_000
+# law instances that check_monad_laws checks at most.  It checks 300,000 to 650,000
+# a second on two cores (n=2, vmax=3, kmax=4: 726,909 in 2.2-3.0 s; n=1, vmax=10,
+# kmax=3: 3.37M in 9.6 s at 154 MB), so this bounds a check by about 14 s and
+# refuses n=1, vmax=12, kmax=3 (15.7M instances).
+_MAX_LAW_INSTANCES = 4_000_000
+# law instances checked in one batch, so that the batch's arrays stay small
+_BATCH = 1 << 15
 
 
 def _law_instances(store: _TreeStore, ids_by_target: dict, vmax: int, kmax: int,
-                   regular: bool, base) -> int:
-    """The unit, associativity and commutation instances that
-    check_monad_laws visits, counted without an insertion.
+                   regular: bool, base) -> list[int]:
+    """Per tree x, the unit, associativity and commutation instances that
+    check_monad_laws visits with x outermost, counted without an insertion.
 
     Each tree x contributes one unit instance per vertex and one for the
     corolla, and its vertices v and pairs of independent vertices (v, w)
     contribute the inserted trees that fit the vertex bound, counted
-    from the trees per (object, vertex count).  The objects go in the
-    order of ids_by_target, and the count stops once it passes
+    from the trees per (object, vertex count).  The trees go in the
+    order of ids_by_target, and the count stops once its sum passes
     _MAX_LAW_INSTANCES.
     """
     counts = {S: _tree_counts(S, vmax, kmax, regular, base) for S in ids_by_target}
@@ -594,23 +808,23 @@ def _law_instances(store: _TreeStore, ids_by_target: dict, vmax: int, kmax: int,
     def pairs(S_v, S_w, c: int) -> int:  # y over S_v and z over S_w with c vertices at most
         return sum(counts[S_v][a] * fits(S_w, c - a) for a in range(min(c, vmax) + 1))
 
-    total = 0
+    out, total = [], 0
     for S, trees in vertex_lists.items():
         for xs in trees:
             nx = len(xs)
-            total += nx + 1 + sum(nested[S_v][vmax - nx + 1] for _, S_v in xs)
+            count = nx + 1 + sum(nested[S_v][vmax - nx + 1] for _, S_v in xs)
             for i, (v, S_v) in enumerate(xs):
                 # the later vertices outside v's subtree; preorder is address order
-                total += sum(pairs(S_v, S_w, vmax - nx + 2)
+                count += sum(pairs(S_v, S_w, vmax - nx + 2)
                              for w, S_w in xs[i + 1:] if w[:len(v)] != v)
+            out.append(count)
+            total += count
             if total > _MAX_LAW_INSTANCES:
-                return total
-    return total
+                return out
+    return out
 
 
-def check_monad_laws(
-    n: int, vmax: int, kmax: int, regular: bool = True, insert_impl=None
-) -> LawReport:
+def check_monad_laws(n: int, vmax: int, kmax: int, regular: bool = True) -> LawReport:
     """Unit and associativity laws for insertion, exhaustive within bounds.
 
     Unit laws run over every enumerated tree: replacing any vertex by the
@@ -623,13 +837,17 @@ def check_monad_laws(
     inserted tree's shape, so y's vertex w must land at address v + w of
     the result.  Independent vertices are also checked to commute.  Two
     sides agree when they are the same tree and every vertex of x, y and z
-    lands at the same position on both.  The trees are interned, and each
-    distinct insertion runs once, through insert_impl (by default this
-    module's insert), which can be swapped to prove the checker catches
-    broken implementations.  The trees are counted first, and
-    BudgetExceededError is raised before any is built when there are more
-    than _MAX_TREES; the instances are counted next, and refused past
-    _MAX_LAW_INSTANCES before any insertion.
+    lands at the same position on both.
+
+    The trees are integer ids, and each distinct insertion runs once, on
+    ids, through _TreeStore.insert, which records where every vertex
+    lands.  The instances of a batch of outer trees are integer arrays
+    whose insertions are looked up among the entries at once, and both
+    sides are compared by gathers; the violations come in the order of
+    the nested loops over x, v, y, w and z.  The trees are counted first,
+    and BudgetExceededError is raised before any is built when there are
+    more than _MAX_TREES; the instances are counted next, and refused
+    past _MAX_LAW_INSTANCES before any insertion.
     """
     base = OrdBase(n)
     all_objects, count = [], 0
@@ -642,106 +860,171 @@ def check_monad_laws(
                     f"{count} trees (budget {_MAX_TREES})"
                 )
             all_objects.append(T)
-    store = _TreeStore(base, insert_impl if insert_impl is not None else insert)
+    store = _TreeStore(base)
     ids_by_target = {
         T: [store.intern(t) for t in enumerate_trees(T, vmax, kmax, regular, base)]
         for T in all_objects
     }
-    count = _law_instances(store, ids_by_target, vmax, kmax, regular, base)
+    per_x = _law_instances(store, ids_by_target, vmax, kmax, regular, base)
+    count = sum(per_x)
     if count > _MAX_LAW_INSTANCES:
         raise BudgetExceededError(
             f"the monad laws at n={n}, vmax={vmax}, kmax={kmax} have at least {count} "
             f"instances (budget {_MAX_LAW_INSTANCES})"
         )
     rep = LawReport(ok=True, violations=[])
-    _check_laws(rep, store, ids_by_target, vmax)
+    start = time.perf_counter()
+    _check_laws(rep, store, ids_by_target, vmax, per_x)
     rep.ok = not rep.violations
-    rep.distinct_insertions = len(store.memo)
-    rep.interned_trees = len(store.terms)
+    rep.distinct_insertions = len(store.inputs)
+    rep.interned_trees = len(store.nodes)
+    rep.timing = {"insertions_s": round(store.insert_s, 3),
+                  "instances_s": round(time.perf_counter() - start - store.insert_s, 3)}
     return rep
 
 
-def _check_laws(rep: LawReport, store: _TreeStore, ids_by_target: dict, vmax: int) -> None:
-    """The instances of check_monad_laws, in order; stops after the unit laws
-    if one fails, and once ten violations are recorded."""
-    sizes, verts, ins = store.sizes, store.vertices, store.insert
+def _check_laws(rep: LawReport, store: _TreeStore, ids_by_target: dict, vmax: int,
+                per_x: list) -> None:
+    """The instances of check_monad_laws; stops after the unit laws if one
+    fails, and at the first instance once ten violations are recorded."""
+    objects = list(ids_by_target)
+    corollas = np.array([store.intern(corolla(store.base, S)) for S in objects], dtype=np.int64)
+    trees = [np.array(ids, dtype=np.int64) for ids in ids_by_target.values()]
+    xs = np.concatenate(trees)
+    sizes = np.array(store.sizes, dtype=np.int64)
+    codes = store.table()
+    place = {S: k for k, S in enumerate(objects)}  # store object number -> place in objects
+    places = np.array([place.get(S, -1) for S in store.objects] + [-1], dtype=np.int64)
+    vobj = places[codes[:, :, 1]]  # -1 past the last vertex reads the appended -1
 
-    def label(i: int, prefix: str | None = None) -> str:
-        return tree_label(store.terms[i] if prefix is None else store.tagged(i, prefix))
+    # candidates: the trees over objects[k] with at most c vertices, in order, are
+    # pool[start[g] : start[g] + lens[g]] for g = k * (vmax + 1) + c
+    groups = [ids[sizes[ids] <= c] for ids in trees for c in range(vmax + 1)]
+    groups.append(np.zeros(0, np.int64))  # for objects without trees and bounds below 0
+    lens = np.array([len(g) for g in groups], dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    pool = np.concatenate(groups)
 
-    corollas = {S: store.intern(corolla(store.base, S)) for S in ids_by_target}
-    # per id interned so far, its vertices with the ids of the trees over their objects
-    slots = [tuple((v, ids_by_target.get(S, ())) for v, S in vs) for vs in verts]
-    for T, ids in ids_by_target.items():
-        for x in ids:
-            for v, S_v in verts[x]:
-                rep.unit_instances += 1
-                if ins(x, v, corollas[S_v])[0] != x:
-                    rep.violations.append(
-                        f"unit fails: replacing vertex {v} of {label(x)} "
-                        "by its corolla changed the tree"
-                    )
-        for t in ids:
-            rep.unit_instances += 1
-            if ins(corollas[T], (), t)[0] != t:
-                rep.violations.append(f"unit fails: inserting {label(t)} into the corolla over {T}")
+    def candidates(obj: np.ndarray, c: np.ndarray) -> tuple:
+        g = np.where((obj >= 0) & (c >= 0), obj * (vmax + 1) + np.minimum(c, vmax), len(groups) - 1)
+        rows, at = _ragged(starts[g], lens[g])
+        return rows, pool[at]
+
+    # unit laws, object by object: every vertex of every tree replaced by its corolla,
+    # then every tree inserted into the corolla
+    parts = []
+    for k, ids in enumerate(trees):
+        r, p = _ragged(np.zeros(len(ids), np.int64), sizes[ids])
+        x = ids[r]
+        parts.append((x, p, corollas[vobj[x, p]], x, np.full(len(x), -1)))
+        parts.append((np.full(len(ids), corollas[k]), np.zeros(len(ids), np.int64), ids, ids,
+                      np.full(len(ids), k)))
+    x, p, y, want, over = (np.concatenate(col) for col in zip(*parts))
+    rep.unit_instances = len(x)
+    e = store.lookup(x, p, y)
+    for i in np.flatnonzero(store.result[e] != want).tolist():
+        if over[i] >= 0:
+            rep.violations.append(f"unit fails: inserting {store.label(y[i])} "
+                                  f"into the corolla over {objects[over[i]]}")
+        else:
+            rep.violations.append(
+                f"unit fails: replacing vertex {store.vertices[x[i]][p[i]][0]} of "
+                f"{store.label(x[i])} by its corolla changed the tree")
     if rep.violations:
         return
 
-    for ids in ids_by_target.values():
-        for x in ids:
-            nx, xs = sizes[x], slots[x]
-            for v, ys in xs:
-                for y in ys:
-                    ny = sizes[y]
-                    if nx + ny - 1 > vmax:
-                        continue
-                    xy, xl, yl = ins(x, v, y)
-                    for j, (w, zs) in enumerate(slots[y]):
-                        vw = v + w
-                        if yl[j] is None or verts[xy][yl[j]][0] != vw:
-                            rep.violations.append(f"vertex y{j} vanished when inserting at {v}")
-                            continue
-                        for z in zs:
-                            if nx + ny + sizes[z] - 2 > vmax:
-                                continue
-                            rep.assoc_instances += 1
-                            yz, yl1, zl1 = ins(y, w, z)
-                            lhs, xl2, yzl2 = ins(x, v, yz)
-                            rhs, xyl3, zl3 = ins(xy, vw, z)
-                            if (lhs != rhs or xl2 != _through(xyl3, xl)
-                                    or _through(yzl2, yl1) != _through(xyl3, yl)
-                                    or _through(yzl2, zl1) != zl3):
-                                rep.violations.append(
-                                    "associativity fails: "
-                                    f"x={label(x, 'x')} v={v} "
-                                    f"y={label(y, 'y')} w={w} z={label(z, 'z')}"
-                                )
-                            if len(rep.violations) >= 10:
-                                return
-                # independent vertices commute
-                for w, zs in xs:
-                    if w[: len(v)] == v or v[: len(w)] == w:
-                        continue
-                    if w < v:
-                        continue  # each unordered pair once
-                    for y in ys:
-                        for z in zs:
-                            if nx + sizes[y] + sizes[z] - 2 > vmax:
-                                continue
-                            rep.assoc_instances += 1
-                            xy, xl, yl = ins(x, v, y)
-                            one, xyl, zl = ins(xy, w, z)
-                            xz, xl2, zl2 = ins(x, w, z)
-                            other, xzl, yl2 = ins(xz, v, y)
-                            if (one != other or _through(xyl, xl) != _through(xzl, xl2)
-                                    or _through(xyl, yl) != yl2 or zl != _through(xzl, zl2)):
-                                rep.violations.append(
-                                    "independent insertions do not commute: "
-                                    f"x={label(x, 'x')} v={v} w={w}"
-                                )
-                            if len(rep.violations) >= 10:
-                                return
+    bounds = np.flatnonzero(np.diff(np.cumsum(per_x) // _BATCH)) + 1
+    for chunk in np.split(xs, bounds):
+        if _check_batch(rep, store, chunk, sizes, vobj, candidates, vmax):
+            return
+
+
+def _check_batch(rep, store, xs, sizes, vobj, candidates, vmax) -> bool:
+    """The associativity and commutation instances with outer tree in xs;
+    True once the check stops."""
+    # (x, v): every vertex of every x, at preorder position p
+    r, p = _ragged(np.zeros(len(xs), np.int64), sizes[xs])
+    x, nx = xs[r], sizes[xs][r]
+    codes = store.table()
+    sub = codes[x, p, 2]
+
+    # associativity: y over v's object, w its j-th vertex, z over w's object
+    a, y = candidates(vobj[x, p], vmax - nx + 1)
+    first = store.lookup(x[a], p[a], y)
+    b, j = _ragged(np.zeros(len(y), np.int64), sizes[y])
+    xv, yb, e1 = a[b], y[b], first[b]
+    land = store.y_lands[e1, j]
+    codes = store.table()
+    vw = store.joined(codes[x[xv], p[xv], 0], codes[yb, j, 0])
+    vanished = (land < 0) | (codes[store.result[e1], land, 0] != vw)
+    kept = np.flatnonzero(~vanished)
+    c, z = candidates(vobj[yb[kept], j[kept]], (vmax - nx[xv] - sizes[yb] + 2)[kept])
+    at = kept[c]
+    yz = store.lookup(yb[at], j[at], z)
+    lhs = store.lookup(x[xv[at]], p[xv[at]], store.result[yz])
+    rhs = store.lookup(store.result[e1[at]], land[at], z)
+
+    # commutation: w a later vertex of x outside v's subtree, y over v's and z over w's object
+    v, q = _ragged(p + sub, nx - p - sub)
+    d, y2 = candidates(vobj[x[v], p[v]], vmax - nx[v] + 2)
+    vq = v[d]
+    f, z2 = candidates(vobj[x[vq], q[d]], vmax - nx[vq] - sizes[y2] + 2)
+    vc, qc, y2 = vq[f], q[d][f], y2[f]
+    xy = store.lookup(x[vc], p[vc], y2)
+    xz = store.lookup(x[vc], qc, z2)
+    codes = store.table()
+    one = store.lookup(store.result[xy], _find(codes[store.result[xy], :, 0], codes[x[vc], qc, 0]), z2)
+    other = store.lookup(store.result[xz], _find(codes[store.result[xz], :, 0], codes[x[vc], p[vc], 0]), y2)
+
+    res, XL, YL = store.result, store.x_lands, store.y_lands
+    bad_assoc = ((res[lhs] != res[rhs]) | _differ(XL[lhs], _through(XL[rhs], XL[e1[at]]))
+                 | _differ(_through(YL[lhs], XL[yz]), _through(XL[rhs], YL[e1[at]]))
+                 | _differ(_through(YL[lhs], YL[yz]), YL[rhs]))
+    bad_commute = ((res[one] != res[other])
+                   | _differ(_through(XL[one], XL[xy]), _through(XL[other], XL[xz]))
+                   | _differ(_through(XL[one], YL[xy]), YL[other])
+                   | _differ(YL[one], _through(XL[other], YL[xz])))
+    if not (vanished.any() or bad_assoc.any() or bad_commute.any()):
+        rep.assoc_instances += len(at) + len(vc)
+        return False
+
+    # replay the violations in loop order: per (x, v), the associativity events
+    # (a vanished vertex before the instances of the next) and then the commutations
+    gone = np.flatnonzero(vanished)
+    kind = np.concatenate([np.zeros(len(gone), np.int64), np.ones(len(at), np.int64),
+                           np.full(len(vc), 2)])
+    index = np.concatenate([gone, np.arange(len(at)), np.arange(len(vc))])
+    order = np.lexsort((
+        np.concatenate([2 * np.searchsorted(at, gone), 2 * np.arange(len(at)) + 1,
+                        np.arange(len(vc))]),
+        kind == 2,
+        np.concatenate([xv[gone], xv[at], vc]),
+    ))
+    kind, index = kind[order], index[order]
+    bad = np.concatenate([np.ones(len(gone), bool), bad_assoc, bad_commute])[order]
+    recorded = len(rep.violations) + np.cumsum(bad)
+    stops = np.flatnonzero((kind > 0) & (recorded >= 10))
+    end = stops[0] + 1 if len(stops) else len(kind)
+    rep.assoc_instances += int(np.count_nonzero(kind[:end] > 0))
+    for k, i in zip(kind[:end][bad[:end]].tolist(), index[:end][bad[:end]].tolist()):
+        if k == 0:
+            xi, pi = x[xv[i]], p[xv[i]]
+            rep.violations.append(f"vertex y{j[i]} vanished when inserting at "
+                                  f"{store.vertices[xi][pi][0]}")
+        elif k == 1:
+            xi, pi, yi, ji = x[xv[at[i]]], p[xv[at[i]]], yb[at[i]], j[at[i]]
+            rep.violations.append(
+                "associativity fails: "
+                f"x={store.label(xi, 'x')} v={store.vertices[xi][pi][0]} "
+                f"y={store.label(yi, 'y')} w={store.vertices[yi][ji][0]} "
+                f"z={store.label(z[i], 'z')}")
+        else:
+            xi = x[vc[i]]
+            rep.violations.append(
+                "independent insertions do not commute: "
+                f"x={store.label(xi, 'x')} v={store.vertices[xi][p[vc[i]]][0]} "
+                f"w={store.vertices[xi][qc[i]][0]}")
+    return bool(len(stops))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operads import (
+    _MAX_DENSE_BYTES,
     BudgetExceededError,
     CompiledBase,
     FinBase,
@@ -165,8 +166,18 @@ class ClassifierPoset:
         self.arrows = np.asarray(self.arrows, dtype=np.int32).reshape(-1, 2)
 
 
-def build_classifier(n: int, k: int, max_objects: int = 20000) -> ClassifierPoset:
-    """The arity-k classifier poset with its full arrow relation."""
+# arrows a classifier may have: the dense budget in (source, target) int32 pairs
+_MAX_ARROWS = _MAX_DENSE_BYTES // 8
+
+
+def build_classifier(n: int, k: int, max_objects: int = 20000,
+                     max_arrows: int = _MAX_ARROWS) -> ClassifierPoset:
+    """The arity-k classifier poset with its full arrow relation.
+
+    Refuses more than max_objects objects before any is built, and more
+    than max_arrows arrows as soon as the arrows found pass it, before
+    they are joined into one array.
+    """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     count = math.factorial(k) * n ** max(k - 1, 0)
@@ -175,18 +186,19 @@ def build_classifier(n: int, k: int, max_objects: int = 20000) -> ClassifierPose
             f"classifier at (n={n}, k={k}) has {count} objects "
             f"(budget {max_objects})"
         )
-    return ClassifierPoset(n, k, tuple(labeled_objects(n, k)), _strict_arrows(n, k))
+    return ClassifierPoset(n, k, tuple(labeled_objects(n, k)), _strict_arrows(n, k, max_arrows))
 
 
 _ARROW_BLOCK = 1 << 22
 
 
-def _strict_arrows(n: int, k: int) -> np.ndarray:
+def _strict_arrows(n: int, k: int, max_arrows: int = _MAX_ARROWS) -> np.ndarray:
     """All pairs (i, j), i != j, with an identity-carried arrow, i-major.
 
     Pair by pair, the level of j must reach the level of i, plus one
     where the pair changes orientation.  Sources go in blocks of objects
-    sharing a permutation, each one object or _ARROW_BLOCK comparisons.
+    sharing a permutation, each one object or _ARROW_BLOCK comparisons;
+    past max_arrows arrows the blocks stop with BudgetExceededError.
     """
     t = _labelings(n, k)
     n_prof, n_pairs = len(t.profiles), t.orient.shape[1]
@@ -194,7 +206,7 @@ def _strict_arrows(n: int, k: int) -> np.ndarray:
     # each object's pair levels, one column per object
     levels = t.level[:, t.lo, t.hi].transpose(2, 1, 0).reshape(n_pairs, n_obj)
     rows = max(1, _ARROW_BLOCK // max(n_pairs * n_obj, 1))
-    out = []
+    out, found = [], 0
     for r in range(len(t.perms)):
         # the target's levels, less one on each pair it orients unlike r
         reach = levels - np.repeat(t.orient != t.orient[r], n_prof, axis=0).T
@@ -206,6 +218,10 @@ def _strict_arrows(n: int, k: int) -> np.ndarray:
             i, j = np.nonzero(above)
             i += first
             out.append(np.stack([i, j], axis=1)[i != j].astype(np.int32))
+            found += len(out[-1])
+            if found > max_arrows:
+                raise BudgetExceededError(f"classifier at (n={n}, k={k}) has at least "
+                                          f"{found} arrows (budget {max_arrows})")
     return np.concatenate(out)
 
 

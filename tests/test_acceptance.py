@@ -165,16 +165,17 @@ def test_criterion_08_free_operad_catalan():
     _line(8, "free-operad Catalan census", ok, f"sizes={sizes}")
 
 
-def test_criterion_09_monad_laws_and_mutation():
+def test_criterion_09_monad_laws_and_mutation(monkeypatch):
     ok = True
     for n, vmax, kmax in [(1, 3, 3), (2, 3, 3)]:
         rep = check_monad_laws(n, vmax, kmax)
         ok = ok and rep.ok
     # a graft that forgets to compose the node morphisms must be caught
-    from test_freeop import _broken_insert
+    from test_freeop import drop_composition
 
+    drop_composition(monkeypatch)
     for n in (1, 2):
-        ok = ok and not check_monad_laws(n, 2, 2, insert_impl=_broken_insert).ok
+        ok = ok and not check_monad_laws(n, 2, 2).ok
     _line(9, "monad laws and mutation test", ok)
 
 

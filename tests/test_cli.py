@@ -185,6 +185,7 @@ def test_deep_monad_laws_are_refused_before_an_insertion(capsys, monkeypatch):
         raise AssertionError("a tree was inserted")
 
     monkeypatch.setattr(freeop, "insert", boom)
+    monkeypatch.setattr(freeop._TreeStore, "insert", boom)
     # 7,749 trees pass the tree budget; their 15.7M law instances do not
     assert main(["verify", "monad-laws", "--n", "1", "--vmax", "12", "--kmax", "3"]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -401,6 +402,9 @@ def test_verify_monad_laws(capsys):
     assert data["summary"] == "pass: 19 unit instances, 34 associativity instances"
     # 8 undecorated terms: the inputs and the results of the 21 insertions
     assert (data["distinct_insertions"], data["interned_trees"]) == (21, 8)
+    # the seconds in distinct insertions and in instance checks are timing only
+    assert set(rep["timing"]) == {"insertions_s", "instances_s", "ms"}
+    assert not any(key.endswith("_s") for key in data)
 
 
 def test_verify_stable_range_small(tmp_path, capsys):
@@ -451,7 +455,17 @@ def test_export_classifier_refuses_past_the_export_budget(capsys, monkeypatch, f
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == ""
-    assert len(err) == 1 and err[0] == "error: classifier has 4 arrows (export budget 3)"
+    assert len(err) == 1 and err[0] == "error: classifier at (n=2, k=2) has at least 4 arrows (budget 3)"
+
+
+def test_export_classifier_refuses_before_every_arrow_is_built(capsys):
+    # (9, 4) has 17,496 objects and 27,566,784 arrows; the export stops at the
+    # first block of arrows past its budget of 1,048,576 entries
+    assert main(["export", "classifier", "--n", "9", "--k", "4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: classifier at (n=9, k=4) has at least ")
+    found = int(err[0].split("at least ")[1].split()[0])
+    assert operads._MAX_EXPORT_ENTRIES < found < 27_566_784
 
 
 def test_export_tree_roundtrip(tmp_path, capsys):

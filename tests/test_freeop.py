@@ -1,7 +1,7 @@
-import functools
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from higherop.freeop import (
@@ -302,10 +302,10 @@ def _law_instance_count(n, vmax, kmax, regular):
     from higherop import freeop
 
     base = OrdBase(n)
-    store = freeop._TreeStore(base, insert)
+    store = freeop._TreeStore(base)
     ids = {T: [store.intern(t) for t in enumerate_trees(T, vmax, kmax, regular, base)]
            for k in range(kmax + 1) for T in enumerate_ordinals(n, k)}
-    return freeop._law_instances(store, ids, vmax, kmax, regular, base)
+    return sum(freeop._law_instances(store, ids, vmax, kmax, regular, base))
 
 
 @pytest.mark.parametrize("regular", [True, False])
@@ -316,14 +316,17 @@ def test_law_instance_count_matches_the_checker(n, vmax, kmax, regular):
 
 
 def test_law_instance_count_matches_recorded_checker_counts():
-    # unit and associativity-and-commutation instances of check_monad_laws at
-    # (2,3,3), both ways, and at (2,3,4) (33,674 and 693,235), which is only
-    # counted here: its check takes about 13 s, against 0.6 s and 1.8 s
-    for regular, units, assocs in [(True, 2_244, 25_519), (False, 6_177, 63_948)]:
-        rep = check_monad_laws(2, 3, 3, regular)
+    # unit and associativity-and-commutation instances of check_monad_laws, with
+    # its distinct insertions and interned trees, at (2,3,3) both ways and at (2,3,4)
+    for args, units, assocs, insertions, trees in [
+        ((2, 3, 3, True), 2_244, 25_519, 6_741, 869),
+        ((2, 3, 3, False), 6_177, 63_948, 18_081, 2_663),
+        ((2, 3, 4, True), 33_674, 693_235, 141_169, 14_845),
+    ]:
+        rep = check_monad_laws(*args)
         assert rep.ok and (rep.unit_instances, rep.assoc_instances) == (units, assocs)
-        assert _law_instance_count(2, 3, 3, regular) == units + assocs
-    assert _law_instance_count(2, 3, 4, True) == 33_674 + 693_235
+        assert (rep.distinct_insertions, rep.interned_trees) == (insertions, trees)
+        assert _law_instance_count(*args) == units + assocs
 
 
 def test_monad_laws_pass():
@@ -338,34 +341,45 @@ def test_monad_laws_nonregular():
     assert rep.ok, rep.violations[:3]
 
 
-def _broken_graft(x, sigma, ys, base):
-    ys = tuple(ys)
-    if x.is_trivial:
-        return ys[0] if ys else trivial(base)
-    inner = x.sigma
-    new_children = []
-    for j in range(len(x.children)):
-        rho = base.restrict(sigma, inner, j)
-        elems = [e for e, v in enumerate(inner.map) if v == j]
-        new_children.append(_broken_graft(x.children[j], rho, [ys[e] for e in elems], base))
-    # drops the composition with sigma
-    return TreeTerm(inner, tuple(new_children), x.decoration)
+def drop_composition(monkeypatch):
+    """Make the insertion kernel graft without composing the node morphisms:
+    each grafted vertex keeps its own morphism instead of its composite with
+    the morphism it is grafted along."""
+    from higherop import freeop
+
+    block = freeop._TreeStore._block
+
+    def dropped(self, a, s):
+        _, restrictions, fibers = block(self, a, s)
+        return a, restrictions, fibers
+
+    monkeypatch.setattr(freeop._TreeStore, "_block", dropped)
 
 
-def _broken_insert(outer, address, inner, base):
-    address = tuple(address)
-    if not address:
-        return _broken_graft(inner, outer.sigma, outer.children, base)
-    i, rest = address[0], address[1:]
-    children = list(outer.children)
-    children[i] = _broken_insert(children[i], rest, inner, base)
-    return TreeTerm(outer.sigma, tuple(children), outer.decoration)
+def swap_landings(monkeypatch, swapped="inner"):
+    """Make the insertion kernel report the first two vertices of the inner
+    (or the outer) tree, in the result's preorder, at each other's place."""
+    from higherop import freeop
+
+    landings = freeop._TreeStore._landings
+
+    def swapping(self, *args):
+        x_lands, y_lands = landings(self, *args)
+        lands = y_lands if swapped == "inner" else x_lands
+        for row in lands:
+            first = np.argsort(np.where(row >= 0, row, row.max() + 1), kind="stable")[:2]
+            if len(first) == 2 and (row[first] >= 0).all():
+                row[first] = row[first[::-1]]
+        return x_lands, y_lands
+
+    monkeypatch.setattr(freeop._TreeStore, "_landings", swapping)
 
 
-def test_mutated_graft_is_caught():
-    rep = check_monad_laws(1, 2, 2, insert_impl=_broken_insert)
+def test_mutated_graft_is_caught(monkeypatch):
+    drop_composition(monkeypatch)
+    rep = check_monad_laws(1, 2, 2)
     assert not rep.ok
-    rep = check_monad_laws(2, 2, 2, insert_impl=_broken_insert)
+    rep = check_monad_laws(2, 2, 2)
     assert not rep.ok
 
 
@@ -388,31 +402,42 @@ def _tagged(tree, prefix):
     return _decorated(tree, (f"{prefix}{i}" for i in itertools.count()))
 
 
-def _swapping_insert(outer, address, inner, base, swapped="inner"):
-    """insert, but the first two vertices that come from the inner (or the
-    outer) tree trade decorations."""
-    result = insert(outer, address, inner, base)
-    tags = set(_decorations(inner if swapped == "inner" else outer)) - {None}
-    decs = _decorations(result)
-    at = [p for p, dec in enumerate(decs) if dec in tags][:2]
-    if len(at) == 2:
-        decs[at[0]], decs[at[1]] = decs[at[1]], decs[at[0]]
-    return _decorated(result, iter(decs))
-
-
-def test_mutated_decorations_are_caught():
+def test_mutated_decorations_are_caught(monkeypatch):
     # the shapes are right, so only where the vertices land tells
-    for n in (1, 2):
-        rep = check_monad_laws(n, 2, 2, insert_impl=_swapping_insert)
-        assert not rep.ok
+    with monkeypatch.context() as m:
+        swap_landings(m)
+        for n in (1, 2):
+            rep = check_monad_laws(n, 2, 2)
+            assert not rep.ok
     # two vertices of x move, which only the comparison of the two sides sees
-    swap_outer = functools.partial(_swapping_insert, swapped="outer")
-    rep = check_monad_laws(1, 3, 3, insert_impl=swap_outer)
+    swap_landings(monkeypatch, "outer")
+    rep = check_monad_laws(1, 3, 3)
     assert not rep.ok and not any("vanished" in v for v in rep.violations)
 
 
-@pytest.mark.parametrize("n, vmax, kmax", [(1, 3, 3), (2, 2, 2)])
-def test_memoised_insertions_match_the_tagged_insertion(n, vmax, kmax, monkeypatch):
+def test_violations_come_in_loop_order(monkeypatch):
+    # the batched check reports what the nested loops over x, v, y, w, z meet
+    # first: here an associativity failure, then vanished vertices, and it stops
+    # at the first instance after the tenth violation (12 violations, 16 instances)
+    swap_landings(monkeypatch)
+    rep = check_monad_laws(1, 2, 2)
+    assert (rep.unit_instances, rep.assoc_instances) == (19, 16)
+    kinds = [v.split()[0] for v in rep.violations]
+    assert kinds == ["associativity"] + ["vertex"] * 4 + ["associativity"] * 3 + ["vertex"] * 4
+    assert rep.violations[0] == ("associativity fails: x=(0>:1|x0|triv) v=() y=(0>:1|y0|triv) "
+                                 "w=() z=(0>:1|z0|(0>:1|z1|triv))")
+    assert rep.violations[1] == "vertex y0 vanished when inserting at ()"
+
+
+def _term(store, i):
+    """The term with id i in the store."""
+    if store.nodes[i] is None:
+        return trivial(store.base)
+    m, kids = store.nodes[i]
+    return TreeTerm(store.morphisms[m], tuple(_term(store, c) for c in kids))
+
+
+def _recorded_store(monkeypatch):
     from higherop import freeop
 
     stores = []
@@ -423,22 +448,65 @@ def test_memoised_insertions_match_the_tagged_insertion(n, vmax, kmax, monkeypat
             stores.append(self)
 
     monkeypatch.setattr(freeop, "_TreeStore", Recorded)
-    assert check_monad_laws(n, vmax, kmax).ok
+    return stores
+
+
+@pytest.mark.parametrize("n, vmax, kmax", [(1, 3, 3), (2, 2, 2)])
+def test_memoised_insertions_match_the_tagged_insertion(n, vmax, kmax, monkeypatch):
+    _match_memo_and_terms(n, vmax, kmax, True, monkeypatch)
+
+
+def test_memoised_nonregular_insertions_match_the_tagged_insertion(monkeypatch):
+    _match_memo_and_terms(2, 2, 2, False, monkeypatch)
+
+
+def _match_memo_and_terms(n, vmax, kmax, regular, monkeypatch):
+    """Every interned term and every memoised insertion of one law check,
+    against the term-level functions: the insertion on tagged copies."""
+    stores = _recorded_store(monkeypatch)
+    rep = check_monad_laws(n, vmax, kmax, regular)
+    assert rep.ok
     (store,) = stores
     base = OrdBase(n)
-    assert len(set(store.terms)) == len(store.terms)
-    for i, t in enumerate(store.terms):
+    terms = [_term(store, i) for i in range(len(store.nodes))]
+    assert len(set(terms)) == len(terms) == rep.interned_trees
+    for i, t in enumerate(terms):
         assert store.intern(t) == i
         assert (store.sizes[i], list(store.vertices[i])) == (vertex_count(t), vertices(t))
-    assert len(store.memo) > 0
-    for (x, address, y), (r, x_lands, y_lands) in store.memo.items():
+        assert store.label(i) == tree_label(t) and store.label(i, "y") == tree_label(_tagged(t, "y"))
+    assert len(store.inputs) == rep.distinct_insertions > 0
+    for e, (x, p, y) in enumerate(store.inputs.tolist()):
+        r = store.result[e]
         decs = [None] * store.sizes[r]
-        for prefix, lands in (("x", x_lands), ("y", y_lands)):
-            for i, p in enumerate(lands):
-                if p is not None:
-                    decs[p] = f"{prefix}{i}"
-        want = insert(_tagged(store.terms[x], "x"), address, _tagged(store.terms[y], "y"), base)
-        assert _decorated(store.terms[r], iter(decs)) == want
+        for prefix, lands, size in (("x", store.x_lands[e], store.sizes[x]),
+                                    ("y", store.y_lands[e], store.sizes[y])):
+            assert (lands[size:] == -1).all()
+            for i, q in enumerate(lands[:size].tolist()):
+                if q >= 0:
+                    decs[q] = f"{prefix}{i}"
+        address = store.vertices[x][p][0]
+        want = insert(_tagged(terms[x], "x"), address, _tagged(terms[y], "y"), base)
+        assert _decorated(_term(store, r), iter(decs)) == want
+
+
+def test_memoised_grafts_match_the_term_graft(monkeypatch):
+    stores = _recorded_store(monkeypatch)
+    assert check_monad_laws(2, 3, 3).ok
+    (store,) = stores
+    base = OrdBase(2)
+    assert len(store._grafts) > 0
+    for (y, s, leaves), (r, lands, offsets) in store._grafts.items():
+        # y's vertices tagged, each leaf's tagged by its element
+        tagged = [_decorated(_term(store, leaf), (f"{e}.{i}" for i in itertools.count()))
+                  for e, leaf in enumerate(leaves)]
+        want = graft(_tagged(_term(store, y), "y"), store.morphisms[s], tagged, base)
+        decs = [None] * store.sizes[r]
+        for i, q in enumerate(lands):
+            decs[q] = f"y{i}"
+        for e, (leaf, o) in enumerate(zip(leaves, offsets)):
+            for i in range(store.sizes[leaf]):
+                decs[o + i] = f"{e}.{i}"
+        assert _decorated(_term(store, r), iter(decs)) == want
 
 
 # ---------------------------------------------------------------------------

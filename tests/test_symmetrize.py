@@ -212,6 +212,17 @@ def test_classifier_budget():
         build_classifier(3, 5, max_objects=100)
 
 
+def test_classifier_arrow_budget_stops_at_the_first_block_past_it(monkeypatch):
+    import higherop.symmetrize as symm
+
+    assert len(build_classifier(2, 4, max_arrows=2688).arrows) == 2688
+    monkeypatch.setattr(symm, "_ARROW_BLOCK", 1)  # one source object per block
+    with pytest.raises(BudgetExceededError, match="at least 1") as err:
+        build_classifier(2, 4, max_arrows=100)
+    # the blocks stop once they pass 100 arrows, each adding at most 191
+    assert 100 < int(str(err.value).split("at least ")[1].split()[0]) <= 291
+
+
 @pytest.mark.parametrize(
     "n,k",
     [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
