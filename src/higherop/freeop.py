@@ -641,9 +641,10 @@ class _TreeStore:
 
     def lookup(self, x, p, y) -> np.ndarray:
         """The entries inserting y[i] at position p[i] of x[i]; the insertions
-        not seen yet run once each.  Inputs pack into one int64 key, ids
-        below 2^24 and positions below 2^15: the tree and instance budgets
-        keep them far below."""
+        not seen yet run once each.  Inputs pack into one int64 key, so ids
+        stay below 2^24 and vertex counts below 2^15."""
+        if len(self.nodes) > 1 << 24 or self.width > 1 << 15:
+            raise BudgetExceededError("the interned trees pass 2^24 ids or 2^15 vertices")
         keys = (np.asarray(x, np.int64) << 39) | (np.asarray(y, np.int64) << 15) | p
         at = np.searchsorted(self._keys, keys)
         seen = at < len(self._keys)
