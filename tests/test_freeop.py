@@ -383,13 +383,6 @@ def test_mutated_graft_is_caught(monkeypatch):
     assert not rep.ok
 
 
-def _decorations(tree):
-    """The decorations of tree's vertices, in preorder."""
-    if tree.is_trivial:
-        return []
-    return [tree.decoration] + [d for c in tree.children for d in _decorations(c)]
-
-
 def _decorated(tree, decorations):
     """tree with its vertices decorated from the iterator, in preorder."""
     if tree.is_trivial:
