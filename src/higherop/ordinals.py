@@ -194,7 +194,7 @@ def to_terminal(T: NOrdinal) -> OrdinalMorphism:
 
 
 def _trusted_morphism(T: NOrdinal, S: NOrdinal, m: tuple[int, ...]) -> OrdinalMorphism:
-    # bypasses revalidation; callers must have checked the map already
+    # no validation: searched maps, composites and restrictions are morphisms already
     f = object.__new__(OrdinalMorphism)
     object.__setattr__(f, "source", T)
     object.__setattr__(f, "target", S)
@@ -310,7 +310,7 @@ def compose(g: OrdinalMorphism, f: OrdinalMorphism) -> OrdinalMorphism:
     """The composite g after f."""
     if f.target != g.source:
         raise ValueError("target of f differs from source of g")
-    return OrdinalMorphism(f.source, g.target, tuple(g.map[v] for v in f.map))
+    return _trusted_morphism(f.source, g.target, tuple(g.map[v] for v in f.map))
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,7 +352,7 @@ def restrict_to_fiber(
     src_elems = fiber_elements(comp, i)
     tgt_elems = fiber_elements(omega, i)
     tgt_rank = {e: r for r, e in enumerate(tgt_elems)}
-    return OrdinalMorphism(
+    return _trusted_morphism(
         fiber(comp, i), fiber(omega, i), tuple(tgt_rank[sigma.map[a]] for a in src_elems)
     )
 

@@ -4,8 +4,13 @@ An ordinal structure on the concrete set {1..k} is stored as the tuple
 of labels in canonical order plus the canonical profile.  For two such
 structures the identity map of {1..k} is a morphism exactly when, pair
 by pair, the level weakly increases and strictly increases whenever the
-pair changes orientation; this single comparison defines the arrow
-relation of the classifier poset at arity k.
+pair changes orientation.  A pair's level is the least profile entry
+between its positions, so the structures with labeling g above one
+structure are the profiles at or above a least one, the target of a
+move.  Relabeling both ends of an arrow by a permutation of the labels
+gives an arrow, so the arrow relation of the classifier poset at arity
+k is the up-closure of the moves out of the identity labeling (_moves),
+relabeled by each element of S_k, and is counted before it is built.
 
 Symmetrising an operad over Ord(n) quotients the disjoint union of its
 components over all labelings at each arity by the relations
@@ -13,18 +18,14 @@ components over all labelings at each arity by the relations
 the unit and associativity axioms, transport along a composite arrow is
 the composite of the transports, m_{tau sigma}(b; units) =
 m_sigma(m_tau(b; units); units), so a generating family of arrows gives
-the same quotient as all of them.  The generators are the profile
-increments inside one labeling, plus the moves: from each structure to
-the componentwise-least structure above it with each other labeling.
-Every arrow factors as one move followed by increments.  Relabeling
-both ends of an arrow by a permutation of the labels gives an arrow, so
-the moves are one family, those out of the identity labeling, relabeled
-by each element of S_k.  The quotient is one union-find over the
-generators, one family at a time, that numbers and counts the classes
-and stops once an arity is one class.  It reads the transported
-elements from the operad's tables; the one-point operad needs none,
-and its classes are the components of the classifier poset.  The tests
-compare it with the quotient over all arrows.
+the same quotient as all of them: the profile increments inside one
+labeling, plus the moves, since every arrow is a move followed by
+increments.  The quotient is one union-find over the generators, one
+family at a time, that numbers and counts the classes and stops once an
+arity is one class.  It reads the transported elements from the
+operad's tables; the one-point operad needs none, and its classes are
+the components of the classifier poset.  The tests compare it with the
+quotient over all arrows.
 
 The labeled objects at each arity are numbered once, by _labelings:
 permutation-major, profile-lexicographic.  The arrow relation, its
@@ -174,9 +175,8 @@ def build_classifier(n: int, k: int, max_objects: int = 20000,
                      max_arrows: int = _MAX_ARROWS) -> ClassifierPoset:
     """The arity-k classifier poset with its full arrow relation.
 
-    Refuses more than max_objects objects before any is built, and more
-    than max_arrows arrows as soon as the arrows found pass it, before
-    they are joined into one array.
+    Refuses more than max_objects objects, or more than max_arrows
+    arrows, before any object or arrow is built.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -186,43 +186,64 @@ def build_classifier(n: int, k: int, max_objects: int = 20000,
             f"classifier at (n={n}, k={k}) has {count} objects "
             f"(budget {max_objects})"
         )
-    return ClassifierPoset(n, k, tuple(labeled_objects(n, k)), _strict_arrows(n, k, max_arrows))
+    arrows = _strict_arrows(n, k, max_arrows)
+    return ClassifierPoset(n, k, tuple(labeled_objects(n, k)), arrows)
 
 
-_ARROW_BLOCK = 1 << 22
+def _moves(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The identity's moves at arity k: arrays (g, p, q), g-major, p ascending.
+
+    The move from (identity, p) to labeling g ends at the least profile q
+    above it: each pair's level in q must reach its level in p, plus one
+    where the pair changes orientation, so entry m of q is the largest of
+    those bounds among the pairs spanning position m.  g = 0 gives q = p.
+    """
+    t = _labelings(n, k)
+    # bounds[g, c, p]: the least level of label pair c above (identity, p) with labeling g
+    bounds = t.level[:, t.lo[0], t.hi[0]].T[None] + (t.orient[0] != t.orient)[:, :, None]
+    q = np.zeros((len(t.perms), len(t.profiles), max(k - 1, 0)), dtype=bounds.dtype)
+    for m in range(k - 1):
+        q[:, :, m] = np.where(((t.lo <= m) & (m < t.hi))[:, :, None], bounds, 0).max(axis=1)
+    g, p = np.nonzero((q < n).all(axis=2))
+    return g, p, _profile_ranks(n, q[g, p])
 
 
 def _strict_arrows(n: int, k: int, max_arrows: int = _MAX_ARROWS) -> np.ndarray:
     """All pairs (i, j), i != j, with an identity-carried arrow, i-major.
 
-    Pair by pair, the level of j must reach the level of i, plus one
-    where the pair changes orientation.  Sources go in blocks of objects
-    sharing a permutation, each one object or _ARROW_BLOCK comparisons;
-    past max_arrows arrows the blocks stop with BudgetExceededError.
+    The arrows out of (identity, p) go to the profiles at or above each
+    move's target, and relabeling both ends by x gives those out of
+    (x, p).  So there are k! * (sum over moves of prod_m (n - q_m) -
+    n^(k-1)) of them, and past max_arrows BudgetExceededError names that
+    count before any is built.
+
+    >>> len(_strict_arrows(2, 3))  # 3! * (20 - 4): 20 at or above the identity's 4, these included
+    96
     """
     t = _labelings(n, k)
-    n_prof, n_pairs = len(t.profiles), t.orient.shape[1]
-    n_obj = len(t.perms) * n_prof
-    # each object's pair levels, one column per object
-    levels = t.level[:, t.lo, t.hi].transpose(2, 1, 0).reshape(n_pairs, n_obj)
-    rows = max(1, _ARROW_BLOCK // max(n_pairs * n_obj, 1))
-    out, found = [], 0
-    for r in range(len(t.perms)):
-        # the target's levels, less one on each pair it orients unlike r
-        reach = levels - np.repeat(t.orient != t.orient[r], n_prof, axis=0).T
-        for first in range(r * n_prof, (r + 1) * n_prof, rows):
-            src = levels[:, first : min(first + rows, (r + 1) * n_prof)]
-            above = np.ones((src.shape[1], n_obj), dtype=bool)
-            for c in range(n_pairs):
-                above &= reach[c] >= src[c, :, None]
-            i, j = np.nonzero(above)
-            i += first
-            out.append(np.stack([i, j], axis=1)[i != j].astype(np.int32))
-            found += len(out[-1])
-            if found > max_arrows:
-                raise BudgetExceededError(f"classifier at (n={n}, k={k}) has at least "
-                                          f"{found} arrows (budget {max_arrows})")
-    return np.concatenate(out)
+    n_perm, n_prof = len(t.perms), len(t.profiles)
+    g, p, q = _moves(n, k)
+    span = (n - t.profiles).prod(axis=1)  # the profiles at or above each profile
+    size = span[q] - (g == 0)  # each move's targets, less its source
+    count = n_perm * int(size.sum())
+    if count > max_arrows:
+        raise BudgetExceededError(
+            f"classifier at (n={n}, k={k}) has {count} arrows (budget {max_arrows})")
+    # up[start[p, g]:][:length[p, g]]: the targets of move (g, p), ascending; those
+    # at or above profile r start at cumsum(span)[r] - span[r] with r, which g = 0 skips
+    up = np.nonzero((t.profiles >= t.profiles[:, None]).all(axis=2))[1]
+    start, length = np.zeros((2, n_prof, n_perm), dtype=np.int64)
+    start[p, g], length[p, g] = (np.cumsum(span) - span)[q] + (g == 0), size
+    out, per = np.empty((count, 2), dtype=np.int32), count // n_perm
+    for x in range(n_perm if count else 0):
+        # the move to g from x's point of view ends at labeling y = x after g,
+        # so for the targets in ascending order g runs through x^-1 after y
+        g_of = _perm_ranks(t, t.pos[x][t.perms])
+        z, block = length[:, g_of], out[x * per:(x + 1) * per]
+        block[:, 0] = np.repeat(x * n_prof + np.arange(n_prof), z.sum(axis=1))
+        block[:, 1] = np.repeat(np.tile(np.arange(n_perm) * n_prof, n_prof), z.ravel())
+        block[:, 1] += up[np.repeat(start[:, g_of].ravel(), z.ravel()) + _runs(z.ravel())]
+    return out
 
 
 def classifier_dot(P: ClassifierPoset) -> str:
@@ -501,31 +522,15 @@ def _generator_arrows(n: int, k: int):
     >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[3])][:4]  # 231: rename 1->2, 2->3, 3->1
     ['231|00->213|01', '231|10->213|11', '231|00->321|10', '231|01->321|11']
     """
-    if k < 2:
-        return
     t = _labelings(n, k)
-    n_perm, n_prof, n_pairs = len(t.perms), len(t.profiles), t.orient.shape[1]
-    # spanning[m]: the rows r * n_pairs + c of the (m+1)(k-1-m) label
-    # pairs c that span consecutive position m in permutation r
-    spanning = [
-        np.flatnonzero((t.lo <= m) & (m < t.hi)).reshape(n_perm, -1) for m in range(k - 1)
-    ]
-    strides = np.array([n ** (k - 2 - m) for m in range(k - 1)], dtype=np.int64)
-    # the moves out of the identity labeling 0, to labeling g, from profile p
-    # to profile q: digit m of q is the largest bound among the pairs
-    # spanning position m
-    bounds = t.level[:, t.lo[0], t.hi[0]].T[None] + (t.orient[0] != t.orient)[:, :, None]
-    bounds = bounds.reshape(n_perm * n_pairs, n_prof)
-    digits = np.stack([bounds[rows].max(axis=1) for rows in spanning], axis=2)
-    valid = (digits <= n - 1).all(axis=2)
-    valid[0] = False
-    g, p = np.nonzero(valid)
-    q = digits[valid] @ strides
+    n_perm, n_prof = len(t.perms), len(t.profiles)
+    g, p, q = _moves(n, k)
+    g, p, q = g[g > 0], p[g > 0], q[g > 0]  # g = 0 is no move
 
     for m in range(k - 1):  # +1 on profile entry m, for every labeling
         below = np.flatnonzero(t.profiles[:, m] < n - 1)
         src = (np.arange(n_perm, dtype=np.int64)[:, None] * n_prof + below).ravel()
-        yield src, src + strides[m]
+        yield src, src + n ** (k - 2 - m)
     if len(g):  # the identity's moves relabeled by x: labeling g goes to x after g
         for x in range(n_perm):
             yield x * n_prof + p, _perm_ranks(t, t.perms[x][t.perms])[g] * n_prof + q

@@ -680,3 +680,29 @@ def components_by_arrows(P) -> int:
         if np.array_equal(new, label):
             return len(np.unique(label))
         label = new
+
+
+def strict_arrows_by_pairs(n: int, k: int) -> np.ndarray:
+    """symmetrize._strict_arrows by comparing every pair of objects.
+
+    (i, j), i != j, is an arrow when, label pair by label pair, the level
+    in j reaches the level in i, plus one where the pair changes
+    orientation.  Rows are (i, j) int32, i-major.
+    """
+    from higherop.symmetrize import _labelings
+
+    t = _labelings(n, k)
+    n_prof, n_pairs = len(t.profiles), t.orient.shape[1]
+    n_obj = len(t.perms) * n_prof
+    # each object's pair levels, one column per object
+    levels = t.level[:, t.lo, t.hi].transpose(2, 1, 0).reshape(n_pairs, n_obj)
+    out = []
+    for r in range(len(t.perms)):
+        # the target's levels, less one on each pair it orients unlike r
+        reach = levels - np.repeat(t.orient != t.orient[r], n_prof, axis=0).T
+        src = levels[:, r * n_prof:(r + 1) * n_prof]
+        above = (reach[:, None, :] >= src[:, :, None]).all(axis=0)
+        i, j = np.nonzero(above)
+        i += r * n_prof
+        out.append(np.stack([i, j], axis=1)[i != j].astype(np.int32))
+    return np.concatenate(out)

@@ -8,7 +8,7 @@ import higherop
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(higherop.__path__))
 # examples that each module must keep
-MIN_EXAMPLES = {"ordinals": 4, "topology": 3, "operads": 5, "symmetrize": 9, "freeop": 2}
+MIN_EXAMPLES = {"ordinals": 4, "topology": 3, "operads": 5, "symmetrize": 10, "freeop": 2}
 
 
 @pytest.mark.parametrize("name", MODULES)

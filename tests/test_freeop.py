@@ -298,6 +298,16 @@ def test_tree_counts_match_the_enumeration(n, regular):
                 assert count_trees(T, vmax, kmax, regular, base) == want, (T, vmax, kmax)
 
 
+@pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)])
+def test_tree_counts_over_finite_sets(base):
+    # trees over 1, 2 and 3 points, with at most 3 vertices of at most 2 points
+    assert [count_trees(k, 3, 2, base=base) for k in (1, 2, 3)] == [4, 20, 72]
+    assert [len(enumerate_trees(k, 3, 2, base=base)) for k in (1, 2, 3)] == [4, 20, 72]
+    # a node morphism over finite sets is labeled by its map and target size
+    assert [tree_label(t) for t in enumerate_trees(2, 1, 2, base=base)] == [
+        "(01>2||triv,triv)", "(10>2||triv,triv)"]
+
+
 def _law_instance_count(n, vmax, kmax, regular):
     from higherop import freeop
 

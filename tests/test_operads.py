@@ -291,6 +291,27 @@ def test_missing_unit_is_reported():
     assert not rep.ok and "missing unit" in rep.violations[0]
 
 
+def test_missing_and_misshapen_tables_stop_before_the_laws(monkeypatch):
+    A = make_ass(OrdBase(1), 2)
+    C = compile_base(A.base, 2)
+    gone, squashed = C.morphisms[-1], C.morphisms[-2]
+    mult = dict(A.mult)
+    del mult[gone]
+    mult[squashed] = mult[squashed].reshape(-1)[:1]
+    broken = OperadTable(A.base, A.K, A.components, A.unit, mult, A.name)
+
+    def laws(*args):
+        raise AssertionError("a law was checked on an incomplete operad")
+
+    monkeypatch.setattr(operads, "_check_associativity", laws)
+    monkeypatch.setattr(operads.CompiledBase, "find", laws)  # the unit diagrams' first step
+    rep = check_operad_axioms(broken)
+    assert not rep.ok and rep.violations == [
+        f"table for {squashed} has shape (1,), want {A.mult[squashed].shape}",
+        f"missing table for {gone}",
+    ]
+
+
 def test_single_corruption_fuzz_k2():
     end = endomorphism_operad((0, 1), 2)
     A = desymmetrize(end, 1)

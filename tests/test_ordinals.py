@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from higherop.operads import OrdBase, compile_base, composable_pairs
 from higherop.ordinals import (
     InfOrdinal,
     NOrdinal,
@@ -236,17 +237,35 @@ def test_fiber_additivity(n):
 
 
 def test_restrict_to_fiber_consistency():
-    # fibers of a restriction agree with fibers of the original morphism
+    # every composable pair of Ord(1) and Ord(2) up to size 3: composites and
+    # restrictions are built unchecked, so each is checked here, and against
+    # the ids of the compiled pair rows (sigma, omega, composite, restrictions...)
+    pairs = [(compile_base(OrdBase(n), 3), composable_pairs(OrdBase(n), 3).tolist())
+             for n in (1, 2)]
+    assert [len(rows) for _, rows in pairs] == [428, 13190]
+    for C, s, w, c, *blocks in ((C, *row) for C, rows in pairs for row in rows):
+        sigma, omega = C.morphisms[s], C.morphisms[w]
+        comp = compose(omega, sigma)
+        assert is_morphism(comp.map, comp.source, comp.target)
+        assert C.morphism_id[comp] == c
+        for i in range(omega.target.size):
+            rho = restrict_to_fiber(sigma, omega, i)
+            assert is_morphism(rho.map, rho.source, rho.target)
+            assert C.morphism_id[rho] == blocks[i]
+            assert rho.source == fiber(comp, i)
+            assert rho.target == fiber(omega, i)
+            for local, e in enumerate(fiber_elements(omega, i)):
+                assert fiber(rho, local) == fiber(sigma, e)
+        assert blocks[omega.target.size:] == [-1] * (3 - omega.target.size)
+    # and a source of size 4
     T, S, R = ordinal(2, 1, 0, 1), ordinal(2, 0, 1), ordinal(2, 0)
     for sigma in enumerate_morphisms(T, S):
         for omega in enumerate_morphisms(S, R):
-            comp = compose(omega, sigma)
             for i in range(R.size):
                 rho = restrict_to_fiber(sigma, omega, i)
-                assert rho.source == fiber(comp, i)
-                assert rho.target == fiber(omega, i)
-                tgt = fiber_elements(omega, i)
-                for local, e in enumerate(tgt):
+                assert is_morphism(rho.map, rho.source, rho.target)
+                assert rho.source == fiber(compose(omega, sigma), i)
+                for local, e in enumerate(fiber_elements(omega, i)):
                     assert fiber(rho, local) == fiber(sigma, e)
 
 

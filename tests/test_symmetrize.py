@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,7 @@ from oracles import (
     labeled_structures,
     relabel,
     shape,
+    strict_arrows_by_pairs,
     sym_action_by_objects,
     sym_operad_by_objects,
     unit_insertion_by_objects,
@@ -130,15 +132,15 @@ def test_arrow_relation_matches_morphism_condition():
         assert P.arrows.dtype == np.int32 and P.arrows.tolist() == sorted(map(list, strict))
 
 
-def test_arrow_blocks_do_not_change_the_relation(monkeypatch):
-    # blocks of one source object, and blocks that end inside a permutation
-    import higherop.symmetrize as symm
-
-    want = {nk: build_classifier(*nk).arrows for nk in [(2, 4), (3, 3), (4, 3)]}
-    for block in (1, 500, 5000):
-        monkeypatch.setattr(symm, "_ARROW_BLOCK", block)
-        for nk, arrows in want.items():
-            assert np.array_equal(build_classifier(*nk).arrows, arrows), (nk, block)
+@pytest.mark.parametrize("n, k", [
+    (n, k) for n in range(1, 7) for k in range(6)
+    if math.factorial(k) * n ** max(k - 1, 0) <= 2000
+] + [(2, 5)])
+def test_arrows_are_the_up_closure_of_the_moves(n, k):
+    # the relation read off the moves, against every pair of objects compared
+    arrows = _strict_arrows(n, k)
+    assert arrows.dtype == np.int32
+    assert np.array_equal(arrows, strict_arrows_by_pairs(n, k))
 
 
 @pytest.mark.parametrize("n, k", [(1, 4), (2, 4), (3, 3)])
@@ -212,15 +214,21 @@ def test_classifier_budget():
         build_classifier(3, 5, max_objects=100)
 
 
-def test_classifier_arrow_budget_stops_at_the_first_block_past_it(monkeypatch):
-    import higherop.symmetrize as symm
-
+def test_classifier_arrow_budget_is_exact():
+    # (2, 4) has 2,688 arrows: admitted at that budget, refused one below it
     assert len(build_classifier(2, 4, max_arrows=2688).arrows) == 2688
-    monkeypatch.setattr(symm, "_ARROW_BLOCK", 1)  # one source object per block
-    with pytest.raises(BudgetExceededError, match="at least 1") as err:
-        build_classifier(2, 4, max_arrows=100)
-    # the blocks stop once they pass 100 arrows, each adding at most 191
-    assert 100 < int(str(err.value).split("at least ")[1].split()[0]) <= 291
+    with pytest.raises(BudgetExceededError, match=r"has 2688 arrows \(budget 2687\)"):
+        build_classifier(2, 4, max_arrows=2687)
+    # the count comes before any arrow: at (9, 4) the targets of one labeling's
+    # 1,148,616 arrows take 9.2 MB as int64, and all 27,566,784 arrows 210 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="has 27566784 arrows"):
+            build_classifier(9, 4, max_arrows=27_566_783)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize(
