@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import freeop, operads, symmetrize as symm, topology
 from .ordinals import (
     NOrdinal,
+    count_morphisms,
     empty_ordinal,
     enumerate_morphisms,
     enumerate_ordinals,
@@ -141,6 +142,17 @@ def _ordinal_from_args(args) -> NOrdinal:
     return NOrdinal(args.n, _parse_profile(args.profile))
 
 
+def _load_file(path: str, parse):
+    """parse applied to the JSON in path.  A file whose content does not
+    have the shape parse reads is a ValueError naming the file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
 def _emit(report: Report, args) -> None:
     if args.json:
         sys.stdout.write(report.to_json())
@@ -155,6 +167,10 @@ def _emit(report: Report, args) -> None:
 
 
 def cmd_ordinals(args) -> Report:
+    # n^(k-1) of them; for n > 1 an exponent of 21 or more is past 2^20 with no power formed
+    exponent, cap = max(args.k - 1, 0), operads._MAX_EXPORT_ENTRIES
+    if args.n > 1 and (exponent >= cap.bit_length() or args.n ** exponent > cap):
+        raise operads.BudgetExceededError(f"{args.n}^{exponent} ordinals to list (budget {cap})")
     ords = enumerate_ordinals(args.n, args.k)
     data = {
         "n": args.n,
@@ -172,6 +188,9 @@ def cmd_ordinals(args) -> Report:
 def cmd_morphisms(args) -> Report:
     T = NOrdinal(args.n, _parse_profile(args.source))
     S = NOrdinal(args.n, _parse_profile(args.target))
+    count, cap = count_morphisms(T, S), operads._MAX_EXPORT_ENTRIES
+    if count > cap:
+        raise operads.BudgetExceededError(f"{count} morphisms to list (budget {cap})")
     maps = enumerate_morphisms(T, S)
     return Report(
         "morphisms",
@@ -222,8 +241,7 @@ def _build_named_operad(args):
     base that it is checked over are counted, and refused past their
     budget, before any table over that base is built."""
     if args.file:
-        with open(args.file) as fh:
-            A = operads.operad_from_json(json.load(fh))
+        A = _load_file(args.file, operads.operad_from_json)
         operads._pair_count(A.base, A.K)
         return A
     if args.which == "ass":
@@ -436,10 +454,8 @@ def cmd_export(args) -> Report:
                 {
                     "n": P.n,
                     "k": P.k,
-                    "objects": [
-                        {"labels": list(T.labels), "profile": list(T.profile)}
-                        for T in P.objects
-                    ],
+                    "objects": [{"labels": labels, "profile": profile}
+                                for labels, profile in symm.classifier_labels(P)],
                     "arrows": P.arrows.tolist(),
                 },
                 sort_keys=True,
@@ -447,8 +463,10 @@ def cmd_export(args) -> Report:
         else:
             raise ValueError(f"unsupported format {args.format!r} for classifiers")
     elif args.kind == "tree":
-        with open(args.file) as fh:
-            tree = freeop.tree_from_json(json.load(fh), operads.OrdBase(args.n))
+        if args.file is None:
+            raise ValueError("export tree reads the tree from --file")
+        base = operads.OrdBase(args.n)
+        tree = _load_file(args.file, lambda data: freeop.tree_from_json(data, base))
         if args.format == "dot":
             text = freeop.tree_to_dot(tree)
         elif args.format == "json":

@@ -27,14 +27,16 @@ operad's tables; the one-point operad needs none, and its classes are
 the components of the classifier poset.  The tests compare it with the
 quotient over all arrows.
 
-The labeled objects at each arity are numbered once, by _labelings:
-permutation-major, profile-lexicographic.  The arrow relation, its
-generating family and the quotient all read their permutations, pair
-orientations and pair levels from that one table, and every returned
-value is immutable afterwards.  The elements of an arity are numbered
-object by object; the induced operad, the relabeling action and the unit
-insertion are arithmetic on those numbers, and read every table entry by
-the compiled id of its morphism (compile_base).
+The labeled objects at each arity are their numbers in one table,
+_labelings: object r * n^(k-1) + p carries permutation r and profile p.
+The classifier poset, the arrow relation, its generating family and the
+quotient all read their permutations, pair orientations and pair levels
+from that table, and every returned value is immutable afterwards; only
+the exports turn an object number into its labels and profile.  The
+elements of an arity are numbered object by object; the induced operad,
+the relabeling action and the unit insertion are arithmetic on those
+numbers, and read every table entry by the compiled id of its morphism
+(compile_base).
 """
 
 from __future__ import annotations
@@ -67,41 +69,23 @@ class WellDefinednessError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LabeledOrdinal:
-    """An ordinal structure on {1..k}: labels in canonical order + profile."""
-
-    n: int
-    labels: tuple[int, ...]
-    profile: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "profile", tuple(self.profile))
-        k = len(self.labels)
-        if sorted(self.labels) != list(range(1, k + 1)):
-            raise ValueError("labels must be a permutation of 1..k")
-        if len(self.profile) != max(k - 1, 0):
-            raise ValueError("profile length does not match the label count")
-        if any(not 0 <= l < self.n for l in self.profile):
-            raise ValueError("profile level out of range")
-
-
-@dataclass(frozen=True)
 class Labelings:
     """The labeled objects at one arity as read-only arrays.
 
-    Object r * n^(k-1) + p carries permutation r and profile p, the order
-    of labeled_objects.  Labels and positions count from 0 here, and the
-    label pairs a < b go in the order of itertools.combinations.
-    Relabeling by rho sends permutation r to the rank of rho after it.
+    Object r * n^(k-1) + p carries permutation r and profile p:
+    permutation-major, profile-lexicographic.  Labels and positions count
+    from 0 here, and the label pairs a < b go in the order of
+    itertools.combinations.  Relabeling by rho sends permutation r to the
+    rank of rho after it.
 
-    >>> t, objects = _labelings(2, 3), labeled_objects(2, 3)
+    >>> t = _labelings(2, 3)
     >>> r, p = divmod(14, len(t.profiles))  # object 14 at arity 3 over Ord(2)
-    >>> objects[14], t.perms[r].tolist(), t.profiles[p].tolist()
-    (LabeledOrdinal(n=2, labels=(2, 3, 1), profile=(1, 0)), [1, 2, 0], [1, 0])
+    >>> t.perms[r].tolist(), t.profiles[p].tolist()  # labels 2, 3, 1 over profile (1, 0)
+    ([1, 2, 0], [1, 0])
     >>> rho = np.array([2, 1, 0])  # swap labels 1 and 3
-    >>> objects[_perm_ranks(t, rho[t.perms[r]]) * len(t.profiles) + p]
-    LabeledOrdinal(n=2, labels=(2, 1, 3), profile=(1, 0))
+    >>> moved = int(_perm_ranks(t, rho[t.perms[r]]))
+    >>> moved * len(t.profiles) + p, t.perms[moved].tolist()  # labels 2, 1, 3, same profile
+    (10, [1, 0, 2])
     >>> int(_profile_ranks(2, t.profiles[p]))  # the identity labeling of profile p is object p
     2
     """
@@ -147,20 +131,13 @@ def _profile_ranks(n: int, profiles: np.ndarray) -> np.ndarray:
     return profiles @ n ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
 
-def labeled_objects(n: int, k: int) -> list[LabeledOrdinal]:
-    """All labeled structures at arity k: permutation-major, profile-lex."""
-    t = _labelings(n, k)
-    return [LabeledOrdinal(n, tuple(perm), tuple(prof))
-            for perm in (t.perms + 1).tolist() for prof in t.profiles.tolist()]
-
-
 @dataclass
 class ClassifierPoset:
     """All labeled structures at one arity with all identity-carried arrows."""
 
     n: int
     k: int
-    objects: tuple
+    objects: range | tuple  # built: the object numbers of _labelings(n, k)
     arrows: np.ndarray  # (A, 2) int32 rows (source index, target index), strict only
 
     def __post_init__(self) -> None:
@@ -187,7 +164,7 @@ def build_classifier(n: int, k: int, max_objects: int = 20000,
             f"(budget {max_objects})"
         )
     arrows = _strict_arrows(n, k, max_arrows)
-    return ClassifierPoset(n, k, tuple(labeled_objects(n, k)), arrows)
+    return ClassifierPoset(n, k, range(count), arrows)
 
 
 def _moves(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,13 +223,19 @@ def _strict_arrows(n: int, k: int, max_arrows: int = _MAX_ARROWS) -> np.ndarray:
     return out
 
 
+def classifier_labels(P: ClassifierPoset):
+    """Each object's labels (counting from 1) and profile as lists, in P.objects' order."""
+    t = _labelings(P.n, P.k)
+    r, p = np.divmod(np.asarray(P.objects, dtype=np.int64), len(t.profiles))
+    return zip((t.perms[r] + 1).tolist(), t.profiles[p].tolist())
+
+
 def classifier_dot(P: ClassifierPoset) -> str:
     """DOT digraph; nodes are labeled by permutation and profile."""
     lines = ["digraph classifier {"]
-    for i, T in enumerate(P.objects):
-        labs = "".join(map(str, T.labels))
-        prof = "".join(map(str, T.profile))
-        lines.append(f'  o{i} [label="{labs}|{prof}"];')
+    for i, (labels, profile) in enumerate(classifier_labels(P)):
+        name = "".join(map(str, labels)) + "|" + "".join(map(str, profile))
+        lines.append(f'  o{i} [label="{name}"];')
     for i, j in P.arrows.tolist():
         lines.append(f"  o{i} -> o{j};")
     lines.append("}")
@@ -461,10 +444,14 @@ def _symmetrize_arity(n: int, k: int, sizes: np.ndarray, pull) -> SymArity:
         )
     obj_sizes = np.tile(sizes, n_perm)
     offsets = np.cumsum(obj_sizes) - obj_sizes
+    single = (sizes == 1).all()  # one element per object: its number is the object's
     uf = UnionFind(total)
     for src, dst in _generator_arrows(n, k):
         if uf.count < 2:
             break
+        if single:
+            uf.union(src + pull(src, dst, 0), dst)
+            continue
         # each arrow gives (src, m_sigma(b; units)) ~ (dst, b) for every
         # element b over dst
         z = sizes[dst % n_prof]
@@ -501,25 +488,24 @@ def _table_transport(A: OperadTable, C: CompiledBase, k: int):
 def _generator_arrows(n: int, k: int):
     """The generating arrows at arity k, one family at a time.
 
-    Yields (source, target) arrays of object indices, in the order of
-    labeled_objects.  A family is either the +1 steps on one profile
-    entry, for every labeling, or the moves: the arrows from every
-    structure with labeling x to the least structure above it with each
-    other labeling.  Composites of these reach every arrow, and no family
-    has more arrows than there are objects.
+    Yields (source, target) arrays of object numbers.  A family is either
+    the +1 steps on one profile entry, for every labeling, or the moves:
+    the arrows from every structure with labeling x to the least
+    structure above it with each other labeling.  Composites of these
+    reach every arrow, and no family has more arrows than there are
+    objects.
 
     Relabeling both ends by rho keeps every pair's level and whether it
     changes orientation, so the arrows commute with S_k: the moves are
     computed once, out of the identity labeling, and relabeled by each x.
     When the identity has no move, as at n = 1, no labeling has one.
 
-    >>> objects = labeled_objects(2, 3)
-    >>> def name(i):  # labels|profile
-    ...     return "".join(map(str, objects[i].labels + ("|",) + objects[i].profile))
+    >>> name = ["".join(map(str, labels + ["|"] + profile))
+    ...         for labels, profile in classifier_labels(build_classifier(2, 3))]
     >>> moves = list(_generator_arrows(2, 3))[2:]  # after the two step families
-    >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[0])][:4]  # out of labeling 123
+    >>> [f"{name[i]}->{name[j]}" for i, j in zip(*moves[0])][:4]  # out of labeling 123
     ['123|00->132|01', '123|10->132|11', '123|00->213|10', '123|01->213|11']
-    >>> [f"{name(i)}->{name(j)}" for i, j in zip(*moves[3])][:4]  # 231: rename 1->2, 2->3, 3->1
+    >>> [f"{name[i]}->{name[j]}" for i, j in zip(*moves[3])][:4]  # 231: rename 1->2, 2->3, 3->1
     ['231|00->213|01', '231|10->213|11', '231|00->321|10', '231|01->321|11']
     """
     t = _labelings(n, k)

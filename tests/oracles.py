@@ -380,13 +380,14 @@ def all_arrows_classes(A, k: int):
     For every identity-carried arrow sigma: T -> S of the classifier
     poset and every element b over S, (T, m_sigma(b; units)) is merged
     with (S, b) in a dictionary union-find.  Members are (object index,
-    element index) pairs in the order of labeled_objects; each class is
+    element index) pairs in the order of labeled_structures; each class is
     sorted and the classes are ordered by their least members.
     """
     from higherop.symmetrize import build_classifier
 
     P = build_classifier(A.base.n, k)
-    sizes = [len(A.components.get(shape(T), ())) for T in P.objects]
+    objects = labeled_structures(A.base.n, k)
+    sizes = [len(A.components.get(shape(T), ())) for T in objects]
     members = [(i, b) for i, size in enumerate(sizes) for b in range(size)]
     parent = {m: m for m in members}
 
@@ -398,7 +399,7 @@ def all_arrows_classes(A, k: int):
 
     units = (A.unit_index(),) * k
     for i, j in P.arrows.tolist():
-        sigma = arrow_morphism(P.objects[i], P.objects[j])
+        sigma = arrow_morphism(objects[i], objects[j])
         for b in range(sizes[j]):
             pulled = int(A.mult[sigma][(b,) + units])
             if pulled < 0:
@@ -412,6 +413,26 @@ def all_arrows_classes(A, k: int):
 
 # ---------------------------------------------------------------------------
 # the induced symmetric operad, one labeled structure at a time
+
+
+@dataclass(frozen=True)
+class LabeledOrdinal:
+    """An ordinal structure on {1..k}: labels in canonical order + profile."""
+
+    n: int
+    labels: tuple[int, ...]
+    profile: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "profile", tuple(self.profile))
+        k = len(self.labels)
+        if sorted(self.labels) != list(range(1, k + 1)):
+            raise ValueError("labels must be a permutation of 1..k")
+        if len(self.profile) != max(k - 1, 0):
+            raise ValueError("profile length does not match the label count")
+        if any(not 0 <= l < self.n for l in self.profile):
+            raise ValueError("profile level out of range")
 
 
 def shape(T):
@@ -432,16 +453,12 @@ def arrow_morphism(T, S):
 
 def relabel(T, rho: dict):
     """Rename every label of a labeled structure by rho."""
-    from higherop.symmetrize import LabeledOrdinal
-
     return LabeledOrdinal(T.n, tuple(rho[lab] for lab in T.labels), T.profile)
 
 
 def labeled_structures(n: int, k: int) -> list:
     """The labeled structures at arity k, permutation-major and
     profile-lexicographic, built from itertools alone."""
-    from higherop.symmetrize import LabeledOrdinal
-
     return [LabeledOrdinal(n, perm, prof)
             for perm in itertools.permutations(range(1, k + 1))
             for prof in itertools.product(range(n), repeat=max(k - 1, 0))]
@@ -463,7 +480,6 @@ def _entry(A, sigma, idx):
 def _zero_pull(A, T, label):
     """Transport an element down to the all-zero profile over the same labels."""
     from higherop.ordinals import OrdinalMorphism
-    from higherop.symmetrize import LabeledOrdinal
 
     k = len(T.labels)
     if k <= 1 or not any(T.profile):
@@ -478,7 +494,6 @@ def _substitute(A, index, objects, f, outer, args):
     is (labeled structure with the all-zero profile, label) and args[i]
     is (labeled structure at the arity of fiber i, label)."""
     from higherop.ordinals import OrdinalMorphism
-    from higherop.symmetrize import LabeledOrdinal
 
     k, m = f.source, f.target
     S, b = outer
@@ -569,8 +584,6 @@ def sym_action_by_objects(result):
 
 def unit_insertion_by_objects(A, result):
     """T -> the classes of the elements of A(T) under the identity labeling."""
-    from higherop.symmetrize import LabeledOrdinal
-
     index = _class_index(result)
     out = {}
     for T in A.base.objects(result.K):

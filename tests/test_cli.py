@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+from oracles import arrow_morphism, labeled_structures
 
 from higherop import cli, operads, topology
 from higherop.cli import cache_key, cache_lookup, cache_store, main
@@ -124,6 +127,7 @@ def test_sym_command(capsys):
     (["operad", "check", "--which", "des-end", "--K", "0"], 2),
     (["ordinals", "--n", "2", "--k", "0"], 0),
     (["ordinals", "--n", "2", "--k", "1"], 0),
+    (["ordinals", "--n", "4", "--k", "14"], 2),
     (["classifier", "--fresh", "--n", "2", "--k", "0"], 0),
     (["classifier", "--fresh", "--n", "2", "--k", "1"], 0),
     (["export", "classifier", "--n", "2", "--k", "0"], 0),
@@ -214,6 +218,23 @@ def test_tree_count_builds_no_tree(capsys, monkeypatch):
     assert main(argv) == 2  # listing them is refused past the tree budget
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "182691 trees" in err[0]
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["ordinals", "--n", "2", "--k", "3"], "2^2 ordinals"),
+    (["morphisms", "--n", "1", "--source", "0", "--target", "0,0"], "6 morphisms"),
+])
+def test_listings_are_counted_before_they_are_built(capsys, monkeypatch, argv, count):
+    def boom(*args, **kwargs):
+        raise AssertionError("the listing was built")
+
+    monkeypatch.setattr(cli, "enumerate_ordinals", boom)
+    monkeypatch.setattr(cli, "enumerate_morphisms", boom)
+    monkeypatch.setattr(operads, "_MAX_EXPORT_ENTRIES", 3)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {count} to list (budget 3)"]
 
 
 def test_usage_error_exit_code(capsys):
@@ -475,6 +496,36 @@ def test_export_classifier_refuses_before_every_arrow_is_built(capsys):
     assert err == [f"error: classifier at (n=9, k=4) has 27566784 arrows (budget {budget})"]
 
 
+def _classifier_export_by_structures(n, k, fmt):
+    """The export of the arity-k classifier, from the itertools structures:
+    an arrow is a pair of distinct structures whose identity map is a morphism."""
+    objects = labeled_structures(n, k)
+    arrows = []
+    for (i, T), (j, S) in itertools.product(enumerate(objects), repeat=2):
+        try:
+            arrow_morphism(T, S)
+        except ValueError:
+            continue
+        if i != j:
+            arrows.append([i, j])
+    if fmt == "json":
+        objs = [{"labels": list(T.labels), "profile": list(T.profile)} for T in objects]
+        return json.dumps({"n": n, "k": k, "objects": objs, "arrows": arrows},
+                          sort_keys=True) + "\n"
+    nodes = [f'  o{i} [label="{"".join(map(str, T.labels + ("|",) + T.profile))}"];'
+             for i, T in enumerate(objects)]
+    edges = [f"  o{i} -> o{j};" for i, j in arrows]
+    return "\n".join(["digraph classifier {", *nodes, *edges, "}"]) + "\n"
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 3), (1, 4)])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_classifier_prints_every_structure(capsys, n, k, fmt):
+    assert main(["export", "classifier", "--n", str(n), "--k", str(k), "--format", fmt]) == 0
+    text, status, _ = capsys.readouterr().out.partition("[export] ok\n")  # the report follows
+    assert status and text == _classifier_export_by_structures(n, k, fmt)
+
+
 def test_export_tree_roundtrip(tmp_path, capsys):
     from higherop.freeop import corolla, graft, tree_to_json, trivial
     from higherop.operads import OrdBase
@@ -489,6 +540,25 @@ def test_export_tree_roundtrip(tmp_path, capsys):
     code = main(["export", "tree", "--n", "1", "--file", str(path), "--format", "dot"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("digraph")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["export", "tree"], None),
+    (["export", "tree", "--file"], {"node": {"sigma": {"source": 1}}}),
+    (["operad", "check", "--file"], {"base": {"kind": "Ord", "n": 1}, "components": {},
+                                     "unit": "u", "mult": []}),
+], ids=["tree-without-file", "tree-without-map", "operad-without-K"])
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content):
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+    if content is not None:
+        assert str(tmp_path / "input.json") in err[0]
 
 
 def test_export_unknown_format(capsys):

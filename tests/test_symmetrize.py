@@ -28,14 +28,13 @@ from higherop.operads import (
 from higherop.ordinals import NOrdinal, OrdinalMorphism, is_morphism, ordinal
 from higherop.symmetrize import (
     ClassifierPoset,
-    LabeledOrdinal,
     UnionFind,
     WellDefinednessError,
     algebra_equivalence,
     build_classifier,
     check_adjunction,
     classifier_dot,
-    labeled_objects,
+    classifier_labels,
     symmetrize,
     terminal_class_counts,
     unit_insertion,
@@ -49,6 +48,7 @@ from higherop.symmetrize import (
 )
 
 from oracles import (
+    LabeledOrdinal,
     all_arrows_classes,
     arrow_morphism,
     count_commutative_monoids,
@@ -69,12 +69,11 @@ from oracles import (
 
 
 def test_labeled_objects_count():
-    import math
-
     for n in (1, 2, 3):
         for k in (0, 1, 2, 3):
             want = 1 if k == 0 else math.factorial(k) * n ** (k - 1)
-            assert len(labeled_objects(n, k)) == want
+            assert build_classifier(n, k).objects == range(want)
+            assert len(labeled_structures(n, k)) == want
 
 
 def test_labeled_validation():
@@ -89,7 +88,7 @@ def test_labeled_validation():
 def test_pair_state_and_relabel():
     T = LabeledOrdinal(2, (2, 1, 3), (1, 0))
     t = _labelings(2, 3)
-    r, p = divmod(labeled_objects(2, 3).index(T), len(t.profiles))
+    r, p = divmod(labeled_structures(2, 3).index(T), len(t.profiles))
     assert t.perms[r].tolist() == [1, 0, 2] and t.profiles[p].tolist() == [1, 0]
     # label pairs (1, 2), (1, 3), (2, 3): 2 sits before 1
     assert t.orient[r].tolist() == [False, True, True]
@@ -98,7 +97,7 @@ def test_pair_state_and_relabel():
         t.level[p, 0, 1] = 0  # the cached table is read-only
     # relabeling by rho moves object r * n^(k-1) + p to permutation rho after r
     rho = np.array([2, 1, 0])  # 1 -> 3, 2 -> 2, 3 -> 1
-    flipped = labeled_objects(2, 3)[int(_perm_ranks(t, rho[t.perms[r]])) * len(t.profiles) + p]
+    flipped = labeled_structures(2, 3)[int(_perm_ranks(t, rho[t.perms[r]])) * len(t.profiles) + p]
     assert flipped == relabel(T, {1: 3, 2: 2, 3: 1})
     assert flipped.labels == (2, 3, 1) and flipped.profile == T.profile
 
@@ -106,9 +105,10 @@ def test_pair_state_and_relabel():
 @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (2, 3), (3, 4), (1, 5)])
 def test_perm_ranks_number_every_relabeling(n, k):
     t = _labelings(n, k)
-    assert labeled_objects(n, k) == labeled_structures(n, k)
+    objects = labeled_structures(n, k)
+    names = classifier_labels(build_classifier(n, k))
+    assert [LabeledOrdinal(n, labels, profile) for labels, profile in names] == objects
     assert _perm_ranks(t, t.perms).tolist() == list(range(len(t.perms)))
-    objects = labeled_objects(n, k)
     for rho in t.perms:
         moved = _perm_ranks(t, rho[t.perms])
         renaming = {x + 1: int(rho[x]) + 1 for x in range(k)}
@@ -120,7 +120,7 @@ def test_perm_ranks_number_every_relabeling(n, k):
 def test_arrow_relation_matches_morphism_condition():
     # the per-pair comparison is exactly "identity map is a morphism"
     for n, k in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]:
-        objs = labeled_objects(n, k)
+        objs = labeled_structures(n, k)
         strict = set()
         for (i, T), (j, S) in itertools.product(enumerate(objs), repeat=2):
             direct = is_morphism(
@@ -165,7 +165,7 @@ def arrow_morphism_map(T, S):
 def test_arrow_morphism_object():
     T = LabeledOrdinal(2, (1, 2), (0,))
     S = LabeledOrdinal(2, (2, 1), (1,))
-    objects = labeled_objects(2, 2)
+    objects = labeled_structures(2, 2)
     arrows = build_classifier(2, 2).arrows.tolist()
     assert [objects.index(T), objects.index(S)] in arrows
     f = arrow_morphism(T, S)
@@ -181,12 +181,13 @@ def test_arrow_morphism_object():
 
 def test_classifier_2_2():
     P = build_classifier(2, 2)
+    objects = labeled_structures(2, 2)
     assert len(P.objects) == 4
     assert len(P.arrows) == 4
     # arrows go from level-0 structures to level-1 structures only
     for i, j in P.arrows:
-        assert P.objects[i].profile == (0,)
-        assert P.objects[j].profile == (1,)
+        assert objects[i].profile == (0,)
+        assert objects[j].profile == (1,)
     # no composable non-identity pairs
     heads = {j for _, j in P.arrows}
     tails = {i for i, _ in P.arrows}
@@ -706,7 +707,7 @@ def test_adjunction_naturality_spot_check():
         for members in arity.classes:
             targets = set()
             for o_idx, lab in members:
-                T = shape(labeled_objects(1, k)[o_idx])
+                T = shape(labeled_structures(1, k)[o_idx])
                 targets.add(target.class_of[target.offsets[o_idx] + phi_maps[T][lab]])
             assert len(targets) == 1  # the induced map is well-defined
             images.append(targets.pop())

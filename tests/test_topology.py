@@ -7,7 +7,13 @@ import random
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import components_by_arrows, nerve, nerve_boundaries, nerve_homology
+from oracles import (
+    components_by_arrows,
+    labeled_structures,
+    nerve,
+    nerve_boundaries,
+    nerve_homology,
+)
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -138,7 +144,7 @@ def test_cells_are_objects_by_level_sum():
     for n, k in [(2, 3), (3, 3), (2, 4)]:
         P = build_classifier(n, k)
         CC = cellular_complex(P)
-        levels = [sum(T.profile) for T in P.objects]
+        levels = [sum(T.profile) for T in labeled_structures(n, k)]
         assert CC.f_vector == tuple(levels.count(r) for r in range(max(levels) + 1))
         assert CC.chains == nerve(P).f_vector()
 
@@ -435,7 +441,7 @@ def _relation(P):
 def test_classifier_is_thin(n, k):
     P = build_classifier(n, k)
     R = _relation(P)
-    levels = np.array([sum(T.profile) for T in P.objects])
+    levels = np.array([sum(T.profile) for T in labeled_structures(n, k)])
     middle = R @ R  # middle[a, b] = #{m : a < m < b}
     length_two = (R == 1) & (levels[None, :] - levels[:, None] == 2)
     assert length_two.any() and (middle[length_two] == 2).all()
@@ -460,7 +466,7 @@ def test_lower_intervals_are_spheres(n, k):
     """
     P = build_classifier(n, k)
     firsts = {}
-    for c, T in enumerate(P.objects):
+    for c, T in enumerate(labeled_structures(n, k)):
         firsts.setdefault(T.profile, c)
     for profile in sorted(firsts, key=sum):
         c, r = firsts[profile], sum(profile)
