@@ -5,6 +5,7 @@ The package is organised bottom-up:
 - ordinals: canonical n-ordinals, morphisms, fibers, suspensions
 - operads: truncated Set-valued operad tables over Ord(n) / FinSet,
   axiom checking, (de)symmetrisation restrictions, endomorphism operads
+- associativity: the array kernel of the associativity check
 - freeop: finitary polynomials, the tree term model, insertion monads,
   free operads
 - symmetrize: labeled-ordinal classifier posets and the symmetrisation

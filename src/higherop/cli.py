@@ -46,6 +46,7 @@ class Report:
     status: str  # pass | fail | ok | partial
     data: dict
     timing: dict
+    text: str | None = None  # a document printed in place of the report (export)
 
     def to_json(self) -> str:
         body = {
@@ -154,6 +155,9 @@ def _load_file(path: str, parse):
 
 
 def _emit(report: Report, args) -> None:
+    if report.text is not None:  # stdout holds the document alone, with or without --json
+        sys.stdout.write(report.text)
+        return
     if args.json:
         sys.stdout.write(report.to_json())
         return
@@ -188,9 +192,9 @@ def cmd_ordinals(args) -> Report:
 def cmd_morphisms(args) -> Report:
     T = NOrdinal(args.n, _parse_profile(args.source))
     S = NOrdinal(args.n, _parse_profile(args.target))
-    count, cap = count_morphisms(T, S), operads._MAX_EXPORT_ENTRIES
-    if count > cap:
-        raise operads.BudgetExceededError(f"{count} morphisms to list (budget {cap})")
+    cap = operads._MAX_EXPORT_ENTRIES
+    if count_morphisms(T, S, limit=cap) > cap:  # the count stops once it passes the budget
+        raise operads.BudgetExceededError(f"more than {cap} morphisms to list (budget {cap})")
     maps = enumerate_morphisms(T, S)
     return Report(
         "morphisms",
@@ -271,6 +275,7 @@ def cmd_operad(args) -> Report:
         "unit_instances": rep.unit_instances,
         "assoc_pairs": rep.assoc_pairs,
         "assoc_instances": rep.assoc_instances,
+        "assoc_rows": rep.assoc_rows,
         "skipped_holes": rep.skipped_holes,
         "empty_domains": rep.empty_domains,
     }
@@ -475,8 +480,7 @@ def cmd_export(args) -> Report:
             raise ValueError(f"unsupported format {args.format!r} for trees")
     else:
         raise ValueError(f"unsupported export kind {args.kind!r}")
-    sys.stdout.write(text)
-    return Report("export", "ok", {"kind": args.kind, "format": args.format}, {})
+    return Report("export", "ok", {"kind": args.kind, "format": args.format}, {}, text)
 
 
 # ---------------------------------------------------------------------------

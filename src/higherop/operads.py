@@ -25,11 +25,14 @@ composable_pairs builds its rows without calling the base.
 The associativity check runs its groups of composable pairs on a pool
 of threads, one per core this process may run on
 (os.sched_getaffinity), while numpy's gathers and comparisons release
-the interpreter lock.  Each worker reuses its own buffers, sized so
-that all workers together hold one slab of _SLAB_CELLS instances.  The
-groups' reports are merged in group order, and a group is checked to
-the same answer whatever its slab size, so the report does not depend
-on the number of workers.
+the interpreter lock.  Within a group it compares each distinct
+(pair, composite slice, inner arguments, outer value) once over all
+outer arguments, and weights what it finds by how many cells give that
+triple (see associativity.decide_group).  Each worker reuses its own
+buffers, sized so that all workers together hold one slab of
+_SLAB_CELLS cells.  The groups' reports are merged in group order, and
+a group is checked to the same answer whatever its slab size, so the
+report does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .associativity import decide_group
 from .ordinals import (
     OrdinalMorphism,
     compose as ord_compose,
@@ -651,9 +655,10 @@ class AxiomReport:
     unit_instances: int = 0
     assoc_pairs: int = 0
     assoc_instances: int = 0
+    assoc_rows: int = 0  # distinct (pair, G row, a_I, v) triples compared over every c
     skipped_holes: int = 0
     empty_domains: int = 0
-    # wall-clock figures (associativity workers and seconds), outside comparisons
+    # wall-clock figures (unit and associativity seconds, workers), outside comparisons
     timing: dict = field(default_factory=dict, compare=False, repr=False)
 
     def summary(self) -> str:
@@ -669,18 +674,24 @@ class AxiomReport:
 
 _MAX_VIOLATIONS = 20
 _MAX_PAIR_CELLS = 1 << 28  # (a, c) cells of one composable pair
-_SLAB_CELLS = 1 << 20  # instances compared at once by the associativity kernel
+_SLAB_CELLS = 1 << 20  # cells read or compared at once by the associativity kernel
 
 
 def check_operad_axioms(A: OperadTable, units_only: bool = False) -> AxiomReport:
     """Verify totality, the two unit diagrams and all associativity squares.
 
-    Associativity is checked pointwise for every composable pair inside
-    the truncation.  Entries marked as truncation holes are skipped and
-    counted; empty table domains (an empty component in a fiber) are
-    flagged but impose no constraint.  Raises BudgetExceededError if one
-    pair would need more than _MAX_PAIR_CELLS table cells at once.
+    Associativity is decided for every composable pair inside the
+    truncation and every (b, a, c) instance of it; the kernel compares
+    each distinct triple once (counted in assoc_rows) and counts its
+    instances and holes once per cell that gives it.  Entries marked as
+    truncation holes are skipped and counted; empty table domains (an
+    empty component in a fiber) are flagged but impose no constraint.
+    Raises BudgetExceededError if one pair has more than _MAX_PAIR_CELLS
+    (a, c) cells.  timing holds the seconds of the totality and unit
+    checks (units_s) and of the associativity kernel (assoc_s) with its
+    number of workers.
     """
+    start = time.perf_counter()
     rep = AxiomReport(ok=True, violations=[])
     base, K = A.base, A.K
 
@@ -730,6 +741,7 @@ def check_operad_axioms(A: OperadTable, units_only: bool = False) -> AxiomReport
             for a in np.flatnonzero((got != -1) & (got != np.arange(len(labs)))).tolist():
                 rep.violations.append(
                     f"unit diagram fails at {where} = {labs[got[a]]} for a = {labs[a]}")
+    rep.timing["units_s"] = round(time.perf_counter() - start, 3)
 
     if not units_only:
         _check_associativity(A, C, composable_pairs(base, K), rep)
@@ -837,156 +849,40 @@ def _check_associativity(A, C: CompiledBase, rows, rep) -> None:
 
 def _merge(rep: AxiomReport, part: AxiomReport) -> None:
     rep.violations += part.violations[: max(0, _MAX_VIOLATIONS - len(rep.violations))]
-    for name in ("assoc_pairs", "assoc_instances", "skipped_holes", "empty_domains"):
+    for name in ("assoc_pairs", "assoc_instances", "assoc_rows", "skipped_holes",
+                 "empty_domains"):
         setattr(rep, name, getattr(rep, name) + getattr(part, name))
 
 
-def _buffer(scratch: dict, name: str, shape, dtype) -> np.ndarray:
-    """A view of the worker's buffer `name`, made anew only when too small.
-
-    Made per slab, each array would be mapped and faulted in afresh
-    whenever glibc's mmap threshold is below its size.
-    """
-    size = math.prod(shape)
-    buf = scratch.get(name)
-    if buf is None or buf.size < size:
-        buf = scratch[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
 def _check_group(C, flat, off, holes, shapes, rows, slab, scratch) -> AxiomReport:
-    """The associativity kernel: m_sigma(m_omega(b; a); c) against
-    m_(omega sigma)(b; m_(block_i)(a_i; c|block_i)) over every (b, a, c)
-    of every pair in the group.
-
-    Path 1 gathers sigma's table rows at omega's values, path 2 takes the
-    composites' rows, laid side by side per b, at a mix index built from
-    the restriction blocks, so no index array grows with b.  Tables are
-    stacked, or read in place for a single pair, and both paths run in
-    slabs of at most `slab` cells.  Holes (-1) are masked only in groups
-    whose tables contain one.  The report holds the first
-    _MAX_VIOLATIONS violations in (pair, b, a, c) order, whatever the
-    slab size.
-    """
+    """The report of one group of stacked pairs: its counts, its budget
+    and the messages of its first _MAX_VIOLATIONS violations in (pair, b,
+    a, c) order.  associativity.decide_group compares the squares."""
     rep = AxiomReport(ok=True, violations=[])
-    P = len(rows)
-    s0, w0, c0 = rows[0, :3].tolist()
-    r = len(shapes[w0]) - 1
-    n_s, c_sizes = shapes[s0][0], shapes[s0][1:]
-    nb, a_sizes = shapes[w0][0], shapes[w0][1:]
+    s0, w0 = rows[0, :2].tolist()
+    n_c, (nb, *a_sizes) = math.prod(shapes[s0][1:]), shapes[w0]
     n_a = math.prod(a_sizes)
-    n_c = math.prod(c_sizes)
-    rep.assoc_pairs += P
+    rep.assoc_pairs += len(rows)
     if nb * n_a * n_c == 0:
-        rep.empty_domains += P
+        rep.empty_domains += len(rows)
         return rep
     if n_a * n_c > _MAX_PAIR_CELLS:
         raise BudgetExceededError(
             f"associativity pair for {C.morphisms[s0]} ; {C.morphisms[w0]} needs "
             f"{n_a * n_c} cells (budget {_MAX_PAIR_CELLS})"
         )
-    rep.assoc_instances += P * nb * n_a * n_c
-    masked = bool(holes[rows[:, :3 + r]].any())
-    comp_shape = shapes[c0]
-    n_comp = math.prod(comp_shape[1:])
-    a_dig = _digits(n_a, a_sizes)
-    c_dig = _digits(n_c, c_sizes)
-    blocks = []  # (table size, flat block input per c, stride into the composite)
-    stride = n_comp
-    for i in range(r):
-        stride //= comp_shape[1 + i]
-        cblk = np.zeros(n_c, dtype=np.int64)
-        for e in np.flatnonzero(C.maps[w0] == i).tolist():  # omega's fiber i
-            cblk = cblk * c_sizes[e] + c_dig[e]
-        blocks.append((math.prod(shapes[int(rows[0, 3 + i])]), cblk, stride))
-
-    def stacked(col: int, p0: int, p1: int, size: int) -> np.ndarray:
-        if p1 - p0 == 1:
-            o = int(off[rows[p0, col]])
-            return flat[o:o + size].reshape(1, size)
-        return flat[off[rows[p0:p1, col]][:, None] + np.arange(size)]
-
-    table_cells = n_s * n_c + nb * n_a + nb * n_comp + sum(size for size, _, _ in blocks)
-    p_step = max(1, slab // max(nb * n_a * n_c, table_cells))
-    a_step = min(n_a, max(1, slab // n_c))
-    b_step = min(nb, max(1, slab // (a_step * n_c)))
-    n_p = min(P, p_step)
-    lhs_buf = _buffer(scratch, "lhs", (n_p, b_step, a_step, n_c), flat.dtype)
-    rhs_buf = _buffer(scratch, "rhs", (b_step, n_p, a_step, n_c), flat.dtype)
-    bad_buf = _buffer(scratch, "bad", lhs_buf.shape, bool)
-    mix_buf = _buffer(scratch, "mix", (n_p, a_step, n_c), np.int64)
-    a_sub = max(1, a_step // 8)  # a-rows gathered at once into the mix, by an 8-byte index
-    at_buf = _buffer(scratch, "at", (a_sub, n_c), np.intp)
-    block_buf = _buffer(scratch, "block", (n_p, a_sub, n_c), flat.dtype)
-    if masked:
-        hole_buf = _buffer(scratch, "hole", mix_buf.shape, bool)
-    found = []  # ((p, b, a, c), lhs, rhs) of the first violations
-    for p0 in range(0, P, p_step):
-        p1 = min(P, p0 + p_step)
-        sig = stacked(0, p0, p1, n_s * n_c).reshape(-1, n_c)
-        om = stacked(1, p0, p1, nb * n_a).reshape(p1 - p0, nb, n_a)
-        # the composites side by side, one row per b: (nb, pairs * n_comp)
-        comp = stacked(2, p0, p1, nb * n_comp).reshape(p1 - p0, nb, n_comp)
-        comp = comp.transpose(1, 0, 2).reshape(nb, -1)
-        pairs = np.arange(p1 - p0)
-        blks = [stacked(3 + i, p0, p1, size) for i, (size, _, _) in enumerate(blocks)]
-        for a0 in range(0, n_a, a_step):
-            a1 = min(n_a, a0 + a_step)
-            mix = mix_buf[: p1 - p0, : a1 - a0]
-            mix[...] = (pairs * n_comp)[:, None, None]
-            if masked:
-                inner_hole = hole_buf[: p1 - p0, : a1 - a0]
-                inner_hole[...] = False
-            for i, (blk, (size, cblk, stride)) in enumerate(zip(blks, blocks)):
-                for lo in range(a0, a1, a_sub):
-                    hi = min(a1, lo + a_sub)
-                    at = np.add((a_dig[i][lo:hi] * (size // a_sizes[i]))[:, None], cblk,
-                                out=at_buf[: hi - lo])
-                    v = np.take(blk, at, axis=1, mode="wrap", out=block_buf[: p1 - p0, : hi - lo])
-                    if masked:
-                        inner_hole[:, lo - a0:hi - a0] |= v < 0
-                    v *= stride
-                    mix[:, lo - a0:hi - a0] += v
-            for b0 in range(0, nb, b_step):
-                b1 = min(nb, b0 + b_step)
-                s_val = om[:, b0:b1, a0:a1]
-                # mode="wrap" reads a hole's -1 as the last row, as indexing
-                # does; those instances are skipped below
-                lhs = np.take(sig, (pairs * n_s)[:, None, None] + s_val, axis=0, mode="wrap",
-                              out=lhs_buf[: p1 - p0, : b1 - b0, : a1 - a0])
-                rhs = np.take(comp[b0:b1], mix, axis=1, mode="wrap",
-                              out=rhs_buf[: b1 - b0, : p1 - p0, : a1 - a0])
-                rhs = rhs.transpose(1, 0, 2, 3)
-                bad = np.not_equal(lhs, rhs, out=bad_buf[: p1 - p0, : b1 - b0, : a1 - a0])
-                if masked:
-                    skip = (s_val < 0)[..., None] | inner_hole[:, None] | (lhs < 0) | (rhs < 0)
-                    rep.skipped_holes += int(skip.sum())
-                    bad &= ~skip
-                if bad.any():
-                    for where in map(tuple, np.argwhere(bad)[:_MAX_VIOLATIONS]):
-                        pbac = tuple(int(x) + o for x, o in zip(where, (p0, b0, a0, 0)))
-                        found.append((pbac, int(lhs[where]), int(rhs[where])))
-                    found.sort()  # a later slab may hold a smaller b
-                    del found[_MAX_VIOLATIONS:]
-    for (p, b, a, c), lhs, rhs in found:
+    rep.assoc_instances += len(rows) * nb * n_a * n_c
+    rep.assoc_rows, rep.skipped_holes, found = decide_group(
+        C.maps[w0], flat, off, holes, shapes, rows, slab, scratch, _MAX_VIOLATIONS)
+    for p, b, a, c, lhs, rhs in found:
         sigma, omega = C.morphisms[rows[p, 0]], C.morphisms[rows[p, 1]]
-        a_idx = tuple(int(d[a]) for d in a_dig)
-        c_idx = tuple(int(d[c]) for d in c_dig)
+        a_idx = tuple(int(x) for x in np.unravel_index(a, a_sizes))
+        c_idx = tuple(int(x) for x in np.unravel_index(c, shapes[s0][1:]))
         rep.violations.append(
             f"associativity fails for {sigma} then {omega} at "
             f"b={b}, a={a_idx}, c={c_idx}: {lhs} != {rhs}"
         )
     return rep
-
-
-def _digits(total: int, sizes) -> list[np.ndarray]:
-    """Row-major digit arrays: flat index -> per-axis index."""
-    out = []
-    stride = total
-    for s in sizes:
-        stride //= s
-        out.append((np.arange(total, dtype=np.int64) // stride) % s)
-    return out
 
 
 # ---------------------------------------------------------------------------

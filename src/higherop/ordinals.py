@@ -256,16 +256,23 @@ def _morphisms_cached(T: NOrdinal, S: NOrdinal) -> tuple[OrdinalMorphism, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def count_morphisms(T: NOrdinal, S: NOrdinal, surjective: bool = False) -> int:
+def count_morphisms(T: NOrdinal, S: NOrdinal, surjective: bool = False,
+                    limit: int | None = None) -> int:
     """len(enumerate_morphisms(T, S)), or the number of surjections among
     them, by the same pruned search with no map built.
 
     The last value of a map is not branched on: its allowed values are
-    counted at once, so the search visits one node per prefix.
+    counted at once.  Prefixes that leave every later point the same
+    values (and, for surjections, the same values to cover) have the same
+    number of completions, which is counted once.  With a limit, the
+    search stops as soon as a count passes it and returns limit + 1; a
+    count up to the limit is exact.
 
     >>> T, S = ordinal(2, 0, 1), ordinal(2, 1)
     >>> count_morphisms(T, S), len(enumerate_morphisms(T, S)), count_morphisms(T, S, True)
     (6, 6, 4)
+    >>> count_morphisms(T, S, limit=6), count_morphisms(T, S, limit=4)
+    (6, 5)
     """
     if T.n != S.n:
         raise ValueError("source and target live over different n")
@@ -274,28 +281,33 @@ def count_morphisms(T: NOrdinal, S: NOrdinal, surjective: bool = False) -> int:
     allowed = _allowed_values(S)
     levels = _levels(T)
     full = (1 << S.size) - 1
-    f = []
+    known = {}
 
-    def extend(j: int, hit: int) -> int:
-        missing = full & ~hit if surjective else 0
+    def completions(j: int, missing: int, masks: tuple) -> int:
+        """The maps that extend a prefix of length j, when points j, j + 1,
+        ... may take the values in masks and must still cover `missing`."""
         if missing.bit_count() > T.size - j:
             return 0  # too few values left to cover the target
-        mask = full
-        for fi, p in zip(f, levels[j]):
-            mask &= allowed[fi][p]
+        key = (j, missing, masks)
+        if key in known:
+            return known[key]
         if j == T.size - 1:
-            if not missing:
-                return mask.bit_count()
-            return int(missing & (missing - 1) == 0 and mask & missing != 0)
-        count = 0
-        for v in range(S.size):
-            if mask >> v & 1:
-                f.append(v)
-                count += extend(j + 1, hit | 1 << v)
-                f.pop()
+            count = masks[0].bit_count() if not missing else int(
+                missing & (missing - 1) == 0 and masks[0] & missing != 0)
+        else:
+            count = 0
+            for v in range(S.size):
+                if masks[0] >> v & 1:
+                    later = tuple(m & allowed[v][levels[k][j]]
+                                  for k, m in enumerate(masks[1:], j + 1))
+                    count += completions(j + 1, missing & ~(1 << v), later)
+                    if limit is not None and count > limit:
+                        return count  # a part of the count, already past the limit
+        known[key] = count
         return count
 
-    return extend(0, 0)
+    count = completions(0, full if surjective else 0, (full,) * T.size)
+    return count if limit is None else min(count, limit + 1)
 
 
 def enumerate_morphisms(T: NOrdinal, S: NOrdinal) -> list[OrdinalMorphism]:

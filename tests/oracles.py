@@ -181,14 +181,16 @@ def composable_pairs_loop(base, C, K: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3 + K)
 
 
-def pointwise_associativity(A):
+def pointwise_associativity(A, messages: list | None = None):
     """Failing pairs and skipped holes of every associativity square.
 
     Walks each composable pair (sigma, omega) of A's base and each
     (b, a, c) one at a time, building the composite and the restriction
     blocks with the base's own compose and restrict.  Returns the set of
     failing (sigma, omega) pairs, the number of instances skipped at a
-    hole (-1) and the number of instances checked or skipped.
+    hole (-1) and the number of instances checked or skipped.  Each
+    failing instance is also described in `messages`, when given, in the
+    words of check_operad_axioms.
     """
     base = A.base
     morphisms = [m for m in A.mult]
@@ -218,7 +220,45 @@ def pointwise_associativity(A):
                             skipped += 1
                         elif lhs != rhs:
                             failing.add((sigma, omega))
+                            if messages is not None:
+                                messages.append(f"associativity fails for {sigma} then {omega} "
+                                                f"at b={b}, a={a}, c={c}: {lhs} != {rhs}")
     return failing, skipped, instances
+
+
+def distinct_associativity_triples(A) -> int:
+    """The number of distinct (pair, G row, a_I, v) triples, cell by cell.
+
+    For a pair (sigma, omega) and a cell (b, a), the G row lists the
+    composite's entries at b over the axes of omega's nonempty fibers,
+    with each empty fiber's axis fixed at the value of its block at
+    a_j, or is all -1 when one of those values is a hole; a_I keeps the
+    nonempty fibers' part of a, and v = m_omega(b; a).
+    """
+    base = A.base
+    total = 0
+    for sigma in A.mult:
+        for omega in A.mult:
+            if omega.source != sigma.target:
+                continue
+            t_omega, t_comp = A.mult[omega], A.mult[base.compose(omega, sigma)]
+            r = len(t_omega.shape) - 1
+            empty = [i for i in range(r) if i not in omega.map]
+            inner = [i for i in range(r) if i in omega.map]
+            blocks = {j: A.mult[base.restrict(sigma, omega, j)] for j in empty}
+            seen = set()
+            for b in range(t_omega.shape[0]):
+                for a in itertools.product(*map(range, t_omega.shape[1:])):
+                    fixed = {j: int(blocks[j][a[j]]) for j in empty}
+                    row = []
+                    for xs in itertools.product(*(range(t_comp.shape[1 + i]) for i in inner)):
+                        at = {**dict(zip(inner, xs)), **fixed}
+                        hole = -1 in fixed.values()
+                        row.append(-1 if hole else int(t_comp[(b,) + tuple(at[i] for i in range(r))]))
+                    a_inner = tuple(a[i] for i in inner)
+                    seen.add((tuple(row), a_inner, int(t_omega[(b,) + a])))
+            total += len(seen)
+    return total
 
 
 def is_operad_morphism_by_entries(A, B, phi) -> bool:

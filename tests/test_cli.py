@@ -79,10 +79,12 @@ def test_operad_check_pass(capsys):
     code, rep = run_json(capsys, ["operad", "check", "--which", "ass", "--n", "2", "--K", "2"])
     assert code == 0
     assert rep["status"] == "pass"
-    # the pool's size and the associativity seconds are wall-clock facts: timing only
-    assert set(rep["timing"]) == {"assoc_s", "ms", "workers"}
+    # the pool's size and the seconds of each stage are wall-clock facts: timing only
+    assert set(rep["timing"]) == {"assoc_s", "ms", "units_s", "workers"}
     assert 1 <= rep["timing"]["workers"] <= operads._worker_count()
-    assert "workers" not in rep["data"] and "assoc_s" not in rep["data"]
+    assert not set(rep["timing"]) & set(rep["data"])
+    # the compared triples are a count of the work, the same on every machine
+    assert rep["data"]["assoc_rows"] == rep["data"]["assoc_pairs"] == 148
 
 
 def test_operad_check_des_end(capsys):
@@ -91,6 +93,8 @@ def test_operad_check_des_end(capsys):
     assert code == 0 and rep["status"] == "pass"
     assert rep["data"]["operad"] == "des_1(End[2])"
     assert (rep["data"]["assoc_pairs"], rep["data"]["assoc_instances"]) == (36, 140_458)
+    # the distinct triples, as tests/oracles.distinct_associativity_triples counts them
+    assert rep["data"]["assoc_rows"] == 2838
 
 
 def test_operad_check_corrupted_file_fails(tmp_path, capsys):
@@ -222,7 +226,7 @@ def test_tree_count_builds_no_tree(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, count", [
     (["ordinals", "--n", "2", "--k", "3"], "2^2 ordinals"),
-    (["morphisms", "--n", "1", "--source", "0", "--target", "0,0"], "6 morphisms"),
+    (["morphisms", "--n", "1", "--source", "0", "--target", "0,0"], "more than 3 morphisms"),
 ])
 def test_listings_are_counted_before_they_are_built(capsys, monkeypatch, argv, count):
     def boom(*args, **kwargs):
@@ -235,6 +239,17 @@ def test_listings_are_counted_before_they_are_built(capsys, monkeypatch, argv, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {count} to list (budget 3)"]
+
+
+def test_morphism_listing_is_refused_once_the_count_passes_the_budget(capsys):
+    # 16 points to 10 over Ord(1): C(25, 16) = 2,042,975 maps, past 2^20
+    argv = ["morphisms", "--n", "1", "--source", ",".join("0" * 15), "--target", ",".join("0" * 9)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    budget = operads._MAX_EXPORT_ENTRIES
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: more than {budget} morphisms to list (budget {budget})"]
 
 
 def test_usage_error_exit_code(capsys):
@@ -522,8 +537,20 @@ def _classifier_export_by_structures(n, k, fmt):
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_export_classifier_prints_every_structure(capsys, n, k, fmt):
     assert main(["export", "classifier", "--n", str(n), "--k", str(k), "--format", fmt]) == 0
-    text, status, _ = capsys.readouterr().out.partition("[export] ok\n")  # the report follows
-    assert status and text == _classifier_export_by_structures(n, k, fmt)
+    assert capsys.readouterr().out == _classifier_export_by_structures(n, k, fmt)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_export_prints_one_document(capsys, flags):
+    # stdout is the export alone: no report after it, and no second JSON document
+    assert main(flags + ["export", "classifier", "--n", "2", "--k", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == json.loads(_classifier_export_by_structures(2, 2, "json"))
+    assert main(flags + ["export", "ordinal", "--n", "2", "--profile", "1,0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2
+    assert main(flags + ["export", "classifier", "--n", "2", "--k", "2", "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph") and out.endswith("}\n") and out.count("digraph") == 1
 
 
 def test_export_tree_roundtrip(tmp_path, capsys):

@@ -12,6 +12,7 @@ from higherop.ordinals import (
     OrdinalMorphism,
     cardinality,
     compose,
+    count_morphisms,
     empty_ordinal,
     enumerate_morphisms,
     enumerate_ordinals,
@@ -186,6 +187,12 @@ def test_enumerate_morphisms_matches_brute_force(n):
             if is_morphism(f, T, S)
         ]
         assert [f.map for f in enumerate_morphisms(T, S)] == want
+        # the count, exact up to a limit and limit + 1 past it
+        onto = sum(set(f) == set(range(S.size)) for f in want)
+        assert count_morphisms(T, S) == count_morphisms(T, S, limit=len(want)) == len(want)
+        assert count_morphisms(T, S, True) == count_morphisms(T, S, True, limit=onto) == onto
+        if want:
+            assert count_morphisms(T, S, limit=len(want) - 1) == len(want)
 
 
 def test_compose_laws():
