@@ -145,12 +145,13 @@ def _ordinal_from_args(args) -> NOrdinal:
 
 def _load_file(path: str, parse):
     """parse applied to the JSON in path.  A file whose content does not
-    have the shape parse reads is a ValueError naming the file."""
+    have the shape parse reads, or that parse rejects, is a ValueError
+    naming the file."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         return parse(data)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
@@ -471,7 +472,13 @@ def cmd_export(args) -> Report:
         if args.file is None:
             raise ValueError("export tree reads the tree from --file")
         base = operads.OrdBase(args.n)
-        tree = _load_file(args.file, lambda data: freeop.tree_from_json(data, base))
+
+        def parse(data):
+            tree = freeop.tree_from_json(data, base)
+            freeop.validate_tree(tree, base)
+            return tree
+
+        tree = _load_file(args.file, parse)
         if args.format == "dot":
             text = freeop.tree_to_dot(tree)
         elif args.format == "json":

@@ -12,10 +12,11 @@ monad multiplication) are defined structurally, so the unit laws hold
 on the nose and associativity is the content of check_monad_laws.
 A vertex address is the root path of child indices.
 
-check_monad_laws runs on integer ids: _TreeStore keys a term by its
-node morphism's number and its children's ids, and its graft and insert
-on ids also say where every vertex lands.  graft and insert on terms
-stay the API, and the reference the tests hold the ids against.
+TreeTerm is the boundary type of the public functions, the JSON reader
+and writer and the DOT export.  Every tree operation runs on integer ids
+in _TreeStore, which the public functions intern their terms into and
+check_monad_laws uses directly.  The recursive term versions that the
+tests hold the store against are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ordinals import OrdinalMorphism
+from .ordinals import OrdinalMorphism, enumerate_ordinals
 from .operads import (
     BudgetExceededError,
     FinBase,
@@ -91,12 +92,15 @@ def node_object(tree: TreeTerm):
 
 
 def validate_tree(tree: TreeTerm, base) -> None:
-    """Check the fiber conditions at every node (raises on failure)."""
+    """Check that the tree lives over the base and the fiber conditions at
+    every node (raises on failure)."""
     if tree.is_trivial:
         if tree.trivial_target != base.terminal():
             raise ValueError("trivial tree over a non-terminal object")
         return
     sigma = tree.sigma
+    if getattr(sigma.target, "n", None) != getattr(base, "n", None):
+        raise ValueError(f"a node sits over {sigma.target}, which is not an object of the base")
     if len(tree.children) != _target_size(sigma):
         raise ValueError("child count differs from the morphism target size")
     for i, child in enumerate(tree.children):
@@ -110,28 +114,13 @@ def validate_tree(tree: TreeTerm, base) -> None:
 
 def vertices(tree: TreeTerm) -> list[tuple[tuple[int, ...], object]]:
     """Depth-first list of (address, vertex object sigma.target)."""
-    if tree.is_trivial:
-        return []
-    out = [((), tree.sigma.target)]
-    for i, child in enumerate(tree.children):
-        out.extend(((i,) + addr, obj) for addr, obj in vertices(child))
-    return out
+    store = _TreeStore()
+    return list(store.vertices[store.intern(tree)])
 
 
 def vertex_count(tree: TreeTerm) -> int:
-    if tree.is_trivial:
-        return 0
-    return 1 + sum(vertex_count(c) for c in tree.children)
-
-
-def subtree_at(tree: TreeTerm, address: tuple[int, ...]) -> TreeTerm:
-    for i in address:
-        if tree.is_trivial or i >= len(tree.children):
-            raise ValueError(f"bad vertex address {address}")
-        tree = tree.children[i]
-    if tree.is_trivial:
-        raise ValueError(f"address {address} points at a trivial subtree")
-    return tree
+    store = _TreeStore()
+    return store.sizes[store.intern(tree)]
 
 
 def graft(x: TreeTerm, sigma, ys, base) -> TreeTerm:
@@ -149,16 +138,9 @@ def graft(x: TreeTerm, sigma, ys, base) -> TreeTerm:
     for i, y in enumerate(ys):
         if target(y) != base.fiber(sigma, i):
             raise ValueError(f"graft input {i} does not sit over the fiber")
-    if x.is_trivial:
-        # sigma: T -> terminal has a single fiber, the whole of T
-        return ys[0] if ys else trivial(base)
-    inner = x.sigma  # S -> S''
-    new_children = []
-    for j in range(len(x.children)):
-        rho = base.restrict(sigma, inner, j)
-        elems = [e for e, v in enumerate(inner.map) if v == j]
-        new_children.append(graft(x.children[j], rho, [ys[e] for e in elems], base))
-    return TreeTerm(base.compose(inner, sigma), tuple(new_children), x.decoration)
+    store = _TreeStore(base)
+    r, _, _ = store.graft(store.intern(x), store._mid(sigma), tuple(map(store.intern, ys)))
+    return store.term(r)
 
 
 def insert(outer: TreeTerm, address: tuple[int, ...], inner: TreeTerm, base) -> TreeTerm:
@@ -170,18 +152,15 @@ def insert(outer: TreeTerm, address: tuple[int, ...], inner: TreeTerm, base) -> 
     address = tuple(address)
     if outer.is_trivial:
         raise ValueError("the trivial tree has no vertex to replace")
-    if not address:
-        if target(inner) != outer.sigma.target:
-            raise ValueError(
-                f"inserted tree sits over {target(inner)}, vertex needs {outer.sigma.target}"
-            )
-        return graft(inner, outer.sigma, outer.children, base)
-    i, rest = address[0], address[1:]
-    if i >= len(outer.children):
+    store = _TreeStore(base)
+    x = store.intern(outer)
+    at = {a: (p, S) for p, (a, S) in enumerate(store.vertices[x])}
+    if address not in at:
         raise ValueError(f"bad vertex address {address}")
-    children = list(outer.children)
-    children[i] = insert(children[i], rest, inner, base)
-    return TreeTerm(outer.sigma, tuple(children), outer.decoration)
+    p, S = at[address]
+    if target(inner) != S:
+        raise ValueError(f"inserted tree sits over {target(inner)}, vertex needs {S}")
+    return store.term(store.insert(x, p, store.intern(inner))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +178,8 @@ def enumerate_trees(
     """
     if base is None:
         base = OrdBase(T.n)
-    if vmax < 0 or kmax < 0:
-        raise ValueError("bounds must be nonnegative")
-    return list(_enum_trees(T, vmax, kmax, regular, base)[0])
-
-
-@functools.lru_cache(maxsize=None)
-def _enum_trees(T, budget: int, kmax: int, regular: bool, base) -> tuple:
-    """The terms over T in enumerate_trees's order, and their vertex counts."""
-    trees, sizes = [], []
-    if T == base.terminal():
-        trees.append(trivial(base))
-        sizes.append(0)
-    if budget >= 1:
-        for k in range(kmax + 1):
-            for S in _objects_of_size(base, k):
-                for sigma in base.morphisms(T, S):
-                    if regular and not is_surjective(sigma):
-                        continue
-                    child_lists = [_enum_trees(base.fiber(sigma, i), budget - 1, kmax, regular, base)
-                                   for i in range(k)]
-                    for combo, counts in zip(itertools.product(*(ts for ts, _ in child_lists)),
-                                             itertools.product(*(cs for _, cs in child_lists))):
-                        v = 1 + sum(counts)
-                        if v <= budget:
-                            trees.append(TreeTerm(sigma, combo))
-                            sizes.append(v)
-    return tuple(trees), tuple(sizes)
+    store = _TreeStore(base)
+    return [store.term(i) for i in store.trees(T, vmax, kmax, regular)]
 
 
 def count_trees(T, vmax: int, kmax: int, regular: bool = True, base=None) -> int:
@@ -245,36 +199,38 @@ def count_trees(T, vmax: int, kmax: int, regular: bool = True, base=None) -> int
 
 @functools.lru_cache(maxsize=None)
 def _tree_counts(T, vmax: int, kmax: int, regular: bool, base) -> tuple:
-    """counts[v]: the terms over T with v <= vmax vertices that _enum_trees
-    yields, node morphism by node morphism, with the children's vertex
-    counts convolved over the fibers."""
+    """counts[v]: the terms over T with v <= vmax vertices that
+    _TreeStore.trees lists, node morphism by node morphism, with the
+    children's vertex counts convolved over the fibers."""
     counts = [int(T == base.terminal())] + [0] * vmax
     if vmax == 0:
         return tuple(counts)
-    for k in range(kmax + 1):
-        if regular and k > base.size(T):
-            break  # no surjection onto a larger object
-        for S in _objects_of_size(base, k):
-            for sigma in base.morphisms(T, S):
-                if regular and not is_surjective(sigma):
-                    continue
-                ways = [1] + [0] * (vmax - 1)  # the children, by their total vertex count
-                for i in range(k):
-                    child = _tree_counts(base.fiber(sigma, i), vmax - 1, kmax, regular, base)
-                    ways = [sum(ways[a] * child[v - a] for a in range(v + 1)) for v in range(vmax)]
-                for v, w in enumerate(ways):
-                    counts[v + 1] += w
+    for _, fibers in _node_morphisms(T, kmax, regular, base):
+        ways = [1] + [0] * (vmax - 1)  # the children, by their total vertex count
+        for F in fibers:
+            child = _tree_counts(F, vmax - 1, kmax, regular, base)
+            ways = [sum(ways[a] * child[v - a] for a in range(v + 1)) for v in range(vmax)]
+        for v, w in enumerate(ways):
+            counts[v + 1] += w
     return tuple(counts)
 
 
-def _objects_of_size(base, k: int):
-    if isinstance(base, FinBase):
-        return [k] if (k >= 1 or not base.constant_free) else []
-    from .ordinals import enumerate_ordinals
+def _node_morphisms(T, kmax: int, regular: bool, base):
+    """The root morphisms sigma: T -> S, |S| <= kmax, of the trees over T,
+    in the order of enumeration, each with its fibers."""
+    for k in range(kmax + 1):
+        if regular and k > base.size(T):
+            return  # no surjection onto a larger object
+        for S in _objects_of_size(base, k):
+            for sigma in base.morphisms(T, S):
+                if not regular or is_surjective(sigma):
+                    yield sigma, tuple(base.fiber(sigma, i) for i in range(k))
 
+
+def _objects_of_size(base, k: int):
     if base.constant_free and k == 0:
         return []
-    return enumerate_ordinals(base.n, k)
+    return [k] if isinstance(base, FinBase) else enumerate_ordinals(base.n, k)
 
 
 def tree_cardinality(tree: TreeTerm) -> TreeTerm:
@@ -307,25 +263,10 @@ class Collection:
         return self.components.get(T, ())
 
 
-def _decorate(tree: TreeTerm, coll: Collection):
-    """All ways to decorate every vertex from the collection."""
-    if tree.is_trivial:
-        yield tree
-        return
-    S = tree.sigma.target
-    child_choices = [list(_decorate(c, coll)) for c in tree.children]
-    for lab in coll.labels(S):
-        for combo in itertools.product(*child_choices):
-            yield TreeTerm(tree.sigma, combo, lab)
-
-
 def tree_label(tree: TreeTerm) -> str:
     """Canonical string form, used as the operation label in free operads."""
-    if tree.is_trivial:
-        return "triv"
-    dec = tree.decoration if tree.decoration is not None else ""
-    inner = ",".join(tree_label(c) for c in tree.children)
-    return f"({_sigma_label(tree.sigma)}|{dec}|{inner})"
+    store = _TreeStore()
+    return store.label(store.intern(tree))
 
 
 def _sigma_label(sigma) -> str:
@@ -348,39 +289,33 @@ def free_operad(
     """Free operad on a collection, truncated to the stored tree bounds.
 
     Components are the decorated trees over each object; the unit is the
-    trivial tree and multiplication is grafting.  A graft whose result
-    leaves the vertex bound becomes a truncation hole (entry -1), counted
-    in the result.
+    trivial tree and multiplication is grafting.  The trees are ids of one
+    _TreeStore, and each cell is the store's graft of its trees.  A graft
+    whose result is not among the stored trees of its object (it leaves
+    the vertex bound) becomes a truncation hole (entry -1), counted in
+    the result.
     """
     base, K = coll.base, coll.K
-    trees = {}
-    components = {}
+    store = _TreeStore(base)
+    ids, index, components = {}, {}, {}
     for T in base.objects(K):
-        decorated = []
-        for t in enumerate_trees(T, vmax, kmax, regular, base):
-            decorated.extend(_decorate(t, coll))
-        trees[T] = tuple(decorated)
-        components[T] = tuple(tree_label(t) for t in decorated)
-    index = {
-        T: {lab: i for i, lab in enumerate(labs)} for T, labs in components.items()
-    }
-    holes = 0
+        ids[T] = [d for t in store.trees(T, vmax, kmax, regular)
+                  for d in store.decorations(t, coll.labels)]
+        index[T] = {i: slot for slot, i in enumerate(ids[T])}
+        components[T] = tuple(map(store.label, ids[T]))
     mult = {}
     C = compile_base(base, K)
     for m, sigma in enumerate(C.morphisms):
-        outer, *inner = (trees[C.objects[o]] for o in C.axes(m))
-        slots = index[C.objects[C.source[m]]]
+        outer, *inner = (ids[C.objects[o]] for o in C.axes(m))
+        slots, s = index[C.objects[C.source[m]]], store._mid(sigma)
         tab = np.empty((len(outer),) + tuple(map(len, inner)), dtype=np.int32)
         for idx in np.ndindex(tab.shape):
-            ys = [ts[a] for ts, a in zip(inner, idx[1:])]
-            slot = slots.get(tree_label(graft(outer[idx[0]], sigma, ys, base)))
-            if slot is None:
-                holes += 1
-                slot = -1
-            tab[idx] = slot
+            leaves = tuple([ts[a] for ts, a in zip(inner, idx[1:])])
+            tab[idx] = slots.get(store.graft(outer[idx[0]], s, leaves)[0], -1)
         mult[sigma] = tab
     operad = OperadTable(base, K, components, "triv", mult, "Free")
-    return FreeOperadResult(operad, trees, holes)
+    trees = {T: tuple(map(store.term, ts)) for T, ts in ids.items()}
+    return FreeOperadResult(operad, trees, sum(int((t < 0).sum()) for t in mult.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +368,13 @@ def tree_polynomial(n: int, vmax: int, kmax: int, regular: bool = True) -> Polyn
     Arities are marked vertices; the source of a marked vertex is its
     vertex object, so evaluating on a collection counts decorated trees.
     """
-    base = OrdBase(n)
+    store = _TreeStore(OrdBase(n))
 
     def operations(T):
-        return enumerate_trees(T, vmax, kmax, regular, base)
+        return [store.term(i) for i in store.trees(T, vmax, kmax, regular)]
 
     def arity(tree):
-        return [(tree, addr, obj) for addr, obj in vertices(tree)]
+        return [(tree, addr, obj) for addr, obj in store.vertices[store.intern(tree)]]
 
     def source(e):
         return e[2]
@@ -471,14 +406,16 @@ class LawReport:
 
 
 class _TreeStore:
-    """Undecorated terms as integer ids, and memoised insertion between them.
+    """Terms as integer ids, and memoised graft and insertion between them.
+    The public tree functions run here on interned terms.
 
     Node morphisms are numbered as they are met, and a term is keyed by its
-    node morphism's number and its children's ids (the trivial tree by
-    None), so two terms are equal exactly when their ids are.  Per id the
-    store keeps the node, the vertex count, the preorder vertex list
-    (address, object) and per vertex its node morphism's number and its
-    subtree's vertex count.
+    node morphism's number, its children's ids and its root's decoration
+    (the trivial tree by None), so two terms are equal exactly when their
+    ids are.  Per id the store keeps the node, the vertex count, the
+    preorder vertex list (address, object) and per vertex its node
+    morphism's number and its subtree's vertex count.  The base is needed
+    by graft, insert, trees and term only.
 
     Insertions are numbered entries.  Entry e inserts y at the vertex of x
     at preorder position p (inputs[e] = (x, p, y)); result[e] is the id of
@@ -488,10 +425,10 @@ class _TreeStore:
     the largest vertex count, so a gather at position -1 reads -1.
     """
 
-    def __init__(self, base):
+    def __init__(self, base=None):
         self.base = base
         self.ids: dict = {}
-        self.nodes: list = []  # (morphism number, child ids), or None for the trivial tree
+        self.nodes: list = []  # (morphism number, child ids, decoration), or None: trivial
         self.sizes: list[int] = []
         self.vertices: list[tuple] = []
         self.shapes: list[tuple] = []  # per vertex, its morphism number and subtree size
@@ -504,6 +441,7 @@ class _TreeStore:
         self._aids: dict = {}
         self._blocks: dict = {}
         self._grafts: dict = {}
+        self._trees: dict = {}  # (T, vmax, kmax, regular) -> the ids that trees lists
         self._tuples: dict = {}  # one copy of each landing tuple; there are few
         self.width = 1
         # the entry arrays and the table are views of the first rows of these, which
@@ -533,10 +471,10 @@ class _TreeStore:
             self._targets.append(self._number(sigma.target, self._oids, self.objects))
         return m
 
-    def _node(self, m, kids: tuple) -> int:
-        """The id of the term with node morphism number m over the kids (the
-        trivial tree when m is None)."""
-        key = None if m is None else (m, kids)
+    def _node(self, m, kids: tuple = (), dec: str | None = None) -> int:
+        """The id of the term with node morphism number m over the kids and
+        root decoration dec (the trivial tree when m is None)."""
+        key = None if m is None else (m, kids, dec)
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.nodes)
@@ -557,22 +495,63 @@ class _TreeStore:
 
     def intern(self, tree: TreeTerm) -> int:
         if tree.is_trivial:
-            return self._node(None, ())
-        return self._node(self._mid(tree.sigma), tuple(self.intern(c) for c in tree.children))
+            return self._node(None)
+        return self._node(self._mid(tree.sigma), tuple(map(self.intern, tree.children)),
+                          tree.decoration)
+
+    def term(self, i: int) -> TreeTerm:
+        """The TreeTerm with id i."""
+        if self.nodes[i] is None:
+            return trivial(self.base)
+        m, kids, dec = self.nodes[i]
+        return TreeTerm(self.morphisms[m], tuple(map(self.term, kids)), dec)
 
     def label(self, i: int, prefix: str | None = None) -> str:
-        """tree_label of term i, its vertices decorated prefix0, prefix1, ...
-        in preorder when a prefix is given."""
+        """The canonical string form of term i: "triv", or
+        (node morphism|decoration|children).  With a prefix, its vertices
+        are tagged prefix0, prefix1, ... in preorder instead."""
         tags = itertools.count()
 
         def walk(t: int) -> str:
             if self.nodes[t] is None:
                 return "triv"
-            m, kids = self.nodes[t]
-            dec = "" if prefix is None else f"{prefix}{next(tags)}"
-            return f"({_sigma_label(self.morphisms[m])}|{dec}|{','.join(map(walk, kids))})"
+            m, kids, dec = self.nodes[t]
+            if prefix is not None:
+                dec = f"{prefix}{next(tags)}"
+            return (f"({_sigma_label(self.morphisms[m])}|{'' if dec is None else dec}|"
+                    f"{','.join(map(walk, kids))})")
 
         return walk(i)
+
+    def trees(self, T, vmax: int, kmax: int, regular: bool) -> tuple:
+        """The ids of enumerate_trees(T, vmax, kmax, regular), in its order:
+        the trivial tree, then root morphism by root morphism, the
+        children's trees in product order."""
+        key = (T, vmax, kmax, regular)
+        ids = self._trees.get(key)
+        if ids is None:
+            if vmax < 0 or kmax < 0:
+                raise ValueError("bounds must be nonnegative")
+            ids = [self._node(None)] if T == self.base.terminal() else []
+            if vmax >= 1:
+                sizes = self.sizes
+                for sigma, fibers in _node_morphisms(T, kmax, regular, self.base):
+                    m = self._mid(sigma)
+                    below = [self.trees(F, vmax - 1, kmax, regular) for F in fibers]
+                    ids.extend(self._node(m, kids) for kids in itertools.product(*below)
+                               if sum(sizes[c] for c in kids) < vmax)
+            ids = self._trees[key] = tuple(ids)
+        return ids
+
+    def decorations(self, i: int, labels) -> list[int]:
+        """The ids of term i with every vertex decorated from labels(vertex
+        object), in every way, the root's label varying slowest."""
+        if self.nodes[i] is None:
+            return [i]
+        m, kids, _ = self.nodes[i]
+        below = [self.decorations(c, labels) for c in kids]
+        return [self._node(m, combo, lab) for lab in labels(self.morphisms[m].target)
+                for combo in itertools.product(*below)]
 
     def _block(self, a: int, s: int) -> tuple:
         """For node morphism a: S -> S'' grafted along s: T -> S, the number
@@ -595,7 +574,7 @@ class _TreeStore:
             if self.nodes[y] is None:  # s: T -> terminal has a single fiber
                 hit = (leaves[0], (), (0,))
             else:
-                a, kids = self.nodes[y]
+                a, kids, dec = self.nodes[y]
                 block = self._blocks.get((a, s))
                 if block is None:
                     block = self._blocks[a, s] = self._block(a, s)
@@ -614,7 +593,7 @@ class _TreeStore:
                     new.append(g)
                     at += sizes[g]
                 lands, offsets = tuple(lands), tuple(offsets)
-                hit = (self._node(c, tuple(new)), self._tuples.setdefault(lands, lands),
+                hit = (self._node(c, tuple(new), dec), self._tuples.setdefault(lands, lands),
                        self._tuples.setdefault(offsets, offsets))
             self._grafts[key] = hit
         return hit
@@ -626,17 +605,17 @@ class _TreeStore:
         nodes, sizes = self.nodes, self.sizes
         path, t, q = [], x, p
         while q:
-            m, kids = nodes[t]
+            m, kids, dec = nodes[t]
             q -= 1
             for slot, t in enumerate(kids):
                 if q < sizes[t]:
                     break
                 q -= sizes[t]
-            path.append((m, kids, slot))
-        m, below = nodes[t]
+            path.append((m, kids, dec, slot))
+        m, below, _ = nodes[t]
         r, y_lands, offsets = self.graft(y, m, below)
-        for m, kids, slot in reversed(path):
-            r = self._node(m, kids[:slot] + (r,) + kids[slot + 1:])
+        for m, kids, dec, slot in reversed(path):
+            r = self._node(m, kids[:slot] + (r,) + kids[slot + 1:], dec)
         return r, below, offsets, y_lands
 
     def lookup(self, x, p, y) -> np.ndarray:
@@ -862,10 +841,7 @@ def check_monad_laws(n: int, vmax: int, kmax: int, regular: bool = True) -> LawR
                 )
             all_objects.append(T)
     store = _TreeStore(base)
-    ids_by_target = {
-        T: [store.intern(t) for t in enumerate_trees(T, vmax, kmax, regular, base)]
-        for T in all_objects
-    }
+    ids_by_target = {T: store.trees(T, vmax, kmax, regular) for T in all_objects}
     per_x = _law_instances(store, ids_by_target, vmax, kmax, regular, base)
     count = sum(per_x)
     if count > _MAX_LAW_INSTANCES:

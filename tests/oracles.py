@@ -7,10 +7,14 @@ so agreement with the package is meaningful evidence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from higherop.freeop import TreeTerm, _objects_of_size, _sigma_label, target, trivial
+from higherop.operads import OperadTable, _target_size, compile_base, is_surjective
 
 
 def brute_force_ordinal_structures(n: int, k: int):
@@ -759,3 +763,136 @@ def strict_arrows_by_pairs(n: int, k: int) -> np.ndarray:
         i += r * n_prof
         out.append(np.stack([i, j], axis=1)[i != j].astype(np.int32))
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# tree terms, by recursion on TreeTerm: what freeop computes on _TreeStore ids
+
+
+def graft(x: TreeTerm, sigma, ys, base) -> TreeTerm:
+    """Free-operad multiplication: compose x over S along sigma: T -> S.
+
+    ys supplies one tree per element of S, the i-th over fiber(sigma, i);
+    the result is a term over T.  Grafting onto the trivial tree returns
+    the unique subtree, so the unit laws hold structurally.
+    """
+    ys = tuple(ys)
+    if len(ys) != _target_size(sigma):
+        raise ValueError("wrong number of trees to graft")
+    if target(x) != sigma.target:
+        raise ValueError("outer tree does not sit over the target of sigma")
+    for i, y in enumerate(ys):
+        if target(y) != base.fiber(sigma, i):
+            raise ValueError(f"graft input {i} does not sit over the fiber")
+    if x.is_trivial:
+        # sigma: T -> terminal has a single fiber, the whole of T
+        return ys[0] if ys else trivial(base)
+    inner = x.sigma  # S -> S''
+    new_children = []
+    for j in range(len(x.children)):
+        rho = base.restrict(sigma, inner, j)
+        elems = [e for e, v in enumerate(inner.map) if v == j]
+        new_children.append(graft(x.children[j], rho, [ys[e] for e in elems], base))
+    return TreeTerm(base.compose(inner, sigma), tuple(new_children), x.decoration)
+
+
+def insert(outer: TreeTerm, address: tuple[int, ...], inner: TreeTerm, base) -> TreeTerm:
+    """Monad multiplication: replace the vertex at the address by a tree.
+
+    The inserted tree must sit over the vertex object; its leaves pick up
+    the vertex's subtrees by grafting.
+    """
+    address = tuple(address)
+    if outer.is_trivial:
+        raise ValueError("the trivial tree has no vertex to replace")
+    if not address:
+        if target(inner) != outer.sigma.target:
+            raise ValueError(
+                f"inserted tree sits over {target(inner)}, vertex needs {outer.sigma.target}"
+            )
+        return graft(inner, outer.sigma, outer.children, base)
+    i, rest = address[0], address[1:]
+    if i >= len(outer.children):
+        raise ValueError(f"bad vertex address {address}")
+    children = list(outer.children)
+    children[i] = insert(children[i], rest, inner, base)
+    return TreeTerm(outer.sigma, tuple(children), outer.decoration)
+
+
+def vertices(tree: TreeTerm) -> list:
+    """Depth-first list of (address, vertex object sigma.target)."""
+    if tree.is_trivial:
+        return []
+    out = [((), tree.sigma.target)]
+    for i, child in enumerate(tree.children):
+        out.extend(((i,) + addr, obj) for addr, obj in vertices(child))
+    return out
+
+
+def vertex_count(tree: TreeTerm) -> int:
+    if tree.is_trivial:
+        return 0
+    return 1 + sum(vertex_count(c) for c in tree.children)
+
+
+def tree_label(tree: TreeTerm) -> str:
+    """Canonical string form, used as the operation label in free operads."""
+    if tree.is_trivial:
+        return "triv"
+    dec = tree.decoration if tree.decoration is not None else ""
+    inner = ",".join(tree_label(c) for c in tree.children)
+    return f"({_sigma_label(tree.sigma)}|{dec}|{inner})"
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_trees(T, vmax: int, kmax: int, regular: bool, base) -> tuple:
+    """The undecorated terms over T, built child list by child list, in
+    the order of freeop.enumerate_trees."""
+    trees = [trivial(base)] if T == base.terminal() else []
+    if vmax >= 1:
+        for k in range(kmax + 1):
+            for S in _objects_of_size(base, k):
+                for sigma in base.morphisms(T, S):
+                    if regular and not is_surjective(sigma):
+                        continue
+                    below = [enumerate_trees(base.fiber(sigma, i), vmax - 1, kmax, regular, base)
+                             for i in range(k)]
+                    for combo in itertools.product(*below):
+                        if 1 + sum(map(vertex_count, combo)) <= vmax:
+                            trees.append(TreeTerm(sigma, combo))
+    return tuple(trees)
+
+
+def decorations(tree: TreeTerm, coll):
+    """All ways to decorate every vertex from the collection."""
+    if tree.is_trivial:
+        yield tree
+        return
+    S = tree.sigma.target
+    child_choices = [list(decorations(c, coll)) for c in tree.children]
+    for lab in coll.labels(S):
+        for combo in itertools.product(*child_choices):
+            yield TreeTerm(tree.sigma, combo, lab)
+
+
+def free_operad_by_terms(coll, vmax: int, kmax: int, regular: bool = True) -> OperadTable:
+    """freeop.free_operad built cell by cell on terms: each cell is the
+    term graft, found among its object's decorated trees by its label
+    (-1 when it is not one of them)."""
+    base, K = coll.base, coll.K
+    trees, components = {}, {}
+    for T in base.objects(K):
+        trees[T] = [d for t in enumerate_trees(T, vmax, kmax, regular, base)
+                    for d in decorations(t, coll)]
+        components[T] = tuple(map(tree_label, trees[T]))
+    mult = {}
+    C = compile_base(base, K)
+    for m, sigma in enumerate(C.morphisms):
+        outer, *inner = (trees[C.objects[o]] for o in C.axes(m))
+        index = {lab: i for i, lab in enumerate(components[C.objects[C.source[m]]])}
+        tab = np.empty((len(outer),) + tuple(map(len, inner)), dtype=np.int32)
+        for idx in np.ndindex(tab.shape):
+            ys = [ts[a] for ts, a in zip(inner, idx[1:])]
+            tab[idx] = index.get(tree_label(graft(outer[idx[0]], sigma, ys, base)), -1)
+        mult[sigma] = tab
+    return OperadTable(base, K, components, "triv", mult, "Free")

@@ -47,6 +47,7 @@ from higherop.symmetrize import (
 )
 from higherop.topology import classifier_homology, components
 
+import oracles
 from oracles import (
     brute_force_ordinal_structures,
     canonicalize_structure,
@@ -302,8 +303,9 @@ def test_criterion_12_strict_triangle_and_cardinality():
                     ok = ok and target(cx) == target(x).size
                     for addr, S_v in vertices(x):
                         for y in enumerate_trees(S_v, vmax - 1, kmax, True, base):
+                            # the insertion on ids, against the term insertion
                             left = tree_cardinality(insert(x, addr, y, base))
-                            right = insert(cx, addr, tree_cardinality(y), fin)
+                            right = oracles.insert(cx, addr, tree_cardinality(y), fin)
                             ok = ok and left == right
     _line(12, "strict triangle and cardinality of trees", ok)
 

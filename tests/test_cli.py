@@ -189,6 +189,7 @@ def test_monad_laws_defaults_are_refused_before_a_tree_is_built(capsys, monkeypa
 
     monkeypatch.setattr(freeop, "enumerate_trees", boom)
     monkeypatch.setattr(freeop, "TreeTerm", boom)
+    monkeypatch.setattr(freeop._TreeStore, "trees", boom)
     assert main(["verify", "monad-laws"]) == 2  # n=2, vmax=3, kmax=5: 135,365 trees
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "trees" in err[0]
@@ -216,6 +217,7 @@ def test_tree_count_builds_no_tree(capsys, monkeypatch):
 
     monkeypatch.setattr(freeop, "enumerate_trees", boom)
     monkeypatch.setattr(freeop, "TreeTerm", boom)
+    monkeypatch.setattr(freeop._TreeStore, "trees", boom)
     argv = ["trees", "--n", "2", "--profile", "0,0,0,0", "--vmax", "4", "--kmax", "5"]
     code, rep = run_json(capsys, argv + ["--count-only"])
     assert code == 0 and rep["data"]["count"] == 182_691 and "trees" not in rep["data"]
@@ -569,12 +571,27 @@ def test_export_tree_roundtrip(tmp_path, capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+_ONE_NODE = {"source": {"n": 1, "profile": [0], "size": 2},
+             "target": {"n": 1, "profile": [], "size": 1}, "map": [0, 0]}
+_EMPTY = {"n": 1, "profile": [], "size": 0}
+
+
 @pytest.mark.parametrize("argv, content", [
     (["export", "tree"], None),
     (["export", "tree", "--file"], {"node": {"sigma": {"source": 1}}}),
+    (["export", "tree", "--n", "1", "--file"],
+     {"node": {"sigma": _ONE_NODE, "decoration": None, "children": []}}),
+    (["export", "tree", "--n", "1", "--file"],
+     {"node": {"sigma": _ONE_NODE, "decoration": None, "children": ["trivial"]}}),
+    (["export", "tree", "--n", "2", "--file"],
+     {"node": {"sigma": {"source": _EMPTY, "target": _EMPTY, "map": []},
+               "decoration": None, "children": []}}),
     (["operad", "check", "--file"], {"base": {"kind": "Ord", "n": 1}, "components": {},
                                      "unit": "u", "mult": []}),
-], ids=["tree-without-file", "tree-without-map", "operad-without-K"])
+    (["operad", "check", "--file"], {"base": {"kind": "Ord", "n": 1}, "K": 2, "components": [],
+                                     "unit": "*", "mult": []}),
+], ids=["tree-without-file", "tree-without-map", "tree-missing-a-child", "tree-child-off-its-fiber",
+        "tree-over-another-n", "operad-without-K", "operad-components-not-an-object"])
 def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "input.json"

@@ -17,7 +17,6 @@ from higherop.freeop import (
     graft,
     insert,
     node_object,
-    subtree_at,
     target,
     tree_cardinality,
     tree_from_json,
@@ -38,9 +37,17 @@ from higherop.operads import (
     desymmetrize,
     endomorphism_operad,
     enumerate_operad_morphisms,
+    tables_equal,
 )
-from higherop.ordinals import OrdinalMorphism, enumerate_ordinals, ordinal, terminal_ordinal
+from higherop.ordinals import (
+    OrdinalMorphism,
+    empty_ordinal,
+    enumerate_ordinals,
+    ordinal,
+    terminal_ordinal,
+)
 
+import oracles
 from oracles import catalan
 
 BASE1 = OrdBase(1)
@@ -147,11 +154,13 @@ def test_insert_examples():
 
 
 def test_insert_vertex_counts_add():
+    # and the insertion on ids is the term insertion of the oracles
     for T in (chain(2), chain(3)):
         for x in enumerate_trees(T, 3, 3, True, BASE1):
             for addr, S_v in vertices(x):
                 for y in enumerate_trees(S_v, 2, 3, True, BASE1):
                     got = insert(x, addr, y, BASE1)
+                    assert got == oracles.insert(x, addr, y, BASE1)
                     assert vertex_count(got) == vertex_count(x) + vertex_count(y) - 1
 
 
@@ -163,8 +172,8 @@ def test_insert_errors():
         insert(x, (), corolla(BASE1, chain(3)), BASE1)
     with pytest.raises(ValueError):
         insert(trivial(BASE1), (), corolla(BASE1, chain(2)), BASE1)
-    with pytest.raises(ValueError):
-        subtree_at(x, (0,))
+    with pytest.raises(ValueError, match="bad vertex address"):  # child 0 is a leaf
+        insert(x, (0,), corolla(BASE1, chain(2)), BASE1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +198,17 @@ def test_kmax_monotonicity_nonregular():
     assert len(small) < len(large)
 
 
+@pytest.mark.parametrize("base", [BASE1, BASE2, FinBase(), FinBase(constant_free=True)],
+                         ids=["Ord1", "Ord2", "FinSet", "FinSet0"])
+@pytest.mark.parametrize("regular", [True, False])
+def test_store_enumeration_matches_the_term_enumeration(base, regular):
+    # the same terms in the same order as the recursive enumeration on terms
+    for K, vmax, kmax in [(3, 3, 3), (2, 4, 2), (3, 0, 3), (3, 2, 0)]:
+        for T in base.objects(K):
+            want = list(oracles.enumerate_trees(T, vmax, kmax, regular, base))
+            assert enumerate_trees(T, vmax, kmax, regular, base) == want, (T, vmax, kmax)
+
+
 def test_enumerated_trees_validate():
     for T in (ordinal(2, 0), ordinal(2, 1), terminal_ordinal(2)):
         for t in enumerate_trees(T, 2, 2, regular=False, base=BASE2):
@@ -207,7 +227,7 @@ def test_tree_cardinality_commutes():
             assert target(cx) == target(x).size
             for addr, S_v in vertices(x):
                 for y in enumerate_trees(S_v, 2, 3, True, BASE1):
-                    assert tree_cardinality(insert(x, addr, y, BASE1)) == insert(
+                    assert tree_cardinality(insert(x, addr, y, BASE1)) == oracles.insert(
                         tree_cardinality(x), addr, tree_cardinality(y), FinBase()
                     )
 
@@ -234,8 +254,6 @@ def test_free_operad_catalan():
 
 
 def test_free_operad_empty_collection():
-    from higherop.ordinals import empty_ordinal
-
     coll = Collection(BASE1, 3, {})
     res = free_operad(coll, vmax=3, kmax=3)
     assert res.operad.components[terminal_ordinal(1)] == ("triv",)
@@ -271,6 +289,31 @@ def test_free_operad_truncation_holes_are_marked():
     rep = check_operad_axioms(res.operad)
     assert rep.ok, rep.violations
     assert rep.skipped_holes > 0
+
+
+_FREE = {  # the free operads that the tests build, by collection and bounds
+    "catalan": (Collection(BASE1, 5, {chain(2): ("m",)}), 4, 2),
+    "empty": (Collection(BASE1, 3, {}), 3, 3),
+    "binary": (binary_collection(), 3, 3),
+    "binary-kmax2": (binary_collection(), 3, 2),
+    "holes": (Collection(BASE1, 2, {terminal_ordinal(1): ("u",), chain(2): ("m",)}), 2, 2),
+    "two-levels": (Collection(BASE2, 3, {ordinal(2, 0): ("a", "b"), ordinal(2, 1): ("c",)}), 2, 2),
+    "nonregular": (Collection(BASE1, 2, {empty_ordinal(1): ("c",), chain(2): ("m",)}), 2, 2),
+    "finite-sets": (Collection(FinBase(), 3, {2: ("m",)}), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_FREE))
+def test_free_operads_match_the_term_oracle(name):
+    # every cell against the term graft of the oracles, found by its label
+    coll, vmax, kmax = _FREE[name]
+    regular = name != "nonregular"
+    res = free_operad(coll, vmax, kmax, regular)
+    want = oracles.free_operad_by_terms(coll, vmax, kmax, regular)
+    assert tables_equal(res.operad, want)
+    assert res.holes == sum(int((tab < 0).sum()) for tab in want.mult.values())
+    for T, trees in res.trees.items():
+        assert tuple(map(oracles.tree_label, trees)) == res.operad.components[T]
 
 
 def test_polynomial_matches_free_operad():
@@ -313,8 +356,8 @@ def _law_instance_count(n, vmax, kmax, regular):
 
     base = OrdBase(n)
     store = freeop._TreeStore(base)
-    ids = {T: [store.intern(t) for t in enumerate_trees(T, vmax, kmax, regular, base)]
-           for k in range(kmax + 1) for T in enumerate_ordinals(n, k)}
+    ids = {T: store.trees(T, vmax, kmax, regular) for k in range(kmax + 1)
+           for T in enumerate_ordinals(n, k)}
     return sum(freeop._law_instances(store, ids, vmax, kmax, regular, base))
 
 
@@ -432,14 +475,6 @@ def test_violations_come_in_loop_order(monkeypatch):
     assert rep.violations[1] == "vertex y0 vanished when inserting at ()"
 
 
-def _term(store, i):
-    """The term with id i in the store."""
-    if store.nodes[i] is None:
-        return trivial(store.base)
-    m, kids = store.nodes[i]
-    return TreeTerm(store.morphisms[m], tuple(_term(store, c) for c in kids))
-
-
 def _recorded_store(monkeypatch):
     from higherop import freeop
 
@@ -465,18 +500,20 @@ def test_memoised_nonregular_insertions_match_the_tagged_insertion(monkeypatch):
 
 def _match_memo_and_terms(n, vmax, kmax, regular, monkeypatch):
     """Every interned term and every memoised insertion of one law check,
-    against the term-level functions: the insertion on tagged copies."""
+    against the term-level oracles: the insertion on tagged copies."""
     stores = _recorded_store(monkeypatch)
     rep = check_monad_laws(n, vmax, kmax, regular)
     assert rep.ok
     (store,) = stores
     base = OrdBase(n)
-    terms = [_term(store, i) for i in range(len(store.nodes))]
+    terms = [store.term(i) for i in range(len(store.nodes))]
     assert len(set(terms)) == len(terms) == rep.interned_trees
     for i, t in enumerate(terms):
         assert store.intern(t) == i
-        assert (store.sizes[i], list(store.vertices[i])) == (vertex_count(t), vertices(t))
-        assert store.label(i) == tree_label(t) and store.label(i, "y") == tree_label(_tagged(t, "y"))
+        assert (store.sizes[i], list(store.vertices[i])) == (
+            oracles.vertex_count(t), oracles.vertices(t))
+        assert store.label(i) == oracles.tree_label(t)
+        assert store.label(i, "y") == oracles.tree_label(_tagged(t, "y"))
     assert len(store.inputs) == rep.distinct_insertions > 0
     for e, (x, p, y) in enumerate(store.inputs.tolist()):
         r = store.result[e]
@@ -488,8 +525,8 @@ def _match_memo_and_terms(n, vmax, kmax, regular, monkeypatch):
                 if q >= 0:
                     decs[q] = f"{prefix}{i}"
         address = store.vertices[x][p][0]
-        want = insert(_tagged(terms[x], "x"), address, _tagged(terms[y], "y"), base)
-        assert _decorated(_term(store, r), iter(decs)) == want
+        want = oracles.insert(_tagged(terms[x], "x"), address, _tagged(terms[y], "y"), base)
+        assert _decorated(store.term(r), iter(decs)) == want
 
 
 def test_memoised_grafts_match_the_term_graft(monkeypatch):
@@ -500,16 +537,16 @@ def test_memoised_grafts_match_the_term_graft(monkeypatch):
     assert len(store._grafts) > 0
     for (y, s, leaves), (r, lands, offsets) in store._grafts.items():
         # y's vertices tagged, each leaf's tagged by its element
-        tagged = [_decorated(_term(store, leaf), (f"{e}.{i}" for i in itertools.count()))
+        tagged = [_decorated(store.term(leaf), (f"{e}.{i}" for i in itertools.count()))
                   for e, leaf in enumerate(leaves)]
-        want = graft(_tagged(_term(store, y), "y"), store.morphisms[s], tagged, base)
+        want = oracles.graft(_tagged(store.term(y), "y"), store.morphisms[s], tagged, base)
         decs = [None] * store.sizes[r]
         for i, q in enumerate(lands):
             decs[q] = f"y{i}"
         for e, (leaf, o) in enumerate(zip(leaves, offsets)):
             for i in range(store.sizes[leaf]):
                 decs[o + i] = f"{e}.{i}"
-        assert _decorated(_term(store, r), iter(decs)) == want
+        assert _decorated(store.term(r), iter(decs)) == want
 
 
 # ---------------------------------------------------------------------------
