@@ -86,21 +86,28 @@ def cache_store(cache_dir: str, key_obj: dict, payload: dict) -> str:
     return path
 
 
-def cache_lookup(cache_dir: str, key_obj: dict):
-    """Payload for the key, or None; corrupt or stale entries are misses."""
+def cache_lookup(cache_dir: str, key_obj: dict, fields: tuple) -> dict | None:
+    """The payload that cache_store wrote for the key, or None.  Any other
+    entry is a miss with one warning line: one that is not JSON, or not an
+    object with the current schema, this key and a payload object with
+    exactly the keys in fields."""
     path = os.path.join(cache_dir, cache_key(key_obj) + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             blob = json.load(fh)
-        if blob.get("schema") != SCHEMA_VERSION:
-            print(f"warning: stale cache schema in {path}", file=sys.stderr)
-            return None
-        return blob["payload"]
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
         print(f"warning: unreadable cache entry {path}: {exc}", file=sys.stderr)
         return None
+    if not isinstance(blob, dict) or blob.get("schema") != SCHEMA_VERSION:
+        print(f"warning: stale cache schema in {path}", file=sys.stderr)
+        return None
+    payload = blob.get("payload")
+    if blob.get("key") != key_obj or not isinstance(payload, dict) or set(payload) != set(fields):
+        print(f"warning: cache entry {path} is not the payload of this key", file=sys.stderr)
+        return None
+    return payload
 
 
 def _cache_dir(args) -> str | None:
@@ -118,7 +125,7 @@ def _classifier_payload(cache_dir, n, k, dmax, fresh=False, **budget):
     state = None
     payload = None
     if cache_dir and not fresh:
-        payload = cache_lookup(cache_dir, key_obj)
+        payload = cache_lookup(cache_dir, key_obj, topology.PAYLOAD_FIELDS)
         state = "hit" if payload is not None else "miss"
     if payload is None:
         payload = topology.classifier_homology(n, k, dmax, **budget)
@@ -144,13 +151,12 @@ def _ordinal_from_args(args) -> NOrdinal:
 
 
 def _load_file(path: str, parse):
-    """parse applied to the JSON in path.  A file whose content does not
-    have the shape parse reads, or that parse rejects, is a ValueError
-    naming the file."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """parse applied to the JSON in path.  A file that is not JSON, or
+    whose content does not have the shape parse reads, or that parse
+    rejects, is a ValueError naming the file."""
     try:
-        return parse(data)
+        with open(path) as fh:
+            return parse(json.load(fh))
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
 
@@ -172,10 +178,9 @@ def _emit(report: Report, args) -> None:
 
 
 def cmd_ordinals(args) -> Report:
-    # n^(k-1) of them; for n > 1 an exponent of 21 or more is past 2^20 with no power formed
-    exponent, cap = max(args.k - 1, 0), operads._MAX_EXPORT_ENTRIES
-    if args.n > 1 and (exponent >= cap.bit_length() or args.n ** exponent > cap):
-        raise operads.BudgetExceededError(f"{args.n}^{exponent} ordinals to list (budget {cap})")
+    exponent, cap = max(args.k - 1, 0), operads._MAX_EXPORT_ENTRIES  # n^(k-1) of them
+    operads.within_budget(operads.capped_power(args.n, exponent, cap), cap,
+                          "{}^{} ordinals to list", args.n, exponent)
     ords = enumerate_ordinals(args.n, args.k)
     data = {
         "n": args.n,
@@ -193,9 +198,9 @@ def cmd_ordinals(args) -> Report:
 def cmd_morphisms(args) -> Report:
     T = NOrdinal(args.n, _parse_profile(args.source))
     S = NOrdinal(args.n, _parse_profile(args.target))
-    cap = operads._MAX_EXPORT_ENTRIES
-    if count_morphisms(T, S, limit=cap) > cap:  # the count stops once it passes the budget
-        raise operads.BudgetExceededError(f"more than {cap} morphisms to list (budget {cap})")
+    cap = operads._MAX_EXPORT_ENTRIES  # the count stops once it passes the budget
+    operads.within_budget(count_morphisms(T, S, limit=cap), cap, "{n} morphisms to list",
+                          early=True)
     maps = enumerate_morphisms(T, S)
     return Report(
         "morphisms",
@@ -233,9 +238,7 @@ def cmd_trees(args) -> Report:
         "count": count,
     }
     if not args.count_only:
-        if count > freeop._MAX_TREES:
-            raise operads.BudgetExceededError(
-                f"{count} trees to list (budget {freeop._MAX_TREES}); use --count-only")
+        operads.within_budget(count, freeop._MAX_TREES, "{n} trees to list without --count-only")
         trees = freeop.enumerate_trees(T, args.vmax, args.kmax, args.regular, base)
         data["trees"] = [freeop.tree_to_json(t) for t in trees]
     return Report("trees", "ok", data, {})

@@ -30,7 +30,6 @@ import numpy as np
 
 from .ordinals import OrdinalMorphism, enumerate_ordinals
 from .operads import (
-    BudgetExceededError,
     FinBase,
     OperadTable,
     OrdBase,
@@ -41,6 +40,7 @@ from .operads import (
     compile_base,
     is_surjective,
     sorted_distinct,
+    within_budget,
 )
 
 
@@ -348,13 +348,8 @@ def eval_polynomial(P: PolynomialData, X: dict, i_values):
     out = {}
     for i in i_values:
         elems = []
-        count = 0
-        for b in P.operations(i):
-            count += 1
-            if count > _MAX_OPERATIONS:
-                raise BudgetExceededError(
-                    f"more than {_MAX_OPERATIONS} operations over index {i}"
-                )
+        for count, b in enumerate(P.operations(i), 1):
+            within_budget(count, _MAX_OPERATIONS, "{n} operations over index {}", i, early=True)
             pools = [X[P.source(e)] for e in P.arity(b)]
             for combo in itertools.product(*pools):
                 elems.append((b, combo))
@@ -622,8 +617,8 @@ class _TreeStore:
         """The entries inserting y[i] at position p[i] of x[i]; the insertions
         not seen yet run once each.  Inputs pack into one int64 key, so ids
         stay below 2^24 and vertex counts below 2^15."""
-        if len(self.nodes) > 1 << 24 or self.width > 1 << 15:
-            raise BudgetExceededError("the interned trees pass 2^24 ids or 2^15 vertices")
+        within_budget(len(self.nodes), 1 << 24, "{n} interned trees to key")
+        within_budget(self.width, 1 << 15, "trees of {n} vertices to key")
         keys = (np.asarray(x, np.int64) << 39) | (np.asarray(y, np.int64) << 15) | p
         at = np.searchsorted(self._keys, keys)
         seen = at < len(self._keys)
@@ -766,8 +761,8 @@ def _law_instances(store: _TreeStore, ids_by_target: dict, vmax: int, kmax: int,
     corolla, and its vertices v and pairs of independent vertices (v, w)
     contribute the inserted trees that fit the vertex bound, counted
     from the trees per (object, vertex count).  The trees go in the
-    order of ids_by_target, and the count stops once its sum passes
-    _MAX_LAW_INSTANCES.
+    order of ids_by_target, and within_budget refuses them once their sum
+    passes _MAX_LAW_INSTANCES.
     """
     counts = {S: _tree_counts(S, vmax, kmax, regular, base) for S in ids_by_target}
     upto = {S: list(itertools.accumulate(c)) for S, c in counts.items()}
@@ -798,9 +793,9 @@ def _law_instances(store: _TreeStore, ids_by_target: dict, vmax: int, kmax: int,
                 count += sum(pairs(S_v, S_w, vmax - nx + 2)
                              for w, S_w in xs[i + 1:] if w[:len(v)] != v)
             out.append(count)
-            total += count
-            if total > _MAX_LAW_INSTANCES:
-                return out
+            total = within_budget(total + count, _MAX_LAW_INSTANCES,
+                                  "the monad laws at n={}, vmax={}, kmax={} have {n} instances",
+                                  base.n, vmax, kmax, early=True)
     return out
 
 
@@ -834,21 +829,12 @@ def check_monad_laws(n: int, vmax: int, kmax: int, regular: bool = True) -> LawR
     for k in range(kmax + 1):  # smallest first, so the largest are not counted past the budget
         for T in _objects_of_size(base, k):
             count += count_trees(T, vmax, kmax, regular, base)
-            if count > _MAX_TREES:
-                raise BudgetExceededError(
-                    f"the monad laws at n={n}, vmax={vmax}, kmax={kmax} range over at least "
-                    f"{count} trees (budget {_MAX_TREES})"
-                )
+            within_budget(count, _MAX_TREES, "the monad laws at n={}, vmax={}, kmax={} range "
+                          "over {n} trees", n, vmax, kmax, early=True)
             all_objects.append(T)
     store = _TreeStore(base)
     ids_by_target = {T: store.trees(T, vmax, kmax, regular) for T in all_objects}
     per_x = _law_instances(store, ids_by_target, vmax, kmax, regular, base)
-    count = sum(per_x)
-    if count > _MAX_LAW_INSTANCES:
-        raise BudgetExceededError(
-            f"the monad laws at n={n}, vmax={vmax}, kmax={kmax} have at least {count} "
-            f"instances (budget {_MAX_LAW_INSTANCES})"
-        )
     rep = LawReport(ok=True, violations=[])
     start = time.perf_counter()
     _check_laws(rep, store, ids_by_target, vmax, per_x)

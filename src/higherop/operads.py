@@ -33,6 +33,10 @@ buffers, sized so that all workers together hold one slab of
 _SLAB_CELLS cells.  The groups' reports are merged in group order, and
 a group is checked to the same answer whatever its slab size, so the
 report does not depend on the number of workers.
+
+Every budget of the package is compared, and its BudgetExceededError
+worded, by within_budget, on a count taken before what it counts is
+built; capped_power bounds the counts that are powers.
 """
 
 from __future__ import annotations
@@ -68,6 +72,37 @@ from .ordinals import (
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or table build went past its explicit budget."""
+
+
+def within_budget(count: int, budget: int, what: str, *args, in_bytes: bool = False,
+                  early: bool = False) -> int:
+    """count, when it is at most budget; past it, BudgetExceededError with the
+    message what.format(*args, n=<the count>, at=<its marker>) (budget), built
+    only then, so a search may check at every step.  Bytes read in GiB against
+    a ceiling in MiB.  A count that stopped once past the budget (early) reads
+    "more than" the budget when it stopped just past it, else "at least" it.
+
+    >>> within_budget(4, 3, "{n} maps", early=True)
+    Traceback (most recent call last):
+    higherop.operads.BudgetExceededError: more than 3 maps (budget 3)
+    >>> within_budget(3 << 30, 1 << 20, "{at}{} rows need {n}", 7, in_bytes=True, early=True)
+    Traceback (most recent call last):
+    higherop.operads.BudgetExceededError: at least 7 rows need at least 3.0 GiB (ceiling 1 MiB)
+    """
+    if count <= budget:
+        return count
+    at, shown = "", count
+    if early:
+        at, shown = ("more than ", budget) if count == budget + 1 else ("at least ", count)
+    limit = f"ceiling {budget >> 20} MiB" if in_bytes else f"budget {budget}"
+    shown = f"{shown / 2**30:.1f} GiB" if in_bytes else shown
+    raise BudgetExceededError(f"{what.format(*args, n=f'{at}{shown}', at=at)} ({limit})")
+
+
+def capped_power(x: int, e: int, cap: int) -> int:
+    """x**e while that is at most cap, and past cap exactly when x**e is, with
+    no larger power formed: an exponent of cap.bit_length() passes it for x > 1."""
+    return x ** min(e, cap.bit_length())
 
 
 # one dense build: the int64 boundaries of one cellular complex, the End tables of one
@@ -224,11 +259,6 @@ class FinBase:
             return S ** T
         return sum((-1) ** j * math.comb(S, j) * (S - j) ** T for j in range(S + 1))
 
-    def morphism_count(self, K: int) -> int:
-        """len(base_morphisms(self, K)) in closed form."""
-        objs = self.objects(K)
-        return sum(self.hom_count(T, S) for T in objs for S in objs)
-
     def compose(self, g, f):
         return finset_compose(g, f)
 
@@ -242,8 +272,9 @@ class FinBase:
         return json.dumps(T)
 
 
-# bytes of one FinSet morphism once compiled (compile_base), measured with
-# tracemalloc at K = 5 and 6: 518 and 436
+# bytes of one base morphism once compiled (compile_base), kept after the build as
+# tracemalloc measures it: 444 and 429 over FinSet at K = 5 and 6; 527, 410 and 403 over
+# Ord(n) at (n, K) = (1, 8), (2, 4) and (3, 4)
 _MORPHISM_BYTES = 520
 
 
@@ -251,18 +282,14 @@ _MORPHISM_BYTES = 520
 def base_morphisms(base, K: int) -> tuple:
     """All base morphisms with both endpoints inside the truncation.
 
-    FinSet's are counted first, and BudgetExceededError is raised before
-    any is built when they would pass _MAX_DENSE_BYTES once compiled.
+    They are counted first by base.hom_count, and within_budget refuses
+    them before any is built when they would pass _MAX_DENSE_BYTES once
+    compiled.
     """
-    if isinstance(base, FinBase):
-        count = base.morphism_count(K)
-        if count * _MORPHISM_BYTES > _MAX_DENSE_BYTES:
-            raise BudgetExceededError(
-                f"{count} {base.kind} morphisms at K={K} need "
-                f"{count * _MORPHISM_BYTES / 2**30:.1f} GiB "
-                f"(ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
-            )
     objs = base.objects(K)
+    count = sum(base.hom_count(T, S) for T in objs for S in objs)
+    within_budget(count * _MORPHISM_BYTES, _MAX_DENSE_BYTES, "{} {} morphisms at K={} need {n}",
+                  count, base.kind, K, in_bytes=True)
     out = []
     for T in objs:
         for S in objs:
@@ -290,8 +317,8 @@ class CompiledBase:
         M, width = len(self.morphisms), max((len(m.map) for m in self.morphisms), default=0)
         self.radix = width + 1  # no target has more points than the widest source
         self.span = self.radix ** width
-        if len(self.objects) ** 2 * self.span >= 2**63:
-            raise BudgetExceededError(f"the maps of {M} morphisms need keys past 64 bits")
+        within_budget(len(self.objects) ** 2 * self.span, 2**63 - 1,
+                      "the keys of {} morphisms' maps reach {n}", M)
         pad = (-1,) * width
 
         def padded(rows) -> np.ndarray:
@@ -387,7 +414,7 @@ def composable_pairs(base, K: int) -> np.ndarray:
 def _pair_count(base, K: int) -> int:
     """The number of composable pairs inside the truncation: the sum over
     middle objects S of (morphisms into S) * (morphisms out of S), from
-    base.hom_count, so no morphism is built.  Raises BudgetExceededError
+    base.hom_count, so no morphism is built.  within_budget refuses them
     when their rows would pass _MAX_DENSE_BYTES, as soon as the partial
     sum over the middle objects does.
     """
@@ -396,12 +423,9 @@ def _pair_count(base, K: int) -> int:
     for S in objs:
         count += (sum(base.hom_count(T, S) for T in objs)
                   * sum(base.hom_count(S, R) for R in objs))
-        if 8 * (3 + K) * count > _MAX_DENSE_BYTES:
-            more = "more than " if S != objs[-1] else ""
-            raise BudgetExceededError(
-                f"{more}{count} composable pairs at K={K} need {more}"
-                f"{8 * (3 + K) * count / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
-            )
+        within_budget(8 * (3 + K) * count, _MAX_DENSE_BYTES,
+                      "{at}{} composable pairs at K={} need {n}", count, K, in_bytes=True,
+                      early=S != objs[-1])
     return count
 
 
@@ -531,11 +555,8 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
     rows = [(n_fun[t], x_size ** C.objects[s], g)
             for t, s, g in zip(C.target.tolist(), C.source.tolist(), grid)]
     need = sum(4 * n_b * g for n_b, _, g in rows) + max(8 * g * (n_b + n_in) for n_b, n_in, g in rows)
-    if need > _MAX_DENSE_BYTES:
-        raise BudgetExceededError(
-            f"End tables of a {x_size}-element set at K={K} need "
-            f"{need / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)"
-        )
+    within_budget(need, _MAX_DENSE_BYTES, "End tables of a {}-element set at K={} need {n}",
+                  x_size, K, in_bytes=True)
     labels = {k: _function_labels(x_size, k) for k in range(K + 1)}
     components = {k: labels[k] for k in base.objects(K)}
     n_inputs = {k: x_size ** k for k in range(K + 1)}
@@ -583,13 +604,11 @@ def endomorphism_operad(X, K: int, constant_free: bool = False) -> OperadTable:
 
 def _check_end_exponent(x_size: int, K: int) -> None:
     """Refuse End tables from the exponent alone: the table over K -> 1
-    holds all x^(x^K) functions of arity K."""
-    exponent, cap = x_size ** K, _MAX_DENSE_BYTES // 4
-    if x_size > 1 and (exponent >= cap.bit_length() or x_size ** exponent > cap):
-        raise BudgetExceededError(
-            f"End tables of a {x_size}-element set at K={K} exceed the ceiling "
-            f"({_MAX_DENSE_BYTES >> 20} MiB): one table alone holds all "
-            f"{x_size}^{exponent} functions of arity {K}")
+    holds all x^(x^K) functions of arity K, 4 bytes each."""
+    exponent = x_size ** K
+    within_budget(4 * capped_power(x_size, exponent, _MAX_DENSE_BYTES // 4), _MAX_DENSE_BYTES,
+                  "End tables of a {0}-element set at K={1} hold all {0}^{2} functions of "
+                  "arity {1} in one table", x_size, K, exponent, in_bytes=True)
 
 
 def _identity_code(x_size: int) -> int:
@@ -866,11 +885,8 @@ def _check_group(C, flat, off, holes, shapes, rows, slab, scratch) -> AxiomRepor
     if nb * n_a * n_c == 0:
         rep.empty_domains += len(rows)
         return rep
-    if n_a * n_c > _MAX_PAIR_CELLS:
-        raise BudgetExceededError(
-            f"associativity pair for {C.morphisms[s0]} ; {C.morphisms[w0]} needs "
-            f"{n_a * n_c} cells (budget {_MAX_PAIR_CELLS})"
-        )
+    within_budget(n_a * n_c, _MAX_PAIR_CELLS, "associativity pair for {} ; {} needs {n} cells",
+                  C.morphisms[s0], C.morphisms[w0])
     rep.assoc_instances += len(rows) * nb * n_a * n_c
     rep.assoc_rows, rep.skipped_holes, found = decide_group(
         C.maps[w0], flat, off, holes, shapes, rows, slab, scratch, _MAX_VIOLATIONS)
@@ -1008,11 +1024,8 @@ def enumerate_operad_morphisms(A: OperadTable, B: OperadTable) -> list[OperadMor
         # a nonempty component must land somewhere, and the unit on the unit
         images = np.array([unit_b]) if pos == unit_var else np.arange(n_b[owner[pos]])
         nodes += len(images)
-        if nodes > _MAX_SEARCH_NODES:
-            raise BudgetExceededError(
-                f"morphism search exceeded {_MAX_SEARCH_NODES} nodes at "
-                f"{C.objects[owner[pos]]} ({A.name} -> {B.name})"
-            )
+        within_budget(nodes, _MAX_SEARCH_NODES, "morphism search {} -> {} tries {n} images by {}",
+                      A.name, B.name, C.objects[owner[pos]], early=True)
         for img in allowed(pos, images).tolist():
             phi[pos] = img
             walk(pos + 1)
@@ -1075,11 +1088,8 @@ _MAX_EXPORT_ENTRIES = 1 << 20  # table entries that operad_to_json writes out
 
 def operad_to_json(A: OperadTable) -> dict:
     """Label-level JSON form of the operad (refuses unreasonably large tables)."""
-    total = sum(t.size for t in A.mult.values())
-    if total > _MAX_EXPORT_ENTRIES:
-        raise BudgetExceededError(
-            f"operad has {total} table entries (export budget {_MAX_EXPORT_ENTRIES})"
-        )
+    within_budget(sum(t.size for t in A.mult.values()), _MAX_EXPORT_ENTRIES,
+                  "operad has {n} table entries to export")
     C = compile_base(A.base, A.K)
     comps = {A.base.key(T): list(labs) for T, labs in A.components.items()}
     mult = []

@@ -50,7 +50,6 @@ import numpy as np
 
 from .operads import (
     _MAX_DENSE_BYTES,
-    BudgetExceededError,
     CompiledBase,
     FinBase,
     FinSetMorphism,
@@ -61,6 +60,7 @@ from .operads import (
     endomorphism_operad,
     enumerate_operad_morphisms,
     sorted_distinct,
+    within_budget,
 )
 
 
@@ -157,12 +157,8 @@ def build_classifier(n: int, k: int, max_objects: int = 20000,
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    count = math.factorial(k) * n ** max(k - 1, 0)
-    if count > max_objects:
-        raise BudgetExceededError(
-            f"classifier at (n={n}, k={k}) has {count} objects "
-            f"(budget {max_objects})"
-        )
+    count = within_budget(math.factorial(k) * n ** max(k - 1, 0), max_objects,
+                          "classifier at (n={}, k={}) has {n} objects", n, k)
     arrows = _strict_arrows(n, k, max_arrows)
     return ClassifierPoset(n, k, range(count), arrows)
 
@@ -202,10 +198,8 @@ def _strict_arrows(n: int, k: int, max_arrows: int = _MAX_ARROWS) -> np.ndarray:
     g, p, q = _moves(n, k)
     span = (n - t.profiles).prod(axis=1)  # the profiles at or above each profile
     size = span[q] - (g == 0)  # each move's targets, less its source
-    count = n_perm * int(size.sum())
-    if count > max_arrows:
-        raise BudgetExceededError(
-            f"classifier at (n={n}, k={k}) has {count} arrows (budget {max_arrows})")
+    count = within_budget(n_perm * int(size.sum()), max_arrows,
+                          "classifier at (n={}, k={}) has {n} arrows", n, k)
     # up[start[p, g]:][:length[p, g]]: the targets of move (g, p), ascending; those
     # at or above profile r start at cumsum(span)[r] - span[r] with r, which g = 0 skips
     up = np.nonzero((t.profiles >= t.profiles[:, None]).all(axis=2))[1]
@@ -436,12 +430,8 @@ def _symmetrize_arity(n: int, k: int, sizes: np.ndarray, pull) -> SymArity:
     """
     t = _labelings(n, k)
     n_perm, n_prof = len(t.perms), len(t.profiles)
-    total = n_perm * int(sizes.sum())
-    if total > _MAX_ELEMENTS:
-        raise BudgetExceededError(
-            f"symmetrisation at arity {k} has {total} elements "
-            f"(budget {_MAX_ELEMENTS})"
-        )
+    total = within_budget(n_perm * int(sizes.sum()), _MAX_ELEMENTS,
+                          "symmetrisation at arity {} has {n} elements", k)
     obj_sizes = np.tile(sizes, n_perm)
     offsets = np.cumsum(obj_sizes) - obj_sizes
     single = (sizes == 1).all()  # one element per object: its number is the object's

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operads import _MAX_DENSE_BYTES, BudgetExceededError
+from .operads import _MAX_DENSE_BYTES, within_budget
 from .symmetrize import ClassifierPoset, _terminal_arity, build_classifier
 
 _OVERFLOW_GUARD = 1 << 31
@@ -77,10 +77,8 @@ def cellular_complex(P: ClassifierPoset, dmax: int | None = None) -> ChainComple
     rank, chains, complete = _grading(src, dst, len(P.objects), dmax)
     cells = [np.flatnonzero(rank == r) for r in range(len(chains))]
     f = tuple(map(len, cells))
-    need = 8 * sum(a * b for a, b in zip(f, f[1:]))
-    if need > _MAX_DENSE_BYTES:
-        raise BudgetExceededError(f"dense boundaries of {list(f)} cells per degree need "
-                                  f"{need / 2**30:.1f} GiB (ceiling {_MAX_DENSE_BYTES >> 20} MiB)")
+    within_budget(8 * sum(a * b for a, b in zip(f, f[1:])), _MAX_DENSE_BYTES,
+                  "dense boundaries of {} cells per degree need {n}", list(f), in_bytes=True)
     # bd[r] maps rank r to rank r-1; bd[0] puts every vertex on the empty face, index -1
     bd = [np.ones((1, f[0]), dtype=np.int64)]
     bd += [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
@@ -257,6 +255,11 @@ def components(n: int, k: int) -> int:
 
 def euler_characteristic(C: ChainComplex) -> int:
     return sum((-1) ** d * f for d, f in enumerate(C.f_vector))
+
+
+# the keys of classifier_homology's payload, which a cached payload must have
+PAYLOAD_FIELDS = ("n", "k", "fvector", "betti", "torsion", "components", "complete",
+                  "computed_through")
 
 
 def classifier_homology(n: int, k: int, dmax: int | None = None,

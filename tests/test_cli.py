@@ -361,15 +361,42 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     assert len(list(tmp_path.glob("*.json"))) == 1
 
 
+_KEY_2_2 = {"cmd": "classifier", "n": 2, "k": 2, "dmax": None, "schema": cli.SCHEMA_VERSION}
+_PAYLOAD_2_2 = topology.classifier_homology(2, 2)
+
+
+def _blob(**changes):
+    """A cache entry of classifier --n 2 --k 2 as cache_store writes it, with changes."""
+    return json.dumps({"schema": cli.SCHEMA_VERSION, "key": _KEY_2_2, "payload": _PAYLOAD_2_2,
+                       **changes}).encode()
+
+
+# entries that cache_store did not write for classifier --n 2 --k 2
+_FOREIGN_ENTRIES = {
+    "not-json": b"{not json",
+    "a-list": b"[]",
+    "without-a-key": json.dumps({"schema": cli.SCHEMA_VERSION, "payload": {"n": 2}}).encode(),
+    "not-utf8": b"\xff\xfe",
+    "another-key": _blob(key={**_KEY_2_2, "k": 3}),
+    "payload-not-an-object": _blob(payload=[1]),
+    "payload-missing-fields": _blob(payload={"n": 2}),
+    "payload-with-another-field": _blob(payload={**_PAYLOAD_2_2, "extra": 1}),
+}
+
+
 def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
-    key_obj = {"cmd": "classifier", "n": 2, "k": 2, "dmax": None,
-               "schema": cli.SCHEMA_VERSION}
-    cache_store(str(tmp_path), key_obj, {"x": 1})
-    path = tmp_path / (cache_key(key_obj) + ".json")
-    path.write_text("{not json")
-    assert cache_lookup(str(tmp_path), key_obj) is None
-    err = capsys.readouterr().err
-    assert "warning" in err
+    # each is a miss with one warning line, then recomputed and rewritten
+    path = tmp_path / (cache_key(_KEY_2_2) + ".json")
+    argv = ["--json", "--cache-dir", str(tmp_path), "classifier", "--n", "2", "--k", "2"]
+    for name, entry in _FOREIGN_ENTRIES.items():
+        path.write_bytes(entry)
+        assert main(argv) == 0, name
+        captured = capsys.readouterr()
+        rep, err = json.loads(captured.out), captured.err.splitlines()
+        assert rep["timing"]["cache"] == "miss" and rep["data"] == _PAYLOAD_2_2, name
+        assert len(err) == 1 and err[0].startswith("warning: ") and str(path) in err[0], name
+        assert cache_lookup(str(tmp_path), _KEY_2_2, topology.PAYLOAD_FIELDS) == _PAYLOAD_2_2, name
+        assert capsys.readouterr().err == "", name
 
 
 def test_schema_bump_invalidates(tmp_path, capsys):
@@ -377,7 +404,7 @@ def test_schema_bump_invalidates(tmp_path, capsys):
     path = tmp_path / (cache_key(key_obj) + ".json")
     path.write_text(json.dumps({"schema": cli.SCHEMA_VERSION - 1, "key": key_obj,
                                 "payload": {"stale": True}}))
-    assert cache_lookup(str(tmp_path), key_obj) is None
+    assert cache_lookup(str(tmp_path), key_obj, ("stale",)) is None
     assert "stale cache schema" in capsys.readouterr().err
 
 
@@ -400,7 +427,7 @@ def test_concurrent_stores_leave_one_valid_blob(tmp_path):
     assert not errors
     blobs = list(tmp_path.glob("*.json"))
     assert len(blobs) == 1
-    payload = cache_lookup(str(tmp_path), key_obj)
+    payload = cache_lookup(str(tmp_path), key_obj, ("writer",))
     assert payload is not None and "writer" in payload
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -590,12 +617,17 @@ _EMPTY = {"n": 1, "profile": [], "size": 0}
                                      "unit": "u", "mult": []}),
     (["operad", "check", "--file"], {"base": {"kind": "Ord", "n": 1}, "K": 2, "components": [],
                                      "unit": "*", "mult": []}),
+    (["export", "tree", "--n", "0", "--file"], b""),
+    (["export", "tree", "--n", "1", "--file"], b"not json\n"),
+    (["operad", "check", "--file"], b"K = 2\n"),
+    (["operad", "check", "--file"], b"\xff\xfe{}"),
 ], ids=["tree-without-file", "tree-without-map", "tree-missing-a-child", "tree-child-off-its-fiber",
-        "tree-over-another-n", "operad-without-K", "operad-components-not-an-object"])
+        "tree-over-another-n", "operad-without-K", "operad-components-not-an-object",
+        "tree-empty-file", "tree-text-file", "operad-text-file", "operad-not-utf8"])
 def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content):
     if content is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
         argv = argv + [str(path)]
     assert main(argv) == 2
     captured = capsys.readouterr()

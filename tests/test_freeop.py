@@ -85,8 +85,24 @@ def test_eval_polynomial_budget(monkeypatch):
 
     monkeypatch.setattr(freeop, "_MAX_OPERATIONS", 10)
     P = PolynomialData(lambda i: itertools.count(), lambda b: [], lambda e: None)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match=r"^more than 10 operations over index i \(budget 10\)$"):
         eval_polynomial(P, {}, ["i"])
+
+
+def test_insertion_keys_are_refused_before_they_are_packed():
+    # an insertion key packs x and y in 24 bits each and the position in 15
+    from higherop import freeop
+
+    class Unpackable:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("a key was packed")
+
+    store = freeop._TreeStore(OrdBase(1))
+    store.width = (1 << 15) + 1
+    with pytest.raises(BudgetExceededError,
+                       match=r"^trees of 32769 vertices to key \(budget 32768\)$"):
+        store.lookup(Unpackable(), Unpackable(), Unpackable())
 
 
 # ---------------------------------------------------------------------------

@@ -390,24 +390,38 @@ def test_composable_pairs_match_the_loop(base, K):
         [len(base.morphisms(T, S)) for S in objs] for T in objs]
 
 
-@pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)],
-                         ids=["FinSet", "FinSet0"])
+@pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True), OrdBase(1), OrdBase(2)],
+                         ids=["FinSet", "FinSet0", "Ord1", "Ord2"])
 def test_finset_base_is_counted_before_it_is_built(monkeypatch, base):
     # the uncached function, so the outcome does not depend on earlier calls
     build = base_morphisms.__wrapped__
+
+    def count(K):
+        objs = base.objects(K)
+        return sum(base.hom_count(T, S) for T in objs for S in objs)
+
     for K in range(1, 6):
-        assert base.morphism_count(K) == len(build(base, K))
-    need = base.morphism_count(4) * operads._MORPHISM_BYTES
+        assert count(K) == len(build(base, K))
+    need = count(4) * operads._MORPHISM_BYTES
     monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need)
-    assert len(build(base, 4)) == base.morphism_count(4)
+    assert len(build(base, 4)) == count(4)
 
     def boom(*args):
         raise AssertionError("a morphism was built past the ceiling")
 
     monkeypatch.setattr(operads, "_MAX_DENSE_BYTES", need - 1)
-    monkeypatch.setattr(FinBase, "morphisms", boom)
-    with pytest.raises(BudgetExceededError, match=f"{base.morphism_count(4)} FinSet"):
+    monkeypatch.setattr(type(base), "morphisms", boom)
+    with pytest.raises(BudgetExceededError, match=f"^{count(4)} {base.kind} morphisms at K=4"):
         build(base, 4)
+
+
+def test_compiled_base_refuses_keys_past_64_bits(monkeypatch):
+    # a map of 20 points gives a radix of 21, and 21^20 codes per pair of objects pass 2^63
+    monkeypatch.setattr(operads, "base_morphisms",
+                        lambda base, K: (FinSetMorphism(20, 1, (0,) * 20),))
+    want = rf"^the keys of 1 morphisms' maps reach {4 * 21**20} \(budget {2**63 - 1}\)$"
+    with pytest.raises(BudgetExceededError, match=want):
+        operads.CompiledBase(FinBase(), 1)
 
 
 @pytest.mark.parametrize("base", [FinBase(), FinBase(constant_free=True)],
