@@ -194,6 +194,13 @@ class OrdBase:
         lo = 1 if self.constant_free else 0
         return [T for k in range(lo, K + 1) for T in enumerate_ordinals(self.n, k)]
 
+    def object_count(self, K: int, cap: int) -> int:
+        """len(self.objects(K)), or past cap when that is: n^(m-1) of each
+        size m, and one of size 0, with no power past cap formed."""
+        n = self.n
+        sized = K if n == 1 else (capped_power(n, K, cap * (n - 1) + 1) - 1) // (n - 1)
+        return sized + (not self.constant_free)
+
     def terminal(self):
         return terminal_ordinal(self.n)
 
@@ -237,6 +244,10 @@ class FinBase:
         lo = 1 if self.constant_free else 0
         return list(range(lo, K + 1))
 
+    def object_count(self, K: int, cap: int) -> int:
+        """len(self.objects(K))."""
+        return K + 1 - self.constant_free
+
     def terminal(self):
         return 1
 
@@ -278,6 +289,15 @@ class FinBase:
 _MORPHISM_BYTES = 520
 
 
+def _base_objects(base, K: int) -> list:
+    """base.objects(K), refused before any is listed when their identities
+    alone would pass _MAX_DENSE_BYTES."""
+    count = base.object_count(K, _MAX_DENSE_BYTES)
+    within_budget(_MORPHISM_BYTES * count, _MAX_DENSE_BYTES, "{at}{} {} morphisms at K={} need {n}",
+                  count, base.kind, K, in_bytes=True, early=True)
+    return base.objects(K)
+
+
 @functools.lru_cache(maxsize=None)
 def base_morphisms(base, K: int) -> tuple:
     """All base morphisms with both endpoints inside the truncation.
@@ -286,7 +306,7 @@ def base_morphisms(base, K: int) -> tuple:
     them before any is built when they would pass _MAX_DENSE_BYTES once
     compiled.
     """
-    objs = base.objects(K)
+    objs = _base_objects(base, K)
     count = sum(base.hom_count(T, S) for T in objs for S in objs)
     within_budget(count * _MORPHISM_BYTES, _MAX_DENSE_BYTES, "{} {} morphisms at K={} need {n}",
                   count, base.kind, K, in_bytes=True)
@@ -310,8 +330,8 @@ class CompiledBase:
     """
 
     def __init__(self, base, K: int) -> None:
-        self.objects = tuple(base.objects(K))  # object id -> object
         self.morphisms = base_morphisms(base, K)  # morphism id -> morphism
+        self.objects = tuple(base.objects(K))  # object id -> object
         self.morphism_id = {m: i for i, m in enumerate(self.morphisms)}
         object_id = {T: i for i, T in enumerate(self.objects)}
         M, width = len(self.morphisms), max((len(m.map) for m in self.morphisms), default=0)
@@ -418,7 +438,7 @@ def _pair_count(base, K: int) -> int:
     when their rows would pass _MAX_DENSE_BYTES, as soon as the partial
     sum over the middle objects does.
     """
-    objs = base.objects(K)
+    objs = _base_objects(base, K)
     count = 0
     for S in objs:
         count += (sum(base.hom_count(T, S) for T in objs)

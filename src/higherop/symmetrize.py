@@ -155,12 +155,22 @@ def build_classifier(n: int, k: int, max_objects: int = 20000,
     Refuses more than max_objects objects, or more than max_arrows
     arrows, before any object or arrow is built.
     """
+    count = classifier_objects(n, k, max_objects)
+    return ClassifierPoset(n, k, range(count), _strict_arrows(n, k, max_arrows))
+
+
+def classifier_objects(n: int, k: int, max_objects: int = 20000) -> int:
+    """The k! * n^(k-1) objects at arity k, refused once a partial product
+    passes max_objects, so k! is never formed."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    count = within_budget(math.factorial(k) * n ** max(k - 1, 0), max_objects,
-                          "classifier at (n={}, k={}) has {n} objects", n, k)
-    arrows = _strict_arrows(n, k, max_arrows)
-    return ClassifierPoset(n, k, range(count), arrows)
+    count, factors = 1, itertools.chain(range(2, k + 1), itertools.repeat(n, max(k - 1, 0)))
+    for factor in factors:
+        count *= factor
+        if count > max_objects:
+            break
+    return within_budget(count, max_objects, "classifier at (n={}, k={}) has {n} objects", n, k,
+                         early=next(factors, None) is not None)
 
 
 def _moves(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

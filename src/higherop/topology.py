@@ -1,22 +1,23 @@
 """Cellular homology of the classifier posets, exact over the integers.
 
-The classifier posets are face posets of regular CW complexes, so their
-homology is cellular: one cell per object, of dimension its rank (the
-longest chain below it, here the level sum of its profile), with signs
-on the covers propagated around diamonds (Bjorner 1984).  Ranking the
-objects also counts the chains of each length: the nerve's f-vector.
-Smith reduction over the integers makes ranks and torsion exact.
+The classifier at arity k is the face poset of a regular CW complex: a
+cell per object (x, p), of dimension the level sum of p, and a product
+of permutohedra read off the level tree of p (Milgram 1966; Berger
+1997).  Facets and chain counts come from the identity labeling, so no
+arrow is built.  Smith reduction makes ranks and torsion exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operads import _MAX_DENSE_BYTES, within_budget
-from .symmetrize import ClassifierPoset, _terminal_arity, build_classifier
+from .symmetrize import (_labelings, _moves, _perm_ranks, _profile_ranks, _terminal_arity,
+                         classifier_objects)
 
 _OVERFLOW_GUARD = 1 << 31
 
@@ -31,93 +32,101 @@ class ChainComplex:
     chains: tuple = ()  # chains of d+1 objects per degree d: the nerve's f-vector
 
 
-def _grading(src, dst, n_obj: int, dmax: int | None):
-    """Rank of every object, chains per degree, and whether nothing was cut.
+def _facets(p: tuple) -> list:
+    """Facets (q, order, sign) of the cell (identity, p); order[j] is the old
+    position at new position j.  A node at level l >= 1 is a maximal run of
+    positions with inner gaps >= l, cut into children by the gaps equal to
+    l.  A facet lists a nonempty part A of the children, then the rest B,
+    with gap l inside a part and l - 1 between.  With deg c = l + the inner
+    gaps of child c, the sign is (-1) to the gaps left of the node, plus
+    deg c over A, plus deg a * deg b over a in A after b in B.
 
-    Step d counts the chains of d+1 objects ending at each object, and an
-    object's rank is the last step that reaches it.  With dmax the pass
-    stops after dmax + 1 steps; objects of rank dmax + 1 are not cells.
+    >>> for facet in _facets((1, 1)):  # one node, three children
+    ...     print(*facet)
+    (0, 1) (0, 1, 2) -1
+    (0, 1) (1, 0, 2) 1
+    (1, 0) (0, 1, 2) 1
+    (0, 1) (2, 0, 1) -1
+    (1, 0) (0, 2, 1) -1
+    (1, 0) (1, 2, 0) 1
     """
-    rank = np.zeros(n_obj, dtype=np.int64)
-    counts, chains = np.ones(n_obj, dtype=np.int64), [n_obj]
-    fan_in = int(np.bincount(dst, minlength=1).max())
-    while True:
-        if counts.dtype != object and int(counts.max(initial=0)) * fan_in * n_obj >> 63:
+    out, k = [], len(p) + 1
+    for l in range(1, max(p, default=0) + 1):
+        s = 0
+        for _, run in itertools.groupby(p, key=lambda gap: gap >= l):
+            m = len(list(run))  # positions s..s+m, joined by the gaps p[s:s+m]
+            cuts = [s] + [i + 1 for i in range(s, s + m) if p[i] == l] + [s + m + 1]
+            kids = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+            deg = [l + sum(p[c.start:c.stop - 1]) for c in kids]
+            for mask in range(1, 2 ** len(kids) - 1):
+                A = [c for c in range(len(kids)) if mask >> c & 1]
+                B = [c for c in range(len(kids)) if not mask >> c & 1]
+                order = (*range(s), *(i for c in A + B for i in kids[c]), *range(s + m + 1, k))
+                cut = s + sum(len(kids[c]) for c in A) - 1  # the gap between A and B
+                q = tuple(min(p[min(a, b):max(a, b)]) - (j == cut)
+                          for j, (a, b) in enumerate(zip(order, order[1:])))
+                shuffle = sum(deg[a] * deg[b] for a in A for b in B if a > b)
+                out.append((q, order, (-1) ** (sum(p[:s]) + sum(deg[c] for c in A) + shuffle)))
+            s += m
+    return out
+
+
+def _chain_counts(n: int, k: int, dims: int) -> tuple:
+    """Chains of d+1 objects for d < dims, exact past 2**63.  As many end
+    at (x, p) as at (identity, p), and those one longer come from every
+    profile at or above the target q of an identity move (g, p, q), but p.
+    """
+    g, p, q = _moves(n, k)
+    counts = np.ones(n ** max(k - 1, 0), dtype=np.int64)
+    chains = [math.factorial(k) * len(counts)]
+    for _ in range(1, dims):
+        if counts.dtype != object and int(counts.max()) * len(g) * len(counts) >> 63:
             counts = counts.astype(object)  # the next step could pass int64
         step = np.zeros_like(counts)
-        np.add.at(step, dst, counts[src])
-        reached = step != 0
-        rank[reached] = len(chains)
-        if not reached.any() or dmax is not None and len(chains) > dmax:
-            return rank, tuple(chains), not reached.any()
-        chains.append(int(step.sum()))
-        counts = step
+        np.add.at(step, q, counts[p])
+        for axis in range(k - 1):  # on to the profiles at or above each target
+            step = step.reshape((n,) * (k - 1)).cumsum(axis=axis)
+        counts = step.ravel() - counts
+        chains.append(math.factorial(k) * int(counts.sum()))
+    return tuple(chains)
 
 
-def cellular_complex(P: ClassifierPoset, dmax: int | None = None) -> ChainComplex:
-    """One cell per object of rank <= dmax, with +1/-1 incidences on the covers.
+def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
+    """The arity-k classifier's cells of dimension <= dmax, in the objects'
+    order, with their facets' signs.  Boundaries over _MAX_DENSE_BYTES are
+    refused from the profiles before any is allocated, and dd = 0 is checked.
 
-    Ranks and chain counts are read from the source and target columns of
-    P.arrows, and the covers are the arrows whose rank steps by 1.  A cell's
-    first facet gets +1, and each ridge passes the sign on so that both
-    paths around its diamond cancel.  ValueError: a 1-cell without two
-    vertices, a ridge not in two facets, a disconnected facet graph, or two
-    diamonds disagreeing.
-    Boundaries over _MAX_DENSE_BYTES are refused before any is allocated,
-    and dd = 0 is checked on every pair of boundaries.
-
-    >>> from .symmetrize import build_classifier
-    >>> C = cellular_complex(build_classifier(2, 3))
+    >>> C = cellular_complex(2, 3)
     >>> C.f_vector, C.chains
     ((6, 12, 6), (24, 96, 72))
     """
     if dmax is not None and dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    src, dst = P.arrows.T
-    rank, chains, complete = _grading(src, dst, len(P.objects), dmax)
-    cells = [np.flatnonzero(rank == r) for r in range(len(chains))]
-    f = tuple(map(len, cells))
+    t = _labelings(n, k)
+    rank = t.profiles.sum(axis=1)
+    top = (n - 1) * max(k - 1, 0)
+    dims = top + 1 if dmax is None else min(top, dmax) + 1
+    per_rank = np.bincount(rank)  # profiles per rank
+    f = tuple(len(t.perms) * int(c) for c in per_rank[:dims])
     within_budget(8 * sum(a * b for a, b in zip(f, f[1:])), _MAX_DENSE_BYTES,
                   "dense boundaries of {} cells per degree need {n}", list(f), in_bytes=True)
-    # bd[r] maps rank r to rank r-1; bd[0] puts every vertex on the empty face, index -1
-    bd = [np.ones((1, f[0]), dtype=np.int64)]
-    bd += [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
-    at = np.zeros(len(P.objects) + 1, dtype=np.int64)  # each cell's place in its rank; at[-1] = 0
-    for c in cells:
-        at[c] = np.arange(len(c))
-    facets = [[-1] if r == 0 else [] for r in rank.tolist()]
-    covers = (rank[dst] == rank[src] + 1) & (rank[dst] < len(f))
-    for a, b in zip(src[covers].tolist(), dst[covers].tolist()):
-        facets[b].append(a)
-    for r in range(1, len(f)):
-        for c in cells[r].tolist():
-            col, below = bd[r][:, at[c]], bd[r - 1]
-            through = {}  # ridge -> the facets of c that contain it
-            for x in facets[c]:
-                for g in facets[x]:
-                    through.setdefault(g, []).append(x)
-            signed = facets[c][:1]
-            col[at[signed[0]]] = 1
-            for x in signed:  # grows as the signs spread
-                for g in facets[x]:
-                    if (n_in := len(through[g])) != 2:
-                        raise ValueError(f"1-cell {c} has {n_in} vertices, not 2" if r == 1 else
-                                         f"a ridge of cell {c} lies in {n_in} facets, not 2")
-                    y = sum(through[g]) - x  # the other facet through g
-                    s = -col[at[x]] * below[at[g], at[x]] * below[at[g], at[y]]
-                    if not col[at[y]]:
-                        col[at[y]] = s
-                        signed.append(y)
-                    elif col[at[y]] != s:
-                        raise ValueError(f"two diamonds disagree on the facet signs of cell {c}")
-            if len(signed) != len(facets[c]):
-                raise ValueError(f"the facet graph of cell {c} is disconnected")
+    at = np.zeros(len(t.profiles), dtype=np.int64)  # each profile's place among its rank's
+    for r, c in enumerate(per_rank):
+        at[rank == r] = np.arange(c)
+    bd = [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
+    for r in range(1, dims):
+        # the facets of each (identity, p) of rank r, relabeled by every x
+        p, q, order, sign = zip(*[(c, q, order, sign) for c in np.flatnonzero(rank == r).tolist()
+                                  for q, order, sign in _facets(tuple(t.profiles[c].tolist()))])
+        y = _perm_ranks(t, t.perms[:, list(order)])
+        bd[r - 1][y * per_rank[r - 1] + at[_profile_ranks(n, np.array(q))],
+                  np.arange(len(t.perms))[:, None] * per_rank[r] + at[list(p)]] = sign
     # exact in float64, and fast through BLAS: the entries are in {-1, 0, 1}, so each
     # entry of the product is a sum of at most f_d terms of size 1, far below 2**53
-    for d in range(2, len(bd)):
+    for d in range(1, len(bd)):
         if np.any(bd[d - 1].astype(np.float64) @ bd[d].astype(np.float64)):
-            raise AssertionError(f"boundary squared is nonzero in degree {d}")
-    return ChainComplex(f, bd[1:], complete, chains)
+            raise AssertionError(f"boundary squared is nonzero in degree {d + 1}")
+    return ChainComplex(f, bd, dmax is None or top <= dmax, _chain_counts(n, k, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +222,8 @@ class HomologyResult:
     computed_through: int
 
     def reduced_nontrivial_degrees(self):
-        out = []
-        for d, b in enumerate(self.betti):
-            if b is None:
-                continue
-            expected = 1 if d == 0 else 0
-            if b != expected or (d <= len(self.torsion) - 1 and self.torsion[d]):
-                out.append(d)
-        return out
+        return [d for d, b in enumerate(self.betti) if b is not None
+                and (b != (d == 0) or d < len(self.torsion) and self.torsion[d])]
 
 
 def homology(C: ChainComplex) -> HomologyResult:
@@ -229,22 +232,13 @@ def homology(C: ChainComplex) -> HomologyResult:
     For a complex truncated at its top stored dimension the top degree
     needs the missing next boundary, so its entries are reported as None.
     """
-    dims = len(C.f_vector)
-    ranks = [0] * (dims + 1)
-    torsions = [()] * dims
-    for d, M in enumerate(C.boundaries):
-        factors = smith_normal_form(M)
-        ranks[d + 1] = len(factors)
-        torsions[d] = tuple(f for f in factors if f > 1)
-    top = dims - 1
-    reliable = top if C.complete else top - 1
-    betti = []
-    for d in range(dims):
-        if d > reliable:
-            betti.append(None)
-        else:
-            betti.append(C.f_vector[d] - ranks[d] - ranks[d + 1])
-    return HomologyResult(tuple(betti), tuple(torsions), reliable)
+    factors = [smith_normal_form(M) for M in C.boundaries]
+    ranks = [0, *map(len, factors), 0]  # of the boundaries into and out of each degree
+    reliable = len(C.f_vector) - (1 if C.complete else 2)
+    betti = tuple(f - ranks[d] - ranks[d + 1] if d <= reliable else None
+                  for d, f in enumerate(C.f_vector))
+    torsion = tuple(tuple(x for x in fs if x > 1) for fs in factors) + ((),)
+    return HomologyResult(betti, torsion, reliable)
 
 
 def components(n: int, k: int) -> int:
@@ -264,22 +258,15 @@ PAYLOAD_FIELDS = ("n", "k", "fvector", "betti", "torsion", "components", "comple
 
 def classifier_homology(n: int, k: int, dmax: int | None = None,
                         max_objects: int = 20000) -> dict:
-    """The full pipeline: poset, cellular complex, homology, components.
+    """The full pipeline: object count, cellular complex, homology, components.
 
     Returns the report payload used by the command line and the cache:
     the nerve's f-vector, Betti numbers (null above the reliable range),
     torsion lists and the component count.
     """
-    P = build_classifier(n, k, max_objects=max_objects)
-    CC = cellular_complex(P, dmax)
+    classifier_objects(n, k, max_objects)
+    CC = cellular_complex(n, k, dmax)
     H = homology(CC)
-    return {
-        "n": n,
-        "k": k,
-        "fvector": list(CC.chains),
-        "betti": [b for b in H.betti],
-        "torsion": [list(t) for t in H.torsion],
-        "components": components(n, k),
-        "complete": CC.complete,
-        "computed_through": H.computed_through,
-    }
+    return {"n": n, "k": k, "fvector": list(CC.chains), "betti": list(H.betti),
+            "torsion": [list(t) for t in H.torsion], "components": components(n, k),
+            "complete": CC.complete, "computed_through": H.computed_through}

@@ -720,6 +720,91 @@ def nerve_homology(n: int, k: int, dmax: int | None = None) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# the cellular complex by diamond propagation over every arrow
+
+
+def grading(src, dst, n_obj: int, dmax: int | None):
+    """Rank of every object, chains per degree, and whether nothing was cut.
+
+    Step d counts the chains of d+1 objects ending at each object, and an
+    object's rank is the last step that reaches it.  With dmax the pass
+    stops after dmax + 1 steps; objects of rank dmax + 1 are not cells.
+    """
+    rank = np.zeros(n_obj, dtype=np.int64)
+    counts, chains = np.ones(n_obj, dtype=np.int64), [n_obj]
+    fan_in = int(np.bincount(dst, minlength=1).max())
+    while True:
+        if counts.dtype != object and int(counts.max(initial=0)) * fan_in * n_obj >> 63:
+            counts = counts.astype(object)  # the next step could pass int64
+        step = np.zeros_like(counts)
+        np.add.at(step, dst, counts[src])
+        reached = step != 0
+        rank[reached] = len(chains)
+        if not reached.any() or dmax is not None and len(chains) > dmax:
+            return rank, tuple(chains), not reached.any()
+        chains.append(int(step.sum()))
+        counts = step
+
+
+def diamond_complex(P, dmax: int | None = None):
+    """topology.cellular_complex from P.arrows: one cell per object of rank <= dmax,
+    with +1/-1 incidences on the covers propagated around diamonds (Bjorner 1984).
+
+    Ranks and chain counts are read from the source and target columns of
+    P.arrows, and the covers are the arrows whose rank steps by 1.  A cell's
+    first facet gets +1, and each ridge passes the sign on so that both
+    paths around its diamond cancel.  ValueError: a 1-cell without two
+    vertices, a ridge not in two facets, a disconnected facet graph, or two
+    diamonds disagreeing.  dd = 0 is checked on every pair of boundaries.
+    """
+    from higherop.topology import ChainComplex
+
+    if dmax is not None and dmax < 0:
+        raise ValueError("dmax must be nonnegative")
+    src, dst = P.arrows.T
+    rank, chains, complete = grading(src, dst, len(P.objects), dmax)
+    cells = [np.flatnonzero(rank == r) for r in range(len(chains))]
+    f = tuple(map(len, cells))
+    # bd[r] maps rank r to rank r-1; bd[0] puts every vertex on the empty face, index -1
+    bd = [np.ones((1, f[0]), dtype=np.int64)]
+    bd += [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
+    at = np.zeros(len(P.objects) + 1, dtype=np.int64)  # each cell's place in its rank; at[-1] = 0
+    for c in cells:
+        at[c] = np.arange(len(c))
+    facets = [[-1] if r == 0 else [] for r in rank.tolist()]
+    covers = (rank[dst] == rank[src] + 1) & (rank[dst] < len(f))
+    for a, b in zip(src[covers].tolist(), dst[covers].tolist()):
+        facets[b].append(a)
+    for r in range(1, len(f)):
+        for c in cells[r].tolist():
+            col, below = bd[r][:, at[c]], bd[r - 1]
+            through = {}  # ridge -> the facets of c that contain it
+            for x in facets[c]:
+                for g in facets[x]:
+                    through.setdefault(g, []).append(x)
+            signed = facets[c][:1]
+            col[at[signed[0]]] = 1
+            for x in signed:  # grows as the signs spread
+                for g in facets[x]:
+                    if (n_in := len(through[g])) != 2:
+                        raise ValueError(f"1-cell {c} has {n_in} vertices, not 2" if r == 1 else
+                                         f"a ridge of cell {c} lies in {n_in} facets, not 2")
+                    y = sum(through[g]) - x  # the other facet through g
+                    s = -col[at[x]] * below[at[g], at[x]] * below[at[g], at[y]]
+                    if not col[at[y]]:
+                        col[at[y]] = s
+                        signed.append(y)
+                    elif col[at[y]] != s:
+                        raise ValueError(f"two diamonds disagree on the facet signs of cell {c}")
+            if len(signed) != len(facets[c]):
+                raise ValueError(f"the facet graph of cell {c} is disconnected")
+    for d in range(2, len(bd)):  # exact in float64: entries in {-1, 0, 1}
+        prod = bd[d - 1].astype(np.float64) @ bd[d].astype(np.float64)
+        assert not np.any(prod), f"boundary squared is nonzero in degree {d}"
+    return ChainComplex(f, bd[1:], complete, chains)
+
+
 def components_by_arrows(P) -> int:
     """Connected components of the undirected graph of every arrow of P.
 

@@ -181,6 +181,28 @@ def test_ass_check_is_refused_before_the_base_is_built(capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error: ") and "composable pairs" in err[0]
 
 
+def test_ass_check_is_refused_before_the_objects_are_listed(capsys, monkeypatch):
+    # Ord(2) has 2^24 objects up to K = 24: their identities alone pass the ceiling
+    def boom(*args, **kwargs):
+        raise AssertionError("an object of the base was listed")
+
+    monkeypatch.setattr(operads.OrdBase, "objects", boom)
+    start = time.perf_counter()
+    assert main(["operad", "check", "--which", "ass", "--n", "2", "--K", "24"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: at least 16777216 Ord morphisms at K=24 need at least 8.1 GiB "
+                   "(ceiling 256 MiB)"]
+
+
+def test_classifier_objects_are_refused_without_forming_k_factorial(capsys):
+    start = time.perf_counter()
+    assert main(["classifier", "--fresh", "--n", "2", "--k", "1000000"]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: classifier at (n=2, k=1000000) has at least 5040 objects (budget 2000)"]
+
+
 def test_monad_laws_defaults_are_refused_before_a_tree_is_built(capsys, monkeypatch):
     from higherop import freeop
 

@@ -35,6 +35,7 @@ from higherop.symmetrize import (
     check_adjunction,
     classifier_dot,
     classifier_labels,
+    classifier_objects,
     symmetrize,
     terminal_class_counts,
     unit_insertion,
@@ -213,6 +214,12 @@ def test_classifier_arity_one_and_zero():
 def test_classifier_budget():
     with pytest.raises(BudgetExceededError):
         build_classifier(3, 5, max_objects=100)
+    # 5! * 3^4 objects: exact at the last factor, a lower bound before it
+    assert classifier_objects(3, 5, 9720) == 9720
+    with pytest.raises(BudgetExceededError, match=r"has 9720 objects \(budget 9719\)"):
+        classifier_objects(3, 5, 9719)
+    with pytest.raises(BudgetExceededError, match=r"has at least 120 objects \(budget 100\)"):
+        classifier_objects(3, 5, 100)
 
 
 def test_classifier_arrow_budget_is_exact():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     components_by_arrows,
+    diamond_complex,
+    grading,
     labeled_structures,
     nerve,
     nerve_boundaries,
@@ -17,9 +19,12 @@ from oracles import (
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from higherop import symmetrize
+from higherop.operads import BudgetExceededError
 from higherop.symmetrize import ClassifierPoset, build_classifier
 from higherop.topology import (
-    _grading,
+    ChainComplex,
+    _chain_counts,
     cellular_complex,
     classifier_homology,
     components,
@@ -118,7 +123,7 @@ _RP2 = _rp2_face_poset().objects
 )
 def test_cellular_refuses_a_non_regular_poset(P, message):
     with pytest.raises(ValueError, match=message):
-        cellular_complex(P)
+        diamond_complex(P)
 
 
 def test_four_cycle_boundary_rank():
@@ -128,25 +133,24 @@ def test_four_cycle_boundary_rank():
 
 def test_boundary_squared_is_zero():
     for n, k in [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]:
-        CC = cellular_complex(build_classifier(n, k))
+        CC = cellular_complex(n, k)
         assert all(np.abs(M).max() == 1 for M in CC.boundaries)
         for d in range(len(CC.boundaries) - 1):
             assert not np.any(CC.boundaries[d] @ CC.boundaries[d + 1])
 
 
 def test_point_has_no_boundaries():
-    CC = cellular_complex(build_classifier(2, 1))
+    CC = cellular_complex(2, 1)
     assert CC.boundaries == []
     assert CC.f_vector == (1,)
 
 
 def test_cells_are_objects_by_level_sum():
     for n, k in [(2, 3), (3, 3), (2, 4)]:
-        P = build_classifier(n, k)
-        CC = cellular_complex(P)
+        CC = cellular_complex(n, k)
         levels = [sum(T.profile) for T in labeled_structures(n, k)]
         assert CC.f_vector == tuple(levels.count(r) for r in range(max(levels) + 1))
-        assert CC.chains == nerve(P).f_vector()
+        assert CC.chains == nerve(build_classifier(n, k)).f_vector()
 
 
 def test_chain_counts_stay_exact_past_int64():
@@ -154,7 +158,7 @@ def test_chain_counts_stay_exact_past_int64():
     width, layers = 64, 11
     layer = np.repeat(np.arange(layers), width)
     src, dst = np.nonzero(layer[:, None] < layer[None, :])
-    rank, chains, complete = _grading(src, dst, width * layers, None)
+    rank, chains, complete = grading(src, dst, width * layers, None)
     assert chains == tuple(math.comb(layers, d + 1) * width ** (d + 1) for d in range(layers))
     assert chains[-1] > 2**63 and complete and (rank == layer).all()
 
@@ -315,7 +319,7 @@ def test_real_projective_plane_has_two_torsion():
     P = _rp2_face_poset()
     N = nerve(P)
     assert N.f_vector() == (31, 90, 60)
-    CC = cellular_complex(P)
+    CC = diamond_complex(P)
     assert CC.f_vector == (6, 15, 10) and CC.chains == N.f_vector()
     for H in (homology(nerve_boundaries(N)), homology(CC)):
         assert H.betti == (1, 0, 0)
@@ -323,8 +327,7 @@ def test_real_projective_plane_has_two_torsion():
 
 
 def test_truncated_homology_marks_top_degree():
-    P = build_classifier(3, 2)
-    H = homology(cellular_complex(P, dmax=1))
+    H = homology(cellular_complex(3, 2, dmax=1))
     assert H.betti[0] == 1
     assert H.betti[1] is None
     assert H.computed_through == 0
@@ -332,26 +335,26 @@ def test_truncated_homology_marks_top_degree():
 
 def test_euler_characteristic_matches_betti():
     for n, k in [(2, 2), (3, 2), (4, 2), (2, 3)]:
-        P = build_classifier(n, k)
-        CC = cellular_complex(P)
+        CC = cellular_complex(n, k)
         H = homology(CC)
         assert euler_characteristic(CC) == sum(
             (-1) ** d * b for d, b in enumerate(H.betti)
         )
-        assert euler_characteristic(CC) == euler_characteristic(nerve_boundaries(nerve(P)))
+        N = nerve_boundaries(nerve(build_classifier(n, k)))
+        assert euler_characteristic(CC) == euler_characteristic(N)
 
 
 def test_reduced_nontrivial_degrees():
-    H = homology(cellular_complex(build_classifier(3, 2)))
+    H = homology(cellular_complex(3, 2))
     assert H.reduced_nontrivial_degrees() == [2]
-    H0 = homology(cellular_complex(build_classifier(2, 1)))
+    H0 = homology(cellular_complex(2, 1))
     assert H0.reduced_nontrivial_degrees() == []
 
 
 def test_contractibility_trend_at_arity_two():
     # the first nonvanishing reduced degree climbs with the level count
     for n in (2, 3, 4):
-        H = homology(cellular_complex(build_classifier(n, 2)))
+        H = homology(cellular_complex(n, 2))
         assert H.reduced_nontrivial_degrees() == [n - 1]
 
 
@@ -404,10 +407,17 @@ def _classifier(n, k):
     return build_classifier(n, k)
 
 
+@functools.lru_cache(maxsize=None)
+def _cellular(n, k, dmax):
+    return cellular_complex(n, k, dmax)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(PARITY), st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
 def test_lower_ideals_match_the_nerve(case, picks):
-    """A lower ideal of the classifier is a subcomplex; both routes agree on it."""
+    """A lower ideal of the classifier is a subcomplex: the nerve and the
+    diamond signs agree on it, and so do the closed-form boundaries
+    restricted to its cells."""
     n, k, dmax = case
     P = _classifier(n, k)
     keep = {p % len(P.objects) for p in picks}
@@ -416,9 +426,63 @@ def test_lower_ideals_match_the_nerve(case, picks):
     Q = ClassifierPoset(n, k, tuple(P.objects[o] for o in sorted(keep)),
                         tuple((index[i], index[j]) for i, j in P.arrows if j in index))
     N = nerve(Q, dmax)
-    CC = cellular_complex(Q, dmax)
+    CC = diamond_complex(Q, dmax)
     assert (CC.chains, CC.complete) == (N.f_vector(), N.complete)
     assert homology(CC) == homology(nerve_boundaries(N))
+    # each object's cell: its level sum, and its place among the objects of that sum
+    levels = np.tile(symmetrize._labelings(n, k).profiles.sum(axis=1), math.factorial(k))
+    place = np.zeros_like(levels)
+    for r in range(levels.max() + 1):
+        place[levels == r] = np.arange((levels == r).sum())
+    kept = np.array(sorted(keep))
+    cells = [place[kept[levels[kept] == d]] for d in range(len(CC.f_vector))]
+    full = _cellular(n, k, dmax)
+    bd = [full.boundaries[d][np.ix_(cells[d], cells[d + 1])] for d in range(len(cells) - 1)]
+    for d in range(len(bd) - 1):
+        assert not np.any(bd[d] @ bd[d + 1])
+    assert homology(ChainComplex(CC.f_vector, bd, CC.complete)) == homology(CC)
+
+
+# every (n, k) with n <= 5, k <= 5 and at most 20,000 objects
+CELLS = [(n, k, dmax) for n in range(1, 6) for k in range(6)
+         if math.factorial(k) * n ** max(k - 1, 0) <= 20000 for dmax in (None, 0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, k, dmax", CELLS)
+def test_cells_match_the_diamond_signs(n, k, dmax):
+    """The level-tree covers are the arrows' covers, and the Koszul signs are
+    the diamond signs up to one sign per cell."""
+    C, D = _cellular(n, k, dmax), diamond_complex(_classifier(n, k), dmax)
+    assert (C.f_vector, C.chains, C.complete) == (D.f_vector, D.chains, D.complete)
+    # every vertex keeps its sign; each cell's is read off its facets, and must fit them all
+    sign = np.ones(C.f_vector[0], dtype=np.int64)
+    for M, W in zip(C.boundaries, D.boundaries, strict=True):
+        W = W * sign[:, None]
+        sign = (M * W).sum(axis=0) // np.abs(W).sum(axis=0)
+        assert (np.abs(sign) == 1).all() and (M == W * sign).all()
+
+
+def test_chain_counts_pass_int64_exactly():
+    # (5, 5): 75,000 objects and 188,976,000 arrows; the chains of 11 to 14
+    # objects pass 2**63, and their alternating sum is the Euler characteristic
+    # of the cells, 5! times (1 - 1 + 1 - 1 + 1)**4
+    chains = _chain_counts(5, 5, 17)
+    assert len(chains) == 17 and chains[:2] == (75000, 188976000)
+    assert max(chains) > 2**63 and all(type(c) is int for c in chains)
+    assert sum((-1) ** d * c for d, c in enumerate(chains)) == 120
+    assert cellular_complex(3, 5).chains == _chain_counts(3, 5, 9)
+
+
+def test_homology_builds_no_arrow(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an arrow of the classifier was built")
+
+    monkeypatch.setattr(symmetrize, "_strict_arrows", boom)
+    monkeypatch.setattr(symmetrize, "build_classifier", boom)
+    assert classifier_homology(2, 3)["betti"] == [1, 3, 2]
+    # the dense refusal comes from the profiles alone
+    with pytest.raises(BudgetExceededError, match=r"\[720, 3600, 7200, 7200, 3600, 720\]"):
+        classifier_homology(2, 6, max_objects=30000)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +545,7 @@ def test_lower_intervals_are_spheres(n, k):
             H = homology(nerve_boundaries(N))
         else:
             assert (n, k, profile) == (4, 3, (3, 3))
-            H = homology(cellular_complex(Q))
+            H = homology(diamond_complex(Q))
         sphere = (0,) if r == 0 else (2,) if r == 1 else (1,) + (0,) * (r - 2) + (1,)
         assert H.betti == sphere and not any(H.torsion), (profile, H)
 
