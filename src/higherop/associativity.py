@@ -3,20 +3,28 @@
 decide_group compares the two sides of every associativity square of a
 group of composable pairs whose tables share their shapes (see
 operads._check_associativity), each distinct triple once.  It reads the
-operad's tables concatenated in one flat int32 array, with the offset of
-each morphism's table and whether it holds a hole (-1), and works on
-plain numpy arrays: the report and its messages are built by
-operads._check_group.
+operad's tables concatenated in one flat array of the narrowest signed
+integer type, int16 or int32, that holds every label and the hole -1,
+with the offset of each morphism's table and whether it holds a hole,
+and works on plain numpy arrays: the report and its messages are built
+by operads._check_group.  Indices are always int64 (intp).
+
+A group runs in three phases, each timed: its G rows are found and
+numbered (rows_s), omega's cells are keyed to their triples row by row
+(keys_s), and the triples are compared over every outer argument
+(compare_s).
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
 
-def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: int):
+def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: int,
+                 clock: dict):
     """The comparisons of one group: m_sigma(m_omega(b; a); c) against
     m_tau(b; m_(block_i)(a_i; c|block_i)) over every (b, a, c) of every
     pair in the group, where tau = omega sigma is the composite.
@@ -31,49 +39,53 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
     (b, a) cell that gives it.  A hole inside a block reads as a right
     side of -1, which is skipped like any other hole.
 
-    Every (k, a_I) of a pair is the slot of some cell, and the first v
-    seen there is compared with the right side taken over all slots at
-    once: the pairs' G rows lie side by side, so one index per (pair,
-    a_I, c) reads the rows of every k.  The other values of v met in a
-    slot read the same right side.  Tables are stacked, or read in place
-    for a single pair; cells are read, and slots compared, in slabs of at
-    most `slab` cells.
+    Every (k, a_I) of a pair is the slot of some cell.  Omega's table is
+    read as rows (pair, b, a_J) over a_I, all of whose cells lie in the
+    slots of one slot row (k, pair); the first such row gives each slot
+    its first v, and the cells of the other rows that differ from it are
+    tallied as further (slot, v).  The first v of every slot is compared
+    with the right side taken over all slots at once: the pairs' G rows
+    lie side by side, so one index per (pair, a_I, c) reads the rows of
+    every k.  The other values of v met in a slot read the same right
+    side.  Tables are stacked, or read in place for a single pair; cells
+    are read, and slots compared, in slabs of at most `slab` cells.
 
     Returns the number of distinct triples, the instances skipped at a
     hole and the first `cap` failing instances (pair, b, a, c, lhs, rhs),
     a and c as flat indices, in (pair, b, a, c) order: the failing c of
-    the first cells whose triple fails, whatever the slab size.
+    the first cells whose triple fails, whatever the slab size.  The
+    seconds of each phase are added to `clock`.
     """
+    start = time.perf_counter()
     P = len(rows)
     s0, w0, c0 = rows[0, :3].tolist()
-    r = len(shapes[w0]) - 1
-    n_s, c_sizes = shapes[s0][0], shapes[s0][1:]
-    nb, a_sizes = shapes[w0][0], shapes[w0][1:]
-    n_a = math.prod(a_sizes)
-    n_c = math.prod(c_sizes)
-    triples, skipped, found = 0, 0, []
-    masked = bool(holes[rows[:, :3 + r]].any())
+    n_s, *c_sizes = shapes[s0]
+    nb, *a_sizes = shapes[w0]
     x_sizes = shapes[c0][1:]  # the composite's fiber axes, one per fiber of omega
-    n_comp = math.prod(x_sizes)
-    J = [i for i in range(r) if not (omega_map == i).any()]  # omega's empty fibers
-    I = [i for i in range(r) if i not in J]
+    r = len(a_sizes)
+    fibers = [[] for _ in range(r)]  # omega's fibers, as points of sigma's fiber axes
+    for e, i in enumerate(omega_map.tolist()):
+        if i >= 0:
+            fibers[i].append(e)
+    J = [i for i in range(r) if not fibers[i]]  # omega's empty fibers
+    I = [i for i in range(r) if fibers[i]]
+    n_a, n_c, n_comp = math.prod(a_sizes), math.prod(c_sizes), math.prod(x_sizes)
     n_aJ = math.prod(a_sizes[j] for j in J)
     n_aI = math.prod(a_sizes[i] for i in I)
     n_x = math.prod(x_sizes[i] for i in I)  # the length of a G row
-    a_dig = _digits(n_a, a_sizes)
-    c_dig = _digits(n_c, c_sizes)
-    aJ_of = _fold(a_dig, a_sizes, J)  # cell a -> its a_J and its a_I
-    aI_of = _fold(a_dig, a_sizes, I)
-    aJ_dig = _digits(n_aJ, [a_sizes[j] for j in J])
-    aI_dig = _digits(n_aI, [a_sizes[i] for i in I])
-    i_blocks = []  # (table size, row length, flat block input per c, stride in a G row)
+    triples, skipped, found = 0, 0, []
+    masked = bool(holes[rows[:, :3 + r]].any())
+    aJ_dig = _digits(scratch, [a_sizes[j] for j in J])
+    aI_dig = _digits(scratch, [a_sizes[i] for i in I])
+    i_blocks = []  # (table size, its shape over c's axes, stride in a G row)
     for k, i in enumerate(I):
         size = math.prod(shapes[int(rows[0, 3 + i])])
-        cblk = np.zeros(n_c, dtype=np.int64)
-        for e in np.flatnonzero(omega_map == i).tolist():  # omega's fiber i
-            cblk = cblk * c_sizes[e] + c_dig[e]
+        spread = tuple(n if e in fibers[i] else 1 for e, n in enumerate(c_sizes))
         stride = math.prod(x_sizes[later] for later in I[k + 1:])
-        i_blocks.append((size, size // a_sizes[i], cblk, stride))
+        i_blocks.append((size, spread, stride))
+    # a G row with its pair in front, padded to whole 8-byte words to be hashed
+    per_word = 8 // flat.itemsize
+    width = -(-(1 + n_x) // per_word) * per_word
 
     def stacked(col: int, p0: int, p1: int, size: int) -> np.ndarray:
         if p1 - p0 == 1:
@@ -81,27 +93,21 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
             return flat[o:o + size].reshape(1, size)
         return flat[off[rows[p0:p1, col]][:, None] + np.arange(size)]
 
-    # table cells per pair: sigma, omega, each slot's int64 first value and count (at
-    # most one slot per cell), the G rows and the blocks
-    table_cells = (n_s * n_c + 5 * nb * n_a + nb * n_aJ * (1 + n_x)
-                   + sum(size for size, _, _, _ in i_blocks) + sum(a_sizes[j] for j in J))
-    p_step = max(1, slab // table_cells)
+    # table cells per pair: sigma, omega, its rows when transposed, each slot's first v
+    # and count, the G rows and the blocks
+    table_cells = (n_s * n_c + 2 * nb * n_a + 5 * nb * n_aI + nb * n_aJ * width
+                   + sum(size for size, _, _ in i_blocks) + sum(a_sizes[j] for j in J))
+    # the pair column of a G row holds a pair's place in its slab in flat's type
+    p_step = min(max(1, slab // table_cells), int(np.iinfo(flat.dtype).max) + 1)
     cell_step = max(1, slab // 16)  # cells keyed at once, by 8-byte keys and their sort
     n_p = min(P, p_step)
     # a_I at once in the mix, an eighth of a slab at 8 bytes a cell, which then
     # indexes the G rows of a slab of slots
     a_step = min(n_aI, max(1, slab // (8 * n_p * n_c)))
-    a_sub = max(1, a_step // 8)  # a_I gathered at once into the mix, by an 8-byte index
-    mix_buf = _buffer(scratch, "mix", (n_p, a_step, n_c), np.intp)
-    at_buf = _buffer(scratch, "at", (a_sub, n_c), np.intp)
-    block_buf = _buffer(scratch, "block", (n_p, a_sub, n_c), flat.dtype)
-    if masked:
-        hole_buf = _buffer(scratch, "hole", mix_buf.shape, bool)
     for p0 in range(0, P, p_step):
         p1 = min(P, p0 + p_step)
         n_p = p1 - p0
         sig = stacked(0, p0, p1, n_s * n_c).reshape(-1, n_c)
-        om = stacked(1, p0, p1, nb * n_a).reshape(n_p * nb, n_a)  # cells in (p, b, a) order
         # the G row of (p, b, a_J) is tau's table at b with each J axis fixed at
         # m_(block_j)(a_j), or all -1 where one of those values is a hole
         x_J = np.zeros((n_p, n_aJ), dtype=np.int64)  # the fixed J axes, as one index
@@ -121,86 +127,86 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
                 pb1 = min(n_p * nb, pb0 + pb_step)
                 p = np.arange(pb0, pb1) // nb
                 at_b = comp[pb0:pb1].reshape(pb1 - pb0, n_aJ, n_x)
-                out = np.empty((pb1 - pb0, n_aJ, 1 + n_x), dtype=flat.dtype)
+                out = np.zeros((pb1 - pb0, n_aJ, width), dtype=flat.dtype)
                 out[:, :, 0] = p[:, None]
-                out[:, :, 1:] = at_b[np.arange(pb1 - pb0)[:, None], x_J[p]]
+                out[:, :, 1:1 + n_x] = at_b[np.arange(pb1 - pb0)[:, None], x_J[p]]
                 if masked:
-                    out[hole_J[p], 1:] = -1
-                yield out.reshape(-1, 1 + n_x)
+                    out[hole_J[p], 1:1 + n_x] = -1
+                yield out.reshape(-1, width)
 
-        G, g_of = _distinct_rows(g_rows())
+        G, g_of = _distinct_rows(g_rows(), _hash_weights(scratch, width // per_word))
         # number the distinct rows of each pair k = 0, 1, ..., and lay them side by side:
         # row k of pair p at G_side[k, p * n_x:(p + 1) * n_x], -1 past a pair's last row
-        by_pair = np.argsort(G[:, 0], kind="stable")
-        G = G[by_pair]
-        g_of = np.argsort(by_pair)[g_of]
-        p_of = G[:, 0].astype(np.int64)
-        k_of = np.arange(len(G)) - np.searchsorted(p_of, p_of)
+        p_of = G[:, 0].astype(np.intp)
+        by_pair = np.argsort(p_of, kind="stable")
+        k_of = np.empty(len(G), dtype=np.intp)
+        k_of[by_pair] = np.arange(len(G)) - np.searchsorted(p_of[by_pair], p_of[by_pair])
         n_k = int(k_of.max()) + 1
         G_side = np.full((n_k, n_p, n_x), -1, dtype=flat.dtype)
-        G_side[k_of, p_of] = G[:, 1:]
+        G_side[k_of, p_of] = G[:, 1:1 + n_x]
         G_side = G_side.reshape(n_k, n_p * n_x)
-        cell_k = k_of[g_of].reshape(n_p * nb, n_aJ)
-        blocks = [stacked(3 + i, p0, p1, size) for (size, _, _, _), i in zip(i_blocks, I)]
+        # the slot row (k, p) of each row (p, b, a_J) of omega's table
+        row_g = k_of[g_of] * n_p + np.arange(n_p * nb * n_aJ) // (nb * n_aJ)
+        # each block's values times their stride in a G row, over (p, a_i, c of fiber i)
+        blocks = [np.multiply(stacked(3 + i, p0, p1, size), stride, dtype=np.intp)
+                  .reshape(n_p, a_sizes[i], -1) for (size, _, stride), i in zip(i_blocks, I)]
+        now = time.perf_counter()
+        clock["rows_s"] = clock.get("rows_s", 0.0) + now - start
+        start = now
 
-        def cells():
-            """(first (p, b) row, first a, slot, v) of each slab of cells, in
-            (p, b, a) order; the slot of cell (p, b, a) is (k, p, a_I)."""
-            a_len = min(n_a, cell_step)
-            pb_len = max(1, cell_step // a_len)
-            for pb0 in range(0, n_p * nb, pb_len):
-                pb1 = min(n_p * nb, pb0 + pb_len)
-                p = (np.arange(pb0, pb1) // nb)[:, None]
-                first = (cell_k[pb0:pb1] * n_p + p) * n_aI  # the slot of (p, b, a_J, a_I = 0)
-                for a0 in range(0, n_a, a_len):
-                    a1 = min(n_a, a0 + a_len)
-                    slot = np.take(first, aJ_of[a0:a1], axis=1)
-                    slot += aI_of[a0:a1]
-                    yield pb0, a0, slot, om[pb0:pb1, a0:a1]
-
-        def mix(p: slice, a: np.ndarray):
-            """Where the right side of (pair p, a_I = a, c) lies in G_side's
-            rows, over p x a x every c, and where a block value is a hole."""
-            p = np.arange(n_p)[p]
-            out = mix_buf[: len(p), : len(a)]
-            out[...] = (p * n_x)[:, None, None]
-            hole = hole_buf[: len(p), : len(a)] if masked else None
-            if masked:
-                hole[...] = False
-            for (size, row, cblk, stride), d, blk in zip(i_blocks, aI_dig, blocks):
-                blk = blk[p[0]:p[-1] + 1]
-                for lo in range(0, len(a), a_sub):
-                    hi = min(len(a), lo + a_sub)
-                    at = np.add((d[a[lo:hi]] * row)[:, None], cblk, out=at_buf[: hi - lo])
-                    v = np.take(blk, at, axis=1, mode="clip", out=block_buf[: len(p), : hi - lo])
-                    if masked:
-                        hole[:, lo:hi] |= v < 0
-                    v *= stride
-                    out[:, lo:hi] += v
-            return out, hole
-
-        # the first v of every slot with its cells, and the other (slot, v) with theirs
-        n_slot = n_k * n_p * n_aI
-        first_v = np.full(n_slot, -2, dtype=np.int64)  # -2: no cell yet
-        count = np.zeros(n_slot, dtype=np.int64)
+        # omega's cells as rows (p, b, a_J) over a_I; some row of each slot row
+        # gives its slots their first v
+        W = stacked(1, p0, p1, nb * n_a).reshape((n_p * nb,) + tuple(a_sizes))
+        W = W.transpose([0] + [1 + i for i in J + I]).reshape(-1, n_aI)
+        n_g = n_k * n_p
+        per_g = np.bincount(row_g, minlength=n_g)  # the rows of each slot row
+        some = np.empty(n_g, dtype=np.intp)
+        some[row_g] = np.arange(len(row_g))
+        first_v = np.full((n_g, n_aI), -2, dtype=flat.dtype)  # -2: no cell
+        first_v[per_g > 0] = W[some[per_g > 0]]
+        # the cells that differ from the first v of their slot, as (slot, v) keys
         parts = []
-        for _, _, slot, v in cells():
-            slot, v = slot.ravel(), v.ravel()
-            seen = first_v[slot]
-            first_v[slot] = np.where(seen == -2, v, seen)  # kept from the first slab to reach it
-            same = first_v[slot] == v
-            np.add.at(count, slot[same], 1)
-            parts.append(_tally(slot[~same] * (n_s + 1) + v[~same] + 1))
+        r_step = max(1, cell_step // n_aI)
+        for r0 in range(0, len(W), r_step):
+            g, v = row_g[r0:r0 + r_step], W[r0:r0 + r_step]
+            at = np.flatnonzero(v != first_v[g])
+            row, a = np.divmod(at, n_aI)
+            parts.append(_tally((g[row] * n_aI + a) * (n_s + 1) + v.ravel()[at] + 1))
             if len(parts) > 1 and sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
                 parts = [_tally(*map(np.concatenate, zip(*parts)))]
         keys, counts = _tally(*map(np.concatenate, zip(*parts))) if len(parts) > 1 else parts[0]
-        triples += int((first_v > -2).sum()) + len(keys)
+        count = np.repeat(per_g, n_aI)  # the cells of each slot, less those of other v
+        np.subtract.at(count, keys // (n_s + 1), counts)
+        count = count.reshape(n_g, n_aI)
+        triples += int((per_g > 0).sum()) * n_aI + len(keys)
         if masked:  # omega's value is a hole: every c is skipped
             skipped += (int(count[first_v == -1].sum())
                         + int(counts[keys % (n_s + 1) == 0].sum())) * n_c
             keys, counts = keys[keys % (n_s + 1) > 0], counts[keys % (n_s + 1) > 0]
         weight = np.where(first_v >= 0, count, 0).reshape(n_k, n_p, n_aI)
         first_v = first_v.reshape(n_k, n_p, n_aI)
+        now = time.perf_counter()
+        clock["keys_s"] = clock.get("keys_s", 0.0) + now - start
+        start = now
+
+        def mix(p: slice, a: np.ndarray):
+            """Where the right side of (pair p, a_I = a, c) lies in G_side's
+            rows, over p x a x every c, and where a block value is a hole."""
+            p = np.arange(n_p)[p]
+            grid = (len(p), len(a)) + tuple(c_sizes)
+            out = _buffer(scratch, "mix", grid, np.intp)
+            out[...] = (p * n_x).reshape((-1,) + (1,) * (len(grid) - 1))
+            hole = _buffer(scratch, "hole", grid, bool) if masked else None
+            if masked:
+                hole[...] = False
+            for (_, spread, _), d, blk in zip(i_blocks, aI_dig, blocks):
+                v = np.take(blk[p[0]:p[-1] + 1], d[a], axis=1).reshape(grid[:2] + spread)
+                out += v
+                if masked:
+                    hole |= v < 0
+            shape = (len(p), len(a), n_c)
+            return out.reshape(shape), hole.reshape(shape) if masked else None
+
         # the other (slot, v), ordered by the slab of slots that holds them
         e_k, e_p, e_a = np.unravel_index(keys // (n_s + 1), (n_k, n_p, n_aI))
         k_step = min(n_k, max(1, slab // (n_p * a_step * n_c)))
@@ -250,24 +256,33 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
                         bad &= ~skip
                     bad_keys.append(keys[t0:t1][bad.any(axis=1)])
         bad_keys = np.sort(np.concatenate(bad_keys)) if bad_keys else keys[:0]
-        if not len(bad_keys) or len(found) >= cap:
-            continue
-        # the violations: the bad c of the first cells whose triple fails
-        for pb0, a0, slot, v in cells():
-            key = slot * (n_s + 1) + v + 1
-            at = np.minimum(np.searchsorted(bad_keys, key), len(bad_keys) - 1)
-            for row, col in np.argwhere(bad_keys[at] == key)[: cap - len(found)].tolist():
-                (p, b), a = divmod(pb0 + row, nb), a0 + col
-                k, a_I = int(cell_k[pb0 + row, aJ_of[a]]), int(aI_of[a])
-                index, hole = mix(slice(p, p + 1), np.array([a_I]))
-                R = np.take(G_side[k], index[0, 0], mode="clip")
-                if masked:
-                    R[hole[0, 0]] = -1
-                L = sig[p * n_s + int(v[row, col])]
-                bad = np.flatnonzero((L != R) & (L >= 0) & (R >= 0))[: cap - len(found)]
-                found += [(p0 + p, b, a, c, int(L[c]), int(R[c])) for c in bad.tolist()]
-            if len(found) >= cap:
-                break
+        if len(bad_keys) and len(found) < cap:
+            # the violations: the bad c of the first cells whose triple fails
+            a_at = _cell_index(a_sizes, J, I)  # the flat a of each (a_J, a_I)
+            rows_step = max(1, cell_step // n_a) * n_aJ  # whole (p, b), for the order of a
+            for r0 in range(0, len(W), rows_step):
+                r1 = min(len(W), r0 + rows_step)
+                key = ((row_g[r0:r1, None] * n_aI + np.arange(n_aI)) * (n_s + 1)
+                       + W[r0:r1] + 1)
+                at = np.minimum(np.searchsorted(bad_keys, key), len(bad_keys) - 1)
+                row, a_I = np.nonzero(bad_keys[at] == key)
+                row += r0
+                pb, a = row // n_aJ, a_at[row % n_aJ, a_I]
+                for t in np.lexsort((a, pb))[: cap - len(found)].tolist():
+                    (p, b), a_I_t = divmod(int(pb[t]), nb), int(a_I[t])
+                    index, hole = mix(slice(p, p + 1), np.array([a_I_t]))
+                    R = np.take(G_side[int(row_g[row[t]]) // n_p], index[0, 0], mode="clip")
+                    if masked:
+                        R[hole[0, 0]] = -1
+                    L = sig[p * n_s + int(W[row[t], a_I_t])]
+                    bad = np.flatnonzero((L != R) & (L >= 0) & (R >= 0))[: cap - len(found)]
+                    found += [(p0 + p, b, int(a[t]), c, int(L[c]), int(R[c]))
+                              for c in bad.tolist()]
+                if len(found) >= cap:
+                    break
+        now = time.perf_counter()
+        clock["compare_s"] = clock.get("compare_s", 0.0) + now - start
+        start = now
     return triples, skipped, found
 
 
@@ -284,12 +299,22 @@ def _buffer(scratch: dict, name: str, shape, dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _fold(digits, sizes, axes) -> np.ndarray:
-    """The row-major index over `axes` alone, from the digits of every axis."""
-    out = np.zeros(len(digits[0]) if digits else 1, dtype=np.int64)
-    for i in axes:
-        out = out * sizes[i] + digits[i]
-    return out
+def _digits(scratch: dict, sizes) -> list[np.ndarray]:
+    """Row-major digit arrays of a box, flat index -> index on each axis,
+    made once per worker and box."""
+    key = ("digits", tuple(sizes))
+    if key not in scratch:
+        total = math.prod(sizes)
+        scratch[key] = [(np.arange(total) // math.prod(sizes[i + 1:])) % s
+                        for i, s in enumerate(sizes)]
+    return scratch[key]
+
+
+def _cell_index(sizes, J, I) -> np.ndarray:
+    """The flat index of each cell of a box from its index over the axes J
+    and its index over the axes I, as an array over (J, I)."""
+    cells = np.arange(math.prod(sizes)).reshape(sizes)
+    return cells.transpose(J + I).reshape(math.prod(sizes[j] for j in J), -1)
 
 
 def _tally(keys: np.ndarray, counts: np.ndarray | None = None):
@@ -309,46 +334,70 @@ def _tally(keys: np.ndarray, counts: np.ndarray | None = None):
     return keys[first], np.add.reduceat(counts[order], first)
 
 
-def _distinct_rows(blocks):
+def _hash_weights(scratch: dict, n: int) -> np.ndarray:
+    """n 64-bit weights, the outputs of splitmix64 from seed 0 made odd,
+    kept by the worker.
+
+    >>> hex(int(_hash_weights({}, 1)[0]))
+    '0xe220a8397b1dcdaf'
+    """
+    weights = scratch.get("hash")
+    if weights is None or len(weights) < n:
+        with np.errstate(over="ignore"):
+            z = np.arange(1, max(n, 64) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        weights = scratch["hash"] = z ^ (z >> np.uint64(31)) | np.uint64(1)
+    return weights[:n]
+
+
+def _distinct_rows(blocks, weights):
     """The distinct rows among the blocks of rows, and the number of each
     row among them: each block is sorted alone, then the distinct rows of
-    all blocks together.
+    all blocks together (see _sort_rows).
 
-    >>> G, number = _distinct_rows(iter([np.array([[1, 2], [0, 5]]), np.array([[1, 2]])]))
+    >>> w = np.array([3, 5], dtype=np.uint64)
+    >>> G, number = _distinct_rows(iter([np.array([[1, 2], [0, 5]]), np.array([[1, 2]])]), w)
     >>> sorted(G.tolist()), [G[n].tolist() for n in number]
     ([[0, 5], [1, 2]], [[1, 2], [0, 5], [1, 2]])
     """
     parts, numbers, seen = [], [], 0
     for rows in blocks:
-        distinct, number = _sort_rows(rows)
+        distinct, number = _sort_rows(rows, weights)
         parts.append(distinct)
         numbers.append(number + seen)
         seen += len(distinct)
     if len(parts) == 1:
         return parts[0], numbers[0]
-    G, number = _sort_rows(np.concatenate(parts))
+    G, number = _sort_rows(np.concatenate(parts), weights)
     return G, number[np.concatenate(numbers)]
 
 
-def _sort_rows(rows: np.ndarray):
-    """The distinct rows, sorted as byte strings, and the number of each row."""
+def _sort_rows(rows: np.ndarray, weights: np.ndarray):
+    """The distinct rows and the number of each row.
+
+    A row, a whole number of 8-byte words, is keyed by the sum of its
+    words times `weights`, modulo 2^64, and rows of one key must be equal;
+    should two distinct rows share a key, all rows are sorted as byte
+    strings instead.
+
+    >>> rows = np.array([[4, 1], [3, 2], [4, 1]])
+    >>> [(G.tolist(), n.tolist()) for G, n in (
+    ...     _sort_rows(rows, np.array([3, 5], dtype=np.uint64)),
+    ...     _sort_rows(rows, np.array([1, 1], dtype=np.uint64)))]  # the two rows collide
+    [([[4, 1], [3, 2]], [0, 1, 0]), ([[3, 2], [4, 1]], [1, 0, 1])]
+    """
     rows = np.ascontiguousarray(rows)
-    width = rows.itemsize * rows.shape[1]  # rows of 8 bytes sort faster as integers
-    key = rows.view(np.int64 if width == 8 else np.dtype((np.void, width))).ravel()
+    words = rows.view(np.uint64)
+    key = words[:, 0] if words.shape[1] == 1 else words @ weights  # one word is its own key
     order = np.argsort(key)
-    key = key[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = key[1:] != key[:-1]
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
+    if words.shape[1] > 1 and not (words[order[~new]] == words[order[first[~new]]]).all():
+        key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        order = np.argsort(key)
+        new[1:] = key[order[1:]] != key[order[:-1]]
     number = np.empty(len(rows), dtype=np.int64)
     number[order] = np.cumsum(new) - 1
     return rows[order[new]], number
-
-
-def _digits(total: int, sizes) -> list[np.ndarray]:
-    """Row-major digit arrays: flat index -> per-axis index."""
-    out = []
-    stride = total
-    for s in sizes:
-        stride //= s
-        out.append((np.arange(total, dtype=np.int64) // stride) % s)
-    return out

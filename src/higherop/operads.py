@@ -846,7 +846,7 @@ def _check_associativity(A, C: CompiledBase, rows, rep) -> None:
         holes[m] = tab.size and int(tab.min()) < 0
         shape_key[m] = keys.setdefault(tab.shape, len(keys))
         omega_key[m] = keys.setdefault((tab.shape, C.maps[m].tobytes()), len(keys))
-    flat = np.concatenate(parts).astype(np.int32, copy=False)
+    flat = _flat_tables(parts)
 
     n_keys = len(keys)
     signature = (
@@ -883,7 +883,25 @@ def _check_associativity(A, C: CompiledBase, rows, rep) -> None:
                     break
         finally:
             last = -1
-    rep.timing.update(workers=workers, assoc_s=round(time.perf_counter() - start, 3))
+    for name in _PHASES:
+        rep.timing[name] = round(rep.timing.get(name, 0.0), 3)
+    rep.timing.update(workers=workers, assoc_s=round(time.perf_counter() - start, 3),
+                      table_bytes=flat.nbytes)
+
+
+_PHASES = ("rows_s", "keys_s", "compare_s")  # the kernel's phases, see associativity
+
+
+def _flat_tables(parts) -> np.ndarray:
+    """The tables concatenated in the narrowest signed type, int16 or
+    int32, that holds every label and -1.
+
+    >>> [_flat_tables([np.array([label, -1])]).dtype.name for label in (2**15 - 1, 2**15)]
+    ['int16', 'int32']
+    """
+    flat = np.concatenate(parts)
+    wide = flat.size and int(flat.max()) > np.iinfo(np.int16).max
+    return flat.astype(np.int32 if wide else np.int16)
 
 
 def _merge(rep: AxiomReport, part: AxiomReport) -> None:
@@ -891,6 +909,8 @@ def _merge(rep: AxiomReport, part: AxiomReport) -> None:
     for name in ("assoc_pairs", "assoc_instances", "assoc_rows", "skipped_holes",
                  "empty_domains"):
         setattr(rep, name, getattr(rep, name) + getattr(part, name))
+    for name in _PHASES:
+        rep.timing[name] = rep.timing.get(name, 0.0) + part.timing.get(name, 0.0)
 
 
 def _check_group(C, flat, off, holes, shapes, rows, slab, scratch) -> AxiomReport:
@@ -909,7 +929,7 @@ def _check_group(C, flat, off, holes, shapes, rows, slab, scratch) -> AxiomRepor
                   C.morphisms[s0], C.morphisms[w0])
     rep.assoc_instances += len(rows) * nb * n_a * n_c
     rep.assoc_rows, rep.skipped_holes, found = decide_group(
-        C.maps[w0], flat, off, holes, shapes, rows, slab, scratch, _MAX_VIOLATIONS)
+        C.maps[w0], flat, off, holes, shapes, rows, slab, scratch, _MAX_VIOLATIONS, rep.timing)
     for p, b, a, c, lhs, rhs in found:
         sigma, omega = C.morphisms[rows[p, 0]], C.morphisms[rows[p, 1]]
         a_idx = tuple(int(x) for x in np.unravel_index(a, a_sizes))

@@ -114,19 +114,46 @@ def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
     for r, c in enumerate(per_rank):
         at[rank == r] = np.arange(c)
     bd = [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
+    entries = []  # the flat positions of each boundary's nonzero entries
     for r in range(1, dims):
         # the facets of each (identity, p) of rank r, relabeled by every x
         p, q, order, sign = zip(*[(c, q, order, sign) for c in np.flatnonzero(rank == r).tolist()
                                   for q, order, sign in _facets(tuple(t.profiles[c].tolist()))])
         y = _perm_ranks(t, t.perms[:, list(order)])
-        bd[r - 1][y * per_rank[r - 1] + at[_profile_ranks(n, np.array(q))],
-                  np.arange(len(t.perms))[:, None] * per_rank[r] + at[list(p)]] = sign
-    # exact in float64, and fast through BLAS: the entries are in {-1, 0, 1}, so each
-    # entry of the product is a sum of at most f_d terms of size 1, far below 2**53
+        rows = y * per_rank[r - 1] + at[_profile_ranks(n, np.array(q))]
+        cols = np.arange(len(t.perms))[:, None] * per_rank[r] + at[list(p)]
+        bd[r - 1][rows, cols] = sign
+        nonzero = np.sort(rows * f[r] + cols, axis=None)
+        entries.append(nonzero[np.diff(nonzero, prepend=-1) > 0])
     for d in range(1, len(bd)):
-        if np.any(bd[d - 1].astype(np.float64) @ bd[d].astype(np.float64)):
+        if not _product_is_zero(bd[d - 1], entries[d - 1], bd[d], entries[d]):
             raise AssertionError(f"boundary squared is nonzero in degree {d + 1}")
     return ChainComplex(f, bd, dmax is None or top <= dmax, _chain_counts(n, k, dims))
+
+
+def _product_is_zero(A, at_A, B, at_B) -> bool:
+    """Whether A @ B is zero, exactly, from the flat positions of their
+    nonzero entries: each entry (i, j) of B meets A's entries in column i,
+    and the products are summed per position of A @ B.
+
+    >>> A, B = np.array([[1, 1]]), np.array([[1], [-1]])
+    >>> _product_is_zero(A, np.array([0, 1]), B, np.array([0, 1]))
+    True
+    >>> _product_is_zero(A, np.array([0, 1]), -A.T, np.array([0, 1]))
+    False
+    """
+    (ra, ca), (rb, cb) = np.divmod(at_A, A.shape[1]), np.divmod(at_B, B.shape[1])
+    by_col = np.argsort(ca, kind="stable")
+    ra, ca = ra[by_col], ca[by_col]
+    lo = np.searchsorted(ca, rb)
+    meet = np.searchsorted(ca, rb, side="right") - lo  # A's entries in column rb
+    b = np.repeat(np.arange(len(rb)), meet)
+    a = np.arange(len(b)) - np.repeat(np.cumsum(meet) - meet - lo, meet)
+    key = ra[a] * B.shape[1] + cb[b]
+    order = np.argsort(key, kind="stable")
+    value = (A[ra[a], ca[a]] * B[rb[b], cb[b]])[order]
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return not np.add.reduceat(value, first).any() if len(value) else True
 
 
 # ---------------------------------------------------------------------------

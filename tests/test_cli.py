@@ -79,8 +79,10 @@ def test_operad_check_pass(capsys):
     code, rep = run_json(capsys, ["operad", "check", "--which", "ass", "--n", "2", "--K", "2"])
     assert code == 0
     assert rep["status"] == "pass"
-    # the pool's size and the seconds of each stage are wall-clock facts: timing only
-    assert set(rep["timing"]) == {"assoc_s", "ms", "units_s", "workers"}
+    # the pool's size, the seconds of each stage and kernel phase and the bytes of
+    # the kernel's tables are facts of the run: timing only
+    assert set(rep["timing"]) == {"assoc_s", "ms", "units_s", "workers", "rows_s", "keys_s",
+                                  "compare_s", "table_bytes"}
     assert 1 <= rep["timing"]["workers"] <= operads._worker_count()
     assert not set(rep["timing"]) & set(rep["data"])
     # the compared triples are a count of the work, the same on every machine

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from higherop import operads
+from higherop import associativity, operads
 from higherop.freeop import Collection, free_operad
 from higherop.operads import (
     BudgetExceededError,
@@ -640,6 +641,103 @@ def test_holes_and_a_wrong_value_in_stacked_groups(monkeypatch):
     assert any(groups[_signature(A, s, w)] > 1 for s, w in failing)
 
 
+def _synthetic_group(rng, pairs, n_s, nb, a, c, x, top):
+    """decide_group's arguments for `pairs` random composable pairs whose
+    omega sends point i of its source to point i of its target: sigma of
+    shape (n_s, *c) and the composite of shape (nb, *x) take labels in
+    [0, top], omega of shape (nb, *a) labels below n_s, and the block over
+    point i of shape (a_i, c_i) labels below x_i.  Each table holds a few
+    holes (-1) when `top` is 1.  Returns (omega's map, tables, rows, shapes):
+    tables is a list in id order, rows has one (sigma, omega, composite,
+    blocks...) row of ids per pair."""
+    low = [-1, 0, 1] if top == 1 else [0, 1, top]
+    roles = [((n_s, *c), low), ((nb, *a), np.arange(n_s)), ((nb, *x), low)]
+    roles += [((a_i, c_i), np.arange(x_i)) for a_i, c_i, x_i in zip(a, c, x)]
+    tables, shapes = [], {}
+    for shape, labels in roles:  # the ids of one role's tables run on from the last role's
+        shapes.update((len(tables) + q, shape) for q in range(pairs))
+        tables += list(rng.choice(labels, size=(pairs, *shape)).astype(np.int64))
+    rows = np.arange(len(roles))[None, :] * pairs + np.arange(pairs)[:, None]
+    return np.arange(len(a)), tables, rows, shapes
+
+
+def _run_kernel(group, dtype, slab=1 << 22, cap=20):
+    """decide_group on a synthetic group with its tables flat in `dtype`."""
+    omega_map, tables, rows, shapes = group
+    off = np.cumsum([0] + [t.size for t in tables])[:-1]
+    holes = np.array([t.min() < 0 for t in tables])
+    flat = np.concatenate([t.ravel() for t in tables]).astype(dtype)
+    return associativity.decide_group(omega_map, flat, off, holes, shapes, rows, slab, {},
+                                      cap, {})
+
+
+def _synthetic_oracle(group, cap=20):
+    """(triples, skipped, first `cap` failing instances) of a synthetic
+    group, from every (pair, b, a, c) at once."""
+    omega_map, tables, rows, shapes = group
+    r = len(omega_map)
+    sigma, omega, comp = (np.stack([tables[i] for i in rows[:, col]]) for col in range(3))
+    blocks = [np.stack([tables[i] for i in rows[:, 3 + col]]) for col in range(r)]
+    P, nb, a = omega.shape[0], omega.shape[1], omega.shape[2:]
+    c = sigma.shape[2:]
+    p, b, *ac = np.indices((P, nb, *a, *c))
+    v = omega[(p, b, *ac[:r])]
+    lhs = sigma[(p, np.maximum(v, 0), *ac[r:])]
+    inner = [blk[p, a_i, c_i] for blk, a_i, c_i in zip(blocks, ac[:r], ac[r:])]
+    rhs = comp[(p, b, *(np.maximum(x, 0) for x in inner))]
+    hole = (v < 0) | (lhs < 0) | (rhs < 0)
+    for x in inner:
+        hole |= x < 0
+    bad = np.argwhere((lhs != rhs) & ~hole)[:cap]
+    found = [(int(q[0]), int(q[1]), int(np.ravel_multi_index(q[2:2 + r], a)),
+              int(np.ravel_multi_index(q[2 + r:], c)), int(lhs[tuple(q)]), int(rhs[tuple(q)]))
+             for q in bad]
+    # a triple: the pair, its composite's row at b, a and v, once per cell
+    _, row = np.unique(np.column_stack([np.repeat(np.arange(P), nb), comp.reshape(P * nb, -1)]),
+                       axis=0, return_inverse=True)
+    cells = np.column_stack([np.repeat(row.ravel(), math.prod(a)),
+                             np.tile(np.arange(math.prod(a)), P * nb), omega.ravel()])
+    return len(np.unique(cells, axis=0)), int(hole.sum()), found
+
+
+@pytest.mark.parametrize("top", [2**15 - 1, 2**15])
+def test_kernel_on_labels_at_the_int16_edge(top):
+    # the largest label int16 holds, and the first it does not
+    group = _synthetic_group(np.random.default_rng(top), 3, 2, 2, (2,), (3,), (2,), top)
+    flat = operads._flat_tables([t.ravel() for t in group[1]])
+    assert flat.dtype == (np.int16 if top < 2**15 else np.int32)
+    got = _run_kernel(group, flat.dtype)
+    assert got == _synthetic_oracle(group)
+    assert got == _run_kernel(group, np.int32) and got[2] and top in np.abs(flat)
+    assert any(top in (lhs, rhs) for *_, lhs, rhs in got[2])
+
+
+def test_kernel_on_more_pairs_than_int16_holds():
+    # one slab stacks every pair, past the 32,767 that a G row's pair column holds
+    pairs = 2**15 + 100
+    group = _synthetic_group(np.random.default_rng(3), pairs, 2, 1, (2,), (2,), (2,), 1)
+    got = _run_kernel(group, np.int16)
+    assert got == _run_kernel(group, np.int32) == _synthetic_oracle(group)
+    assert len(got[2]) == 20 and got[1] > 0
+
+
+def test_kernel_on_a_composite_row_longer_than_int16_holds():
+    # a G row of 3 * 32,767 values: the first axis steps by 32,767 within it
+    group = _synthetic_group(np.random.default_rng(4), 2, 2, 2, (2, 3), (2, 2), (3, 2**15 - 1),
+                             2)
+    assert math.prod(group[3][group[2][0, 2]][1:]) > 2**15
+    want = _synthetic_oracle(group, 10**6)
+    assert want[2] and max(max(group[1][i].max() for i in row[3:]) for row in group[2]) > 2**14
+    for slab in (1, 7, 64, 1 << 22):
+        assert _run_kernel(group, np.int16, slab, 10**6) == want
+        assert _run_kernel(group, np.int32, slab, 10**6) == want
+
+
+def _kernel_dtype(A):
+    """The type in which the associativity kernel reads A's tables."""
+    return operads._flat_tables([t.ravel() for t in A.mult.values()]).dtype
+
+
 def test_slab_size_does_not_change_the_report(monkeypatch):
     # uncapped, so the slabs' order of visiting instances cannot matter
     monkeypatch.setattr(operads, "_MAX_VIOLATIONS", 10**6)
@@ -660,6 +758,7 @@ def test_slab_size_does_not_change_the_report(monkeypatch):
 
     want = [report(B) for B in cases]
     assert len(want[2].violations) > 20 and want[1].skipped_holes > 0
+    assert all(_kernel_dtype(B) == np.int16 for B in cases)
     for slab in (1, 7, 64):
         monkeypatch.setattr(operads, "_SLAB_CELLS", slab)
         for B, rep in list(zip(cases, want))[: 1 if slab == 1 else 3]:
@@ -686,6 +785,7 @@ def test_merged_report_does_not_depend_on_the_worker_count(monkeypatch):
     cases = [make() for make, _ in _COUNTERS.values()] + [capped, holes, holed]
     want = [_fields(check_operad_axioms(B)) for B in cases]
     assert len(want[-3][1]) == 20 and want[-2][6] > 0 and len(want[-1][1]) == 20
+    assert all(_kernel_dtype(B) == np.int16 for B in cases)
     monkeypatch.setattr(operads, "_MAX_VIOLATIONS", 10**6)
     assert len(check_operad_axioms(capped).violations) > 20
     monkeypatch.undo()
