@@ -93,13 +93,13 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
             return flat[o:o + size].reshape(1, size)
         return flat[off[rows[p0:p1, col]][:, None] + np.arange(size)]
 
-    # table cells per pair: sigma, omega, its rows when transposed, each slot's first v
-    # and count, the G rows and the blocks
-    table_cells = (n_s * n_c + 2 * nb * n_a + 5 * nb * n_aI + nb * n_aJ * width
+    # table cells per pair: sigma; omega, its rows when transposed, and each slot's
+    # first v and int64 count (at most one slot per cell); the G rows and the blocks
+    table_cells = (n_s * n_c + 7 * nb * n_a + nb * n_aJ * width
                    + sum(size for size, _, _ in i_blocks) + sum(a_sizes[j] for j in J))
     # the pair column of a G row holds a pair's place in its slab in flat's type
     p_step = min(max(1, slab // table_cells), int(np.iinfo(flat.dtype).max) + 1)
-    cell_step = max(1, slab // 16)  # cells keyed at once, by 8-byte keys and their sort
+    cell_step = max(1, slab // 16)  # cells keyed at once, at up to 8-byte keys and their sort
     n_p = min(P, p_step)
     # a_I at once in the mix, an eighth of a slab at 8 bytes a cell, which then
     # indexes the G rows of a slab of slots
@@ -393,11 +393,12 @@ def _sort_rows(rows: np.ndarray, weights: np.ndarray):
     order = np.argsort(key)
     new = np.ones(len(rows), dtype=bool)
     new[1:] = key[order[1:]] != key[order[:-1]]
-    first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
-    if words.shape[1] > 1 and not (words[order[~new]] == words[order[first[~new]]]).all():
-        key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        order = np.argsort(key)
-        new[1:] = key[order[1:]] != key[order[:-1]]
+    if words.shape[1] > 1:
+        first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
+        if not (words[order[~new]] == words[order[first[~new]]]).all():
+            key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+            order = np.argsort(key)
+            new[1:] = key[order[1:]] != key[order[:-1]]
     number = np.empty(len(rows), dtype=np.int64)
     number[order] = np.cumsum(new) - 1
     return rows[order[new]], number

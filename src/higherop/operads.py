@@ -24,15 +24,15 @@ composable_pairs builds its rows without calling the base.
 
 The associativity check runs its groups of composable pairs on a pool
 of threads, one per core this process may run on
-(os.sched_getaffinity), while numpy's gathers and comparisons release
-the interpreter lock.  Within a group it compares each distinct
+(os.sched_getaffinity).  Within a group it compares each distinct
 (pair, composite slice, inner arguments, outer value) once over all
 outer arguments, and weights what it finds by how many cells give that
-triple (see associativity.decide_group).  Each worker reuses its own
-buffers, sized so that all workers together hold one slab of
-_SLAB_CELLS cells.  The groups' reports are merged in group order, and
-a group is checked to the same answer whatever its slab size, so the
-report does not depend on the number of workers.
+triple (see associativity.decide_group); it reads the tables as int16
+unless a label does not fit.  Each worker reuses its own buffers,
+sized so that all workers together hold one slab of _SLAB_CELLS
+cells.  The groups' reports are merged in group order, and a group is
+checked to the same answer whatever its slab size, so the report does
+not depend on the number of workers.
 
 Every budget of the package is compared, and its BudgetExceededError
 worded, by within_budget, on a count taken before what it counts is
@@ -697,7 +697,7 @@ class AxiomReport:
     assoc_rows: int = 0  # distinct (pair, G row, a_I, v) triples compared over every c
     skipped_holes: int = 0
     empty_domains: int = 0
-    # wall-clock figures (unit and associativity seconds, workers), outside comparisons
+    # figures of the run (seconds, workers, table bytes), outside comparisons
     timing: dict = field(default_factory=dict, compare=False, repr=False)
 
     def summary(self) -> str:
@@ -728,7 +728,10 @@ def check_operad_axioms(A: OperadTable, units_only: bool = False) -> AxiomReport
     Raises BudgetExceededError if one pair has more than _MAX_PAIR_CELLS
     (a, c) cells.  timing holds the seconds of the totality and unit
     checks (units_s) and of the associativity kernel (assoc_s) with its
-    number of workers.
+    number of workers, the seconds of the kernel's phases summed over
+    its groups (rows_s, keys_s and compare_s, which with several workers
+    may add up to more than assoc_s) and the bytes of the tables it reads
+    (table_bytes).
     """
     start = time.perf_counter()
     rep = AxiomReport(ok=True, violations=[])

@@ -125,6 +125,7 @@ def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
         bd[r - 1][rows, cols] = sign
         nonzero = np.sort(rows * f[r] + cols, axis=None)
         entries.append(nonzero[np.diff(nonzero, prepend=-1) > 0])
+    # dd = 0 in integers, at a cost that grows with the nonzero entries, not the cells
     for d in range(1, len(bd)):
         if not _product_is_zero(bd[d - 1], entries[d - 1], bd[d], entries[d]):
             raise AssertionError(f"boundary squared is nonzero in degree {d + 1}")
