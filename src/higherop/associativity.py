@@ -41,9 +41,9 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
 
     Every (k, a_I) of a pair is the slot of some cell.  Omega's table is
     read as rows (pair, b, a_J) over a_I, all of whose cells lie in the
-    slots of one slot row (k, pair); the first such row gives each slot
-    its first v, and the cells of the other rows that differ from it are
-    tallied as further (slot, v).  The first v of every slot is compared
+    slots of one slot row (k, pair); one such row gives each slot its
+    first v, and only the cells that differ from it are tallied as
+    further (slot, v).  The first v of every slot is compared
     with the right side taken over all slots at once: the pairs' G rows
     lie side by side, so one index per (pair, a_I, c) reads the rows of
     every k.  The other values of v met in a slot read the same right

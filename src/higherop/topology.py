@@ -114,7 +114,8 @@ def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
     for r, c in enumerate(per_rank):
         at[rank == r] = np.arange(c)
     bd = [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
-    entries = []  # the flat positions of each boundary's nonzero entries
+    start = np.cumsum((0,) + f)  # each degree's first cell, numbering the cells of all degrees
+    entries = []  # (row, column, sign) of every boundary entry, in that numbering
     for r in range(1, dims):
         # the facets of each (identity, p) of rank r, relabeled by every x
         p, q, order, sign = zip(*[(c, q, order, sign) for c in np.flatnonzero(rank == r).tolist()
@@ -123,38 +124,40 @@ def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
         rows = y * per_rank[r - 1] + at[_profile_ranks(n, np.array(q))]
         cols = np.arange(len(t.perms))[:, None] * per_rank[r] + at[list(p)]
         bd[r - 1][rows, cols] = sign
-        nonzero = np.sort(rows * f[r] + cols, axis=None)
-        entries.append(nonzero[np.diff(nonzero, prepend=-1) > 0])
-    # dd = 0 in integers, at a cost that grows with the nonzero entries, not the cells
-    for d in range(1, len(bd)):
-        if not _product_is_zero(bd[d - 1], entries[d - 1], bd[d], entries[d]):
-            raise AssertionError(f"boundary squared is nonzero in degree {d + 1}")
+        entries.append((rows + start[r - 1], cols + start[r], np.broadcast_to(sign, rows.shape)))
+    if entries:
+        bad = _square_misses(*(np.concatenate([e.ravel() for e in x]) for x in zip(*entries)),
+                             int(start[-1]))
+        if len(bad):
+            d = int(np.searchsorted(start, bad[0], side="right")) - 1
+            raise AssertionError(f"boundary squared is nonzero in degree {d}")
     return ChainComplex(f, bd, dmax is None or top <= dmax, _chain_counts(n, k, dims))
 
 
-def _product_is_zero(A, at_A, B, at_B) -> bool:
-    """Whether A @ B is zero, exactly, from the flat positions of their
-    nonzero entries: each entry (i, j) of B meets A's entries in column i,
-    and the products are summed per position of A @ B.
+def _square_misses(row, col, value, cells: int) -> np.ndarray:
+    """The cells c at which the boundary, given by its entries (r, c,
+    value) over cells numbered across degrees, fails dd = 0 exactly, at a
+    cost that grows with the entries, not the cells: each entry (i, c)
+    meets the entries in column i, and their products are summed per (r,
+    c).  A position listed twice fails too, as the dense boundary holds
+    it once.
 
-    >>> A, B = np.array([[1, 1]]), np.array([[1], [-1]])
-    >>> _product_is_zero(A, np.array([0, 1]), B, np.array([0, 1]))
-    True
-    >>> _product_is_zero(A, np.array([0, 1]), -A.T, np.array([0, 1]))
-    False
+    >>> row, col = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])  # 0 bounds 1, 2; they bound 3
+    >>> _square_misses(row, col, np.array([1, 1, 1, -1]), 4), _square_misses(row, col, col > 0, 4)
+    (array([], dtype=int64), array([3]))
     """
-    (ra, ca), (rb, cb) = np.divmod(at_A, A.shape[1]), np.divmod(at_B, B.shape[1])
-    by_col = np.argsort(ca, kind="stable")
-    ra, ca = ra[by_col], ca[by_col]
-    lo = np.searchsorted(ca, rb)
-    meet = np.searchsorted(ca, rb, side="right") - lo  # A's entries in column rb
-    b = np.repeat(np.arange(len(rb)), meet)
-    a = np.arange(len(b)) - np.repeat(np.cumsum(meet) - meet - lo, meet)
-    key = ra[a] * B.shape[1] + cb[b]
+    at = np.sort(row * cells + col)
+    twice = at[1:][at[1:] == at[:-1]] % cells
+    by_col = np.argsort(col, kind="stable")
+    lo = np.searchsorted(col[by_col], row)
+    meet = np.searchsorted(col[by_col], row, side="right") - lo  # the entries in column row
+    b = np.repeat(np.arange(len(row)), meet)
+    a = by_col[np.arange(len(b)) - np.repeat(np.cumsum(meet) - meet - lo, meet)]
+    key = row[a] * cells + col[b]
     order = np.argsort(key, kind="stable")
-    value = (A[ra[a], ca[a]] * B[rb[b], cb[b]])[order]
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    return not np.add.reduceat(value, first).any() if len(value) else True
+    square = np.add.reduceat((value[a] * value[b])[order], first) if len(first) else first
+    return np.concatenate([twice, key[order][first][square != 0] % cells])
 
 
 # ---------------------------------------------------------------------------

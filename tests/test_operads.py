@@ -646,10 +646,10 @@ def _synthetic_group(rng, pairs, n_s, nb, a, c, x, top):
     omega sends point i of its source to point i of its target: sigma of
     shape (n_s, *c) and the composite of shape (nb, *x) take labels in
     [0, top], omega of shape (nb, *a) labels below n_s, and the block over
-    point i of shape (a_i, c_i) labels below x_i.  Each table holds a few
-    holes (-1) when `top` is 1.  Returns (omega's map, tables, rows, shapes):
-    tables is a list in id order, rows has one (sigma, omega, composite,
-    blocks...) row of ids per pair."""
+    point i of shape (a_i, c_i) labels below x_i.  When `top` is 1, sigma
+    and the composite also hold holes (-1).  Returns (omega's map, tables,
+    rows, shapes): tables is a list in id order, rows has one (sigma,
+    omega, composite, blocks...) row of ids per pair."""
     low = [-1, 0, 1] if top == 1 else [0, 1, top]
     roles = [((n_s, *c), low), ((nb, *a), np.arange(n_s)), ((nb, *x), low)]
     roles += [((a_i, c_i), np.arange(x_i)) for a_i, c_i, x_i in zip(a, c, x)]
