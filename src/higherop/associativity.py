@@ -257,8 +257,9 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
                     bad_keys.append(keys[t0:t1][bad.any(axis=1)])
         bad_keys = np.sort(np.concatenate(bad_keys)) if bad_keys else keys[:0]
         if len(bad_keys) and len(found) < cap:
-            # the violations: the bad c of the first cells whose triple fails
-            a_at = _cell_index(a_sizes, J, I)  # the flat a of each (a_J, a_I)
+            # the violations: the bad c of the first cells whose triple fails, in
+            # (p, b, a) order, with a_at the flat a of each (a_J, a_I)
+            a_at = np.arange(n_a).reshape(a_sizes).transpose(J + I).reshape(n_aJ, n_aI)
             rows_step = max(1, cell_step // n_a) * n_aJ  # whole (p, b), for the order of a
             for r0 in range(0, len(W), rows_step):
                 r1 = min(len(W), r0 + rows_step)
@@ -308,13 +309,6 @@ def _digits(scratch: dict, sizes) -> list[np.ndarray]:
         scratch[key] = [(np.arange(total) // math.prod(sizes[i + 1:])) % s
                         for i, s in enumerate(sizes)]
     return scratch[key]
-
-
-def _cell_index(sizes, J, I) -> np.ndarray:
-    """The flat index of each cell of a box from its index over the axes J
-    and its index over the axes I, as an array over (J, I)."""
-    cells = np.arange(math.prod(sizes)).reshape(sizes)
-    return cells.transpose(J + I).reshape(math.prod(sizes[j] for j in J), -1)
 
 
 def _tally(keys: np.ndarray, counts: np.ndarray | None = None):
