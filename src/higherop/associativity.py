@@ -83,9 +83,6 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
         spread = tuple(n if e in fibers[i] else 1 for e, n in enumerate(c_sizes))
         stride = math.prod(x_sizes[later] for later in I[k + 1:])
         i_blocks.append((size, spread, stride))
-    # a G row with its pair in front, padded to whole 8-byte words to be hashed
-    per_word = 8 // flat.itemsize
-    width = -(-(1 + n_x) // per_word) * per_word
 
     def stacked(col: int, p0: int, p1: int, size: int) -> np.ndarray:
         if p1 - p0 == 1:
@@ -95,7 +92,7 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
 
     # table cells per pair: sigma; omega, its rows when transposed, and each slot's
     # first v and int64 count (at most one slot per cell); the G rows and the blocks
-    table_cells = (n_s * n_c + 7 * nb * n_a + nb * n_aJ * width
+    table_cells = (n_s * n_c + 7 * nb * n_a + nb * n_aJ * (1 + n_x)
                    + sum(size for size, _, _ in i_blocks) + sum(a_sizes[j] for j in J))
     # the pair column of a G row holds a pair's place in its slab in flat's type
     p_step = min(max(1, slab // table_cells), int(np.iinfo(flat.dtype).max) + 1)
@@ -127,14 +124,14 @@ def decide_group(omega_map, flat, off, holes, shapes, rows, slab, scratch, cap: 
                 pb1 = min(n_p * nb, pb0 + pb_step)
                 p = np.arange(pb0, pb1) // nb
                 at_b = comp[pb0:pb1].reshape(pb1 - pb0, n_aJ, n_x)
-                out = np.zeros((pb1 - pb0, n_aJ, width), dtype=flat.dtype)
+                out = np.empty((pb1 - pb0, n_aJ, 1 + n_x), dtype=flat.dtype)
                 out[:, :, 0] = p[:, None]
                 out[:, :, 1:1 + n_x] = at_b[np.arange(pb1 - pb0)[:, None], x_J[p]]
                 if masked:
                     out[hole_J[p], 1:1 + n_x] = -1
-                yield out.reshape(-1, width)
+                yield out.reshape(-1, 1 + n_x)
 
-        G, g_of = _distinct_rows(g_rows(), _hash_weights(scratch, width // per_word))
+        G, g_of = _distinct_rows(g_rows())
         # number the distinct rows of each pair k = 0, 1, ..., and lay them side by side:
         # row k of pair p at G_side[k, p * n_x:(p + 1) * n_x], -1 past a pair's last row
         p_of = G[:, 0].astype(np.intp)
@@ -328,71 +325,37 @@ def _tally(keys: np.ndarray, counts: np.ndarray | None = None):
     return keys[first], np.add.reduceat(counts[order], first)
 
 
-def _hash_weights(scratch: dict, n: int) -> np.ndarray:
-    """n 64-bit weights, the outputs of splitmix64 from seed 0 made odd,
-    kept by the worker.
-
-    >>> hex(int(_hash_weights({}, 1)[0]))
-    '0xe220a8397b1dcdaf'
-    """
-    weights = scratch.get("hash")
-    if weights is None or len(weights) < n:
-        with np.errstate(over="ignore"):
-            z = np.arange(1, max(n, 64) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        weights = scratch["hash"] = z ^ (z >> np.uint64(31)) | np.uint64(1)
-    return weights[:n]
-
-
-def _distinct_rows(blocks, weights):
+def _distinct_rows(blocks):
     """The distinct rows among the blocks of rows, and the number of each
     row among them: each block is sorted alone, then the distinct rows of
-    all blocks together (see _sort_rows).
+    all blocks together.
 
-    >>> w = np.array([3, 5], dtype=np.uint64)
-    >>> G, number = _distinct_rows(iter([np.array([[1, 2], [0, 5]]), np.array([[1, 2]])]), w)
+    >>> G, number = _distinct_rows(iter([np.array([[1, 2], [0, 5]]), np.array([[1, 2]])]))
     >>> sorted(G.tolist()), [G[n].tolist() for n in number]
     ([[0, 5], [1, 2]], [[1, 2], [0, 5], [1, 2]])
     """
     parts, numbers, seen = [], [], 0
     for rows in blocks:
-        distinct, number = _sort_rows(rows, weights)
+        distinct, number = _sort_rows(rows)
         parts.append(distinct)
         numbers.append(number + seen)
         seen += len(distinct)
     if len(parts) == 1:
         return parts[0], numbers[0]
-    G, number = _sort_rows(np.concatenate(parts), weights)
+    G, number = _sort_rows(np.concatenate(parts))
     return G, number[np.concatenate(numbers)]
 
 
-def _sort_rows(rows: np.ndarray, weights: np.ndarray):
-    """The distinct rows and the number of each row.
-
-    A row, a whole number of 8-byte words, is keyed by the sum of its
-    words times `weights`, modulo 2^64, and rows of one key must be equal;
-    should two distinct rows share a key, all rows are sorted as byte
-    strings instead.
-
-    >>> rows = np.array([[4, 1], [3, 2], [4, 1]])
-    >>> [(G.tolist(), n.tolist()) for G, n in (
-    ...     _sort_rows(rows, np.array([3, 5], dtype=np.uint64)),
-    ...     _sort_rows(rows, np.array([1, 1], dtype=np.uint64)))]  # the two rows collide
-    [([[4, 1], [3, 2]], [0, 1, 0]), ([[3, 2], [4, 1]], [1, 0, 1])]
-    """
+def _sort_rows(rows: np.ndarray):
+    """The distinct rows, sorted as byte strings, or as integers when a row
+    is 4 or 8 bytes, and the number of each row."""
     rows = np.ascontiguousarray(rows)
-    words = rows.view(np.uint64)
-    key = words[:, 0] if words.shape[1] == 1 else words @ weights  # one word is its own key
+    width = rows.itemsize * rows.shape[1]
+    key = rows.view(f"i{width}" if width in (4, 8) else np.dtype((np.void, width))).ravel()
     order = np.argsort(key)
+    key = key[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = key[order[1:]] != key[order[:-1]]
-    if words.shape[1] > 1:
-        first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
-        if not (words[order[~new]] == words[order[first[~new]]]).all():
-            key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-            order = np.argsort(key)
-            new[1:] = key[order[1:]] != key[order[:-1]]
+    new[1:] = key[1:] != key[:-1]
     number = np.empty(len(rows), dtype=np.int64)
     number[order] = np.cumsum(new) - 1
     return rows[order[new]], number

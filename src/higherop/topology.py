@@ -145,19 +145,23 @@ def _square_misses(row, col, value, cells: int) -> np.ndarray:
     >>> row, col = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])  # 0 bounds 1, 2; they bound 3
     >>> _square_misses(row, col, np.array([1, 1, 1, -1]), 4), _square_misses(row, col, col > 0, 4)
     (array([], dtype=int64), array([3]))
+    >>> _square_misses(np.array([0, 0]), np.array([1, 1]), np.array([1, 1]), 2)  # (0, 1) twice
+    array([1])
     """
-    at = np.sort(row * cells + col)
-    twice = at[1:][at[1:] == at[:-1]] % cells
-    by_col = np.argsort(col, kind="stable")
-    lo = np.searchsorted(col[by_col], row)
-    meet = np.searchsorted(col[by_col], row, side="right") - lo  # the entries in column row
+    at = col * cells + row
+    order = np.argsort(at)  # the entries by column, then row
+    at, row, col, value = at[order], row[order], col[order], value[order]
+    twice = at[1:][at[1:] == at[:-1]] // cells
+    lo = np.searchsorted(col, row)
+    meet = np.searchsorted(col, row, side="right") - lo  # the entries in column row
     b = np.repeat(np.arange(len(row)), meet)
-    a = by_col[np.arange(len(b)) - np.repeat(np.cumsum(meet) - meet - lo, meet)]
+    a = np.arange(len(b)) - np.repeat(np.cumsum(meet) - meet - lo, meet)
     key = row[a] * cells + col[b]
-    order = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    square = np.add.reduceat((value[a] * value[b])[order], first) if len(first) else first
-    return np.concatenate([twice, key[order][first][square != 0] % cells])
+    order = np.argsort(key)
+    key, product = key[order], (value[a] * value[b])[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    square = np.add.reduceat(product, first) if len(first) else first
+    return np.concatenate([twice, key[first][square != 0] % cells])
 
 
 # ---------------------------------------------------------------------------

@@ -733,26 +733,6 @@ def test_kernel_on_a_composite_row_longer_than_int16_holds():
         assert _run_kernel(group, np.int32, slab, 10**6) == want
 
 
-def test_colliding_row_keys_fall_back_to_the_byte_sort(monkeypatch):
-    # with every weight 0 all G rows of more than one word share a key
-    A = desymmetrize(endomorphism_operad((0, 1), 2), 1)
-    sigma = max(A.mult, key=lambda m: A.mult[m].size)
-    B = _corrupted(A, sigma, 7, (int(A.mult[sigma].flat[7]) + 1) % 16)
-    want = [_fields(check_operad_axioms(X)) for X in (A, B)]
-    assert want[0][0] and not want[1][0]
-    sort_rows = associativity._sort_rows
-    fallbacks = []
-
-    def counting(rows, weights):
-        fallbacks.append(rows.shape[1] * rows.itemsize > 8)
-        return sort_rows(rows, weights)
-
-    monkeypatch.setattr(associativity, "_hash_weights", lambda scratch, n: np.zeros(n, np.uint64))
-    monkeypatch.setattr(associativity, "_sort_rows", counting)
-    assert [_fields(check_operad_axioms(X)) for X in (A, B)] == want
-    assert any(fallbacks)
-
-
 def _kernel_dtype(A):
     """The type in which the associativity kernel reads A's tables."""
     return operads._flat_tables([t.ravel() for t in A.mult.values()]).dtype
