@@ -105,8 +105,8 @@ def capped_power(x: int, e: int, cap: int) -> int:
     return x ** min(e, cap.bit_length())
 
 
-# one dense build: the int64 boundaries of one cellular complex, the End tables of one
-# set, or the composable pairs of one truncation
+# one build: the boundary entries of one cellular complex or the dense block their
+# elimination leaves, the End tables of one set, or the composable pairs of one truncation
 _MAX_DENSE_BYTES = 256 << 20
 
 

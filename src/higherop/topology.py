@@ -4,7 +4,10 @@ The classifier at arity k is the face poset of a regular CW complex: a
 cell per object (x, p), of dimension the level sum of p, and a product
 of permutohedra read off the level tree of p (Milgram 1966; Berger
 1997).  Facets and chain counts come from the identity labeling, so no
-arrow is built.  Smith reduction makes ranks and torsion exact.
+arrow is built.  Each boundary is kept as its nonzero entries.  Homology
+eliminates +-1 pivots sparsely over Python integers, the algebraic form
+of a discrete Morse matching (Forman 1998), and Smith-reduces only the
+block that is left, so ranks and torsion are exact.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ from .symmetrize import (_labelings, _moves, _perm_ranks, _profile_ranks, _termi
                          classifier_objects)
 
 _OVERFLOW_GUARD = 1 << 31
+_ENTRY_BYTES = 640  # bytes per boundary entry: the traced peak, cells to homology, is 550 at (2,6)
 
 
 @dataclass
 class ChainComplex:
-    """Integer boundary matrices; boundaries[d] maps degree d+1 to degree d."""
+    """Integer boundaries by their entries; boundaries[d] maps degree d+1 to degree d."""
 
     f_vector: tuple  # cells per degree
-    boundaries: list  # boundaries[d]: ndarray of shape (f_d, f_{d+1})
+    boundaries: list  # boundaries[d]: (row, column, value) arrays, one nonzero entry each
     complete: bool  # False if cells above the top stored degree were cut
     chains: tuple = ()  # chains of d+1 objects per degree d: the nerve's f-vector
 
@@ -93,12 +97,14 @@ def _chain_counts(n: int, k: int, dims: int) -> tuple:
 
 def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
     """The arity-k classifier's cells of dimension <= dmax, in the objects'
-    order, with their facets' signs.  Boundaries over _MAX_DENSE_BYTES are
-    refused from the profiles before any is allocated, and dd = 0 is checked.
+    order, with their facets' signs.  The entries are counted from the
+    facets of the identity cells, k! each, and refused past
+    _MAX_DENSE_BYTES at _ENTRY_BYTES apiece before any is built; dd = 0 is
+    checked.
 
     >>> C = cellular_complex(2, 3)
-    >>> C.f_vector, C.chains
-    ((6, 12, 6), (24, 96, 72))
+    >>> C.f_vector, C.chains, [len(row) for row, _, _ in C.boundaries]
+    ((6, 12, 6), (24, 96, 72), [24, 36])
     """
     if dmax is not None and dmax < 0:
         raise ValueError("dmax must be nonnegative")
@@ -108,26 +114,27 @@ def cellular_complex(n: int, k: int, dmax: int | None = None) -> ChainComplex:
     dims = top + 1 if dmax is None else min(top, dmax) + 1
     per_rank = np.bincount(rank)  # profiles per rank
     f = tuple(len(t.perms) * int(c) for c in per_rank[:dims])
-    within_budget(8 * sum(a * b for a, b in zip(f, f[1:])), _MAX_DENSE_BYTES,
-                  "dense boundaries of {} cells per degree need {n}", list(f), in_bytes=True)
+    # (p, q, order, sign) for each facet of each (identity, p) of rank r, per r >= 1
+    facets = [[(c, *facet) for c in np.flatnonzero(rank == r).tolist()
+               for facet in _facets(tuple(t.profiles[c].tolist()))] for r in range(1, dims)]
+    count = len(t.perms) * sum(map(len, facets))
+    within_budget(_ENTRY_BYTES * count, _MAX_DENSE_BYTES, "{} boundary entries need {n}", count,
+                  in_bytes=True)
     at = np.zeros(len(t.profiles), dtype=np.int64)  # each profile's place among its rank's
     for r, c in enumerate(per_rank):
         at[rank == r] = np.arange(c)
-    bd = [np.zeros(s, dtype=np.int64) for s in zip(f, f[1:])]
-    start = np.cumsum((0,) + f)  # each degree's first cell, numbering the cells of all degrees
-    entries = []  # (row, column, sign) of every boundary entry, in that numbering
-    for r in range(1, dims):
-        # the facets of each (identity, p) of rank r, relabeled by every x
-        p, q, order, sign = zip(*[(c, q, order, sign) for c in np.flatnonzero(rank == r).tolist()
-                                  for q, order, sign in _facets(tuple(t.profiles[c].tolist()))])
+    bd = []
+    for r, cell_facets in enumerate(facets, 1):  # relabeled by every x
+        p, q, order, sign = zip(*cell_facets)
         y = _perm_ranks(t, t.perms[:, list(order)])
         rows = y * per_rank[r - 1] + at[_profile_ranks(n, np.array(q))]
         cols = np.arange(len(t.perms))[:, None] * per_rank[r] + at[list(p)]
-        bd[r - 1][rows, cols] = sign
-        entries.append((rows + start[r - 1], cols + start[r], np.broadcast_to(sign, rows.shape)))
-    if entries:
-        bad = _square_misses(*(np.concatenate([e.ravel() for e in x]) for x in zip(*entries)),
-                             int(start[-1]))
+        bd.append((rows.ravel(), cols.ravel(), np.tile(np.array(sign, dtype=np.int64), len(y))))
+    if bd:
+        start = np.cumsum((0,) + f)  # each degree's first cell, numbering the cells of all degrees
+        shifted = [(row + start[d], col + start[d + 1], value)
+                   for d, (row, col, value) in enumerate(bd)]
+        bad = _square_misses(*map(np.concatenate, zip(*shifted)), int(start[-1]))
         if len(bad):
             d = int(np.searchsorted(start, bad[0], side="right")) - 1
             raise AssertionError(f"boundary squared is nonzero in degree {d}")
@@ -187,7 +194,10 @@ def smith_normal_form(M) -> tuple:
     >>> smith_normal_form([[0]])
     ()
     """
-    A = np.array(M, dtype=np.int64)
+    try:
+        A = np.array(M, dtype=np.int64)
+    except OverflowError:  # an entry past int64 starts on Python integers
+        A = np.array(M, dtype=object)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
     m, n = A.shape
@@ -247,6 +257,71 @@ def smith_normal_form(M) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# sparse elimination
+
+
+def invariant_factors(row, col, value, cleared=()) -> tuple:
+    """The invariant factors of the integer matrix with the entries (row,
+    col, value), less the columns in cleared, and the rows of its unit
+    pivots.
+
+    The columns are taken once each, shortest first.  A column with a +-1
+    entry pivots on the one in the shortest row: that row and column leave,
+    and each other column through the row drops the pivot column's
+    multiple, over Python integers.  What is left, the columns that had
+    no unit entry when their turn came, is a dense block for
+    smith_normal_form, refused past _MAX_DENSE_BYTES before it is built.
+
+    >>> invariant_factors([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, -1])  # det -2
+    ((1, 2), [0])
+    >>> invariant_factors([0, 1], [0, 1], [2, 3], cleared=[1])
+    ((2,), [])
+    """
+    row, col, value = (np.asarray(x, dtype=np.int64) for x in (row, col, value))
+    keep = ~np.isin(col, np.asarray(cleared, dtype=np.int64))
+    cols, rows = {}, {}  # column -> {row: value}; row -> the columns through it
+    for r, c, v in zip(row[keep].tolist(), col[keep].tolist(), value[keep].tolist()):
+        cols.setdefault(c, {})[r] = v
+        rows.setdefault(r, set()).add(c)
+    pivots = []
+    for c in sorted(cols, key=lambda c: len(cols[c])):
+        pivot_col, p = cols[c], None
+        for r, v in pivot_col.items():
+            if (v == 1 or v == -1) and (p is None or len(rows[r]) < len(rows[p])):
+                p = r
+        if p is None:
+            continue
+        del cols[c]
+        for r in pivot_col:
+            rows[r].discard(c)
+        unit = pivot_col.pop(p)  # its own inverse
+        pivots.append(p)
+        for c2 in rows.pop(p):
+            other = cols[c2]
+            q = other.pop(p) * unit
+            for r, v in pivot_col.items():
+                x = other.get(r, 0) - q * v
+                if x:
+                    if r not in other:
+                        rows[r].add(c2)
+                    other[r] = x
+                else:
+                    del other[r]
+                    rows[r].discard(c2)
+    left = [column for column in cols.values() if column]
+    if not left:
+        return (1,) * len(pivots), pivots
+    at = {r: i for i, r in enumerate(sorted({r for column in left for r in column}))}
+    within_budget(8 * len(at) * len(left), _MAX_DENSE_BYTES,
+                  "a residual block of {} x {} needs {n}", len(at), len(left), in_bytes=True)
+    M = [[0] * len(left) for _ in at]
+    for j, column in enumerate(left):
+        for r, v in column.items():
+            M[at[r]][j] = v
+    return (1,) * len(pivots) + smith_normal_form(M), pivots
+
+
+# ---------------------------------------------------------------------------
 # homology
 
 
@@ -262,12 +337,21 @@ class HomologyResult:
 
 
 def homology(C: ChainComplex) -> HomologyResult:
-    """Exact Betti numbers and torsion from Smith reductions.
+    """Exact Betti numbers and torsion from the invariant factors of each
+    boundary, top degree first.
 
-    For a complex truncated at its top stored dimension the top degree
-    needs the missing next boundary, so its entries are reported as None.
+    A unit pivot pairs a (d+1)-cell with a d-cell; as dd = 0, that d-cell's
+    column of the boundary below is an integer combination of the columns
+    of the unpaired cells, so it is cleared before that boundary is reduced
+    (Chen and Kerber 2011): the image, and with it every invariant factor,
+    stays the same.  For a complex truncated at its top stored dimension
+    the top degree needs the missing next boundary, so its entries are
+    reported as None.
     """
-    factors = [smith_normal_form(M) for M in C.boundaries]
+    factors, paired = [], []
+    for row, col, value in reversed(C.boundaries):
+        fs, paired = invariant_factors(row, col, value, cleared=paired)
+        factors.insert(0, fs)
     ranks = [0, *map(len, factors), 0]  # of the boundaries into and out of each degree
     reliable = len(C.f_vector) - (1 if C.complete else 2)
     betti = tuple(f - ranks[d] - ranks[d + 1] if d <= reliable else None

@@ -681,8 +681,6 @@ def nerve(P, dmax: int | None = None) -> NerveComplex:
 
 def nerve_boundaries(N: NerveComplex):
     """Alternating-sign face boundaries of the nerve; checks dd = 0."""
-    from higherop.topology import ChainComplex
-
     out = []
     for d in range(1, len(N.simplices)):
         prev_index = {s: i for i, s in enumerate(N.simplices[d - 1])}
@@ -696,7 +694,26 @@ def nerve_boundaries(N: NerveComplex):
         # sum of at most (d + 2) * (d + 3) terms of +-1
         prod = out[d].astype(np.float64) @ out[d + 1].astype(np.float64)
         assert not np.any(prod), f"boundary squared is nonzero in degree {d + 2}"
-    return ChainComplex(N.f_vector(), out, N.complete)
+    return sparse_complex(N.f_vector(), out, N.complete)
+
+
+def sparse_complex(f_vector, matrices, complete: bool, chains: tuple = ()):
+    """The ChainComplex whose boundaries are the dense matrices given, by their entries."""
+    from higherop.topology import ChainComplex
+
+    return ChainComplex(tuple(f_vector), [(*np.nonzero(M), M[np.nonzero(M)]) for M in matrices],
+                        complete, chains)
+
+
+def dense_boundaries(C) -> list:
+    """The boundaries of a ChainComplex as dense int64 matrices of shape
+    (f_d, f_{d+1}), each entry written to its place."""
+    out = []
+    for (row, col, value), shape in zip(C.boundaries, zip(C.f_vector, C.f_vector[1:])):
+        M = np.zeros(shape, dtype=np.int64)
+        M[row, col] = value
+        out.append(M)
+    return out
 
 
 def nerve_homology(n: int, k: int, dmax: int | None = None) -> dict:
@@ -718,6 +735,15 @@ def nerve_homology(n: int, k: int, dmax: int | None = None) -> dict:
         "complete": CC.complete,
         "computed_through": H.computed_through,
     }
+
+
+def config_space_betti(n: int, k: int) -> list:
+    """Coefficients of prod_{j<k} (1 + j t^(n-1)), the Poincare polynomial of F(R^n, k)."""
+    coeffs = [1]
+    for j in range(1, k):
+        shifted = [0] * (n - 1) + [j * c for c in coeffs]
+        coeffs = [a + b for a, b in itertools.zip_longest(coeffs, shifted, fillvalue=0)]
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +784,6 @@ def diamond_complex(P, dmax: int | None = None):
     vertices, a ridge not in two facets, a disconnected facet graph, or two
     diamonds disagreeing.  dd = 0 is checked on every pair of boundaries.
     """
-    from higherop.topology import ChainComplex
-
     if dmax is not None and dmax < 0:
         raise ValueError("dmax must be nonnegative")
     src, dst = P.arrows.T
@@ -802,7 +826,7 @@ def diamond_complex(P, dmax: int | None = None):
     for d in range(2, len(bd)):  # exact in float64: entries in {-1, 0, 1}
         prod = bd[d - 1].astype(np.float64) @ bd[d].astype(np.float64)
         assert not np.any(prod), f"boundary squared is nonzero in degree {d}"
-    return ChainComplex(f, bd[1:], complete, chains)
+    return sparse_complex(f, bd[1:], complete, chains)
 
 
 def components_by_arrows(P) -> int:

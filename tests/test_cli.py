@@ -282,24 +282,29 @@ def test_usage_error_exit_code(capsys):
     assert main(["classifier", "--n", "2", "--k", "7"]) == 2
 
 
-def test_oversized_dense_boundary_is_a_budget_error(capsys, monkeypatch):
+def test_oversized_boundary_entries_are_a_budget_error(capsys, monkeypatch):
     for argv, betti in ((["--n", "4", "--k", "3"], [1, 0, 0, 3, 0, 0, 2]),
                         (["--n", "2", "--k", "5", "--dmax", "1"], [1, None])):
         code, rep = run_json(capsys, ["classifier", "--fresh"] + argv)
         assert code == 0 and rep["data"]["betti"] == betti
-    # a few KiB refuse (3,3), whose cellular boundaries need 4.5 KiB, before any is allocated
-    real_zeros, shapes = np.zeros, []
+    # (3,3) has 168 entries; one byte short of their charge refuses it before any is
+    # built: the relabeling by every x, where k! enters, never runs
+    relabeled = []
 
-    def zeros(shape, *args, **kwargs):
-        shapes.append(shape)
-        return real_zeros(shape, *args, **kwargs)
+    def perm_ranks(t, perms):
+        relabeled.append(perms.shape)
+        return real_perm_ranks(t, perms)
 
-    monkeypatch.setattr(np, "zeros", zeros)
-    monkeypatch.setattr(topology, "_MAX_DENSE_BYTES", 4 << 10)
+    real_perm_ranks = topology._perm_ranks
+    monkeypatch.setattr(topology, "_perm_ranks", perm_ranks)
+    monkeypatch.setattr(topology, "_MAX_DENSE_BYTES", 168 * topology._ENTRY_BYTES - 1)
     assert main(["classifier", "--fresh", "--n", "3", "--k", "3"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: dense boundaries")
-    assert not {(6, 12), (12, 18), (18, 12), (12, 6)} & set(shapes)
+    assert len(err) == 1 and err[0].startswith("error: 168 boundary entries need")
+    assert relabeled == []
+    monkeypatch.setattr(topology, "_MAX_DENSE_BYTES", 168 * topology._ENTRY_BYTES)
+    code, rep = run_json(capsys, ["classifier", "--fresh", "--n", "3", "--k", "3"])
+    assert code == 0 and rep["data"]["betti"] == [1, 0, 3, 0, 2] and relabeled
 
 
 def test_oversized_end_tables_are_a_budget_error(capsys):

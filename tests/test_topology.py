@@ -6,15 +6,18 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     components_by_arrows,
+    config_space_betti,
+    dense_boundaries,
     diamond_complex,
     grading,
     labeled_structures,
     nerve,
     nerve_boundaries,
     nerve_homology,
+    sparse_complex,
 )
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -23,13 +26,13 @@ from higherop import symmetrize
 from higherop.operads import BudgetExceededError
 from higherop.symmetrize import ClassifierPoset, build_classifier
 from higherop.topology import (
-    ChainComplex,
     _chain_counts,
     cellular_complex,
     classifier_homology,
     components,
     euler_characteristic,
     homology,
+    invariant_factors,
     smith_normal_form,
 )
 
@@ -102,7 +105,7 @@ def _rp2_face_poset():
 def test_single_edge_boundary_pattern():
     P = ClassifierPoset(1, 0, ("a", "b"), ((0, 1),))
     CC = nerve_boundaries(nerve(P))
-    assert CC.boundaries[0].tolist() == [[-1], [1]]
+    assert dense_boundaries(CC)[0].tolist() == [[-1], [1]]
 
 
 _RP2 = _rp2_face_poset().objects
@@ -127,16 +130,16 @@ def test_cellular_refuses_a_non_regular_poset(P, message):
 
 
 def test_four_cycle_boundary_rank():
-    CC = nerve_boundaries(nerve(build_classifier(2, 2)))
-    assert len(smith_normal_form(CC.boundaries[0])) == 3
+    bd = dense_boundaries(nerve_boundaries(nerve(build_classifier(2, 2))))
+    assert len(smith_normal_form(bd[0])) == 3
 
 
 def test_boundary_squared_is_zero():
     for n, k in [(3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]:
-        CC = cellular_complex(n, k)
-        assert all(np.abs(M).max() == 1 for M in CC.boundaries)
-        for d in range(len(CC.boundaries) - 1):
-            assert not np.any(CC.boundaries[d] @ CC.boundaries[d + 1])
+        bd = dense_boundaries(cellular_complex(n, k))
+        assert all(np.abs(M).max() == 1 for M in bd)
+        for d in range(len(bd) - 1):
+            assert not np.any(bd[d] @ bd[d + 1])
 
 
 def test_point_has_no_boundaries():
@@ -271,6 +274,63 @@ def test_snf_rejects_non_matrix():
 
 
 # ---------------------------------------------------------------------------
+# unit-pivot elimination against both Smith forms
+
+
+@st.composite
+def _sparse_cases(draw):
+    """(M, cleared): a small integer matrix, mostly zeros, with entries of +-1,
+    +-2 and 3, any shape down to empty, and some of its columns to clear."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
+    M = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)),
+                 dtype=np.int64).reshape(m, n)
+    cleared = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else [])
+    return M, cleared
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_cases())
+@example((np.array([[2, 4], [6, 3]]), []))  # no unit entry: all of it is residual
+@example((np.array([[1, 1], [1, -1], [0, 0]]), []))  # a unit pivot, then a residual 2
+@example((np.zeros((0, 3), dtype=np.int64), []))
+@example((np.zeros((3, 0), dtype=np.int64), []))
+def test_unit_pivots_match_both_smith_forms(case):
+    M, cleared = case
+    row, col = np.nonzero(M)
+    factors, pivots = invariant_factors(row, col, M[row, col], cleared=cleared)
+    kept = np.delete(M, cleared, axis=1)
+    assert factors == smith_normal_form(kept)
+    assert factors == (_sympy_factors(kept) if kept.size else ())
+    assert len(set(pivots)) == len(pivots) <= len(factors)
+    assert set(pivots) <= set(row.tolist()) and factors[:len(pivots)] == (1,) * len(pivots)
+
+
+def test_projective_plane_torsion_comes_from_the_residual():
+    CC = diamond_complex(_rp2_face_poset())
+    H = homology(CC)
+    assert H.betti == (1, 0, 0) and H.torsion == ((), (2,), ())
+    # the 2 cannot be a unit pivot: it comes out of the dense block that is left
+    factors, pivots = invariant_factors(*CC.boundaries[1])
+    assert factors == smith_normal_form(dense_boundaries(CC)[1]) == (1,) * 9 + (2,)
+    assert len(pivots) < len(factors)
+
+
+def test_clearing_keeps_every_invariant_factor():
+    """homology clears the columns of the cells paired one degree up; its
+    factors are those of each whole boundary, by the dense Smith form."""
+    for CC in (cellular_complex(3, 3), cellular_complex(2, 4), nerve_boundaries(nerve(
+            build_classifier(2, 3))), diamond_complex(_rp2_face_poset())):
+        ranks = [len(smith_normal_form(M)) for M in dense_boundaries(CC)]
+        torsion = tuple(tuple(x for x in smith_normal_form(M) if x > 1)
+                        for M in dense_boundaries(CC)) + ((),)
+        H = homology(CC)
+        r = [0, *ranks, 0]
+        assert H.betti == tuple(f - r[d] - r[d + 1] for d, f in enumerate(CC.f_vector))
+        assert H.torsion == torsion
+
+
+# ---------------------------------------------------------------------------
 # homology
 
 
@@ -358,19 +418,10 @@ def test_contractibility_trend_at_arity_two():
         assert H.reduced_nontrivial_degrees() == [n - 1]
 
 
-def _config_space_betti(n, k):
-    """Coefficients of prod_{j<k} (1 + j t^(n-1)), the Poincare polynomial of F(R^n, k)."""
-    coeffs = [1]
-    for j in range(1, k):
-        shifted = [0] * (n - 1) + [j * c for c in coeffs]
-        coeffs = [a + b for a, b in itertools.zip_longest(coeffs, shifted, fillvalue=0)]
-    return coeffs
-
-
 @pytest.mark.parametrize("n, k", [(3, 3), (2, 4), (4, 3), (3, 4), (2, 5)])
 def test_full_homology_is_the_configuration_space(n, k):
     rep = classifier_homology(n, k)
-    want = _config_space_betti(n, k)
+    want = config_space_betti(n, k)
     assert rep["betti"] == want + [0] * (len(rep["betti"]) - len(want))
     assert not any(rep["torsion"])
     assert rep["complete"] and rep["computed_through"] == len(rep["betti"]) - 1
@@ -436,11 +487,11 @@ def test_lower_ideals_match_the_nerve(case, picks):
         place[levels == r] = np.arange((levels == r).sum())
     kept = np.array(sorted(keep))
     cells = [place[kept[levels[kept] == d]] for d in range(len(CC.f_vector))]
-    full = _cellular(n, k, dmax)
-    bd = [full.boundaries[d][np.ix_(cells[d], cells[d + 1])] for d in range(len(cells) - 1)]
+    full = dense_boundaries(_cellular(n, k, dmax))
+    bd = [full[d][np.ix_(cells[d], cells[d + 1])] for d in range(len(cells) - 1)]
     for d in range(len(bd) - 1):
         assert not np.any(bd[d] @ bd[d + 1])
-    assert homology(ChainComplex(CC.f_vector, bd, CC.complete)) == homology(CC)
+    assert homology(sparse_complex(CC.f_vector, bd, CC.complete)) == homology(CC)
 
 
 # every (n, k) with n <= 5, k <= 5 and at most 20,000 objects
@@ -456,10 +507,23 @@ def test_cells_match_the_diamond_signs(n, k, dmax):
     assert (C.f_vector, C.chains, C.complete) == (D.f_vector, D.chains, D.complete)
     # every vertex keeps its sign; each cell's is read off its facets, and must fit them all
     sign = np.ones(C.f_vector[0], dtype=np.int64)
-    for M, W in zip(C.boundaries, D.boundaries, strict=True):
+    for M, W in zip(dense_boundaries(C), dense_boundaries(D), strict=True):
         W = W * sign[:, None]
         sign = (M * W).sum(axis=0) // np.abs(W).sum(axis=0)
         assert (np.abs(sign) == 1).all() and (M == W * sign).all()
+
+
+@pytest.mark.parametrize("n, k, dmax", CELLS)
+def test_ordered_classifiers_have_the_closed_form_homology(n, k, dmax):
+    """Every complete classifier has the Betti numbers of F(R^n, k) and no
+    torsion, and H_0, wherever it is reliable, counts the quotient's classes."""
+    rep = classifier_homology(n, k, dmax)
+    if rep["complete"]:
+        want = config_space_betti(n, k)
+        assert rep["betti"] == want + [0] * (len(rep["betti"]) - len(want))
+        assert not any(rep["torsion"])
+    if rep["betti"][0] is not None:
+        assert rep["components"] == rep["betti"][0]
 
 
 def test_chain_counts_pass_int64_exactly():
@@ -480,9 +544,9 @@ def test_homology_builds_no_arrow(monkeypatch):
     monkeypatch.setattr(symmetrize, "_strict_arrows", boom)
     monkeypatch.setattr(symmetrize, "build_classifier", boom)
     assert classifier_homology(2, 3)["betti"] == [1, 3, 2]
-    # the dense refusal comes from the profiles alone
-    with pytest.raises(BudgetExceededError, match=r"\[720, 3600, 7200, 7200, 3600, 720\]"):
-        classifier_homology(2, 6, max_objects=30000)
+    # the entry count, and its refusal, come from the identity cells alone
+    with pytest.raises(BudgetExceededError, match=r"^4354560 boundary entries need"):
+        classifier_homology(2, 7, max_objects=400000)
 
 
 # ---------------------------------------------------------------------------
