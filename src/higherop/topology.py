@@ -260,10 +260,9 @@ def smith_normal_form(M) -> tuple:
 # sparse elimination
 
 
-def invariant_factors(row, col, value, cleared=()) -> tuple:
+def invariant_factors(row, col, value) -> tuple:
     """The invariant factors of the integer matrix with the entries (row,
-    col, value), less the columns in cleared, and the rows of its unit
-    pivots.
+    col, value), and the rows of its unit pivots.
 
     The columns are taken once each, shortest first.  A column with a +-1
     entry pivots on the one in the shortest row: that row and column leave,
@@ -274,13 +273,11 @@ def invariant_factors(row, col, value, cleared=()) -> tuple:
 
     >>> invariant_factors([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, -1])  # det -2
     ((1, 2), [0])
-    >>> invariant_factors([0, 1], [0, 1], [2, 3], cleared=[1])
-    ((2,), [])
+    >>> invariant_factors([0, 1], [0, 1], [2, 3])
+    ((1, 6), [])
     """
-    row, col, value = (np.asarray(x, dtype=np.int64) for x in (row, col, value))
-    keep = ~np.isin(col, np.asarray(cleared, dtype=np.int64))
     cols, rows = {}, {}  # column -> {row: value}; row -> the columns through it
-    for r, c, v in zip(row[keep].tolist(), col[keep].tolist(), value[keep].tolist()):
+    for r, c, v in zip(*(np.asarray(x).tolist() for x in (row, col, value))):
         cols.setdefault(c, {})[r] = v
         rows.setdefault(r, set()).add(c)
     pivots = []
@@ -349,8 +346,14 @@ def homology(C: ChainComplex) -> HomologyResult:
     reported as None.
     """
     factors, paired = [], []
-    for row, col, value in reversed(C.boundaries):
-        fs, paired = invariant_factors(row, col, value, cleared=paired)
+    for d in reversed(range(len(C.boundaries))):
+        row, col, value = C.boundaries[d]
+        if paired:
+            keep = np.ones(C.f_vector[d + 1], dtype=bool)
+            keep[paired] = False
+            keep = keep[col]
+            row, col, value = row[keep], col[keep], value[keep]
+        fs, paired = invariant_factors(row, col, value)
         factors.insert(0, fs)
     ranks = [0, *map(len, factors), 0]  # of the boundaries into and out of each degree
     reliable = len(C.f_vector) - (1 if C.complete else 2)
