@@ -146,8 +146,8 @@ def _square_misses(row, col, value, cells: int) -> np.ndarray:
     value) over cells numbered across degrees, fails dd = 0 exactly, at a
     cost that grows with the entries, not the cells: each entry (i, c)
     meets the entries in column i, and their products are summed per (r,
-    c).  A position listed twice fails too, as the dense boundary holds
-    it once.
+    c).  A position listed twice fails too, as the elimination keeps one
+    value per position.
 
     >>> row, col = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])  # 0 bounds 1, 2; they bound 3
     >>> _square_misses(row, col, np.array([1, 1, 1, -1]), 4), _square_misses(row, col, col > 0, 4)

@@ -22,7 +22,7 @@ from oracles import (
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from higherop import symmetrize
+from higherop import symmetrize, topology
 from higherop.operads import BudgetExceededError
 from higherop.symmetrize import ClassifierPoset, build_classifier
 from higherop.topology import (
@@ -300,6 +300,17 @@ def test_unit_pivots_match_both_smith_forms(M):
     assert factors == (_sympy_factors(M) if M.size else ())
     assert len(set(pivots)) == len(pivots) <= len(factors)
     assert set(pivots) <= set(row.tolist()) and factors[:len(pivots)] == (1,) * len(pivots)
+
+
+def test_residual_block_is_charged_before_it_is_built(monkeypatch):
+    M = np.array([[2, 4, 0], [6, 3, 0], [0, 0, 1]])  # one unit pivot, then a 2 x 2 block
+    row, col = np.nonzero(M)
+    monkeypatch.setattr(topology, "_MAX_DENSE_BYTES", 8 * 4)
+    assert invariant_factors(row, col, M[row, col]) == ((1, 1, 18), [2])
+    monkeypatch.setattr(topology, "_MAX_DENSE_BYTES", 8 * 4 - 1)
+    monkeypatch.setattr(topology, "smith_normal_form", None)  # never reached
+    with pytest.raises(BudgetExceededError, match="a residual block of 2 x 2"):
+        invariant_factors(row, col, M[row, col])
 
 
 def test_projective_plane_torsion_comes_from_the_residual():
